@@ -21,12 +21,10 @@ from .model import (
 )
 from .polyengine import (
     EnergyPolynomial,
-    RootConvergenceError,
     evaluate,
     is_real_value,
     matching_distance,
     mul,
-    roots,
     taylor_shift,
     to_variable,
 )
@@ -81,7 +79,6 @@ from .oracle import (
     ode_residual_dshg,
     reproduce_all_tables,
     reproduce_tables,
-    root_match_floor,
     wedge_decay_probe,
 )
 
@@ -97,12 +94,10 @@ __all__ = [
     "shift_from_physical",
     "shift_to_physical",
     "EnergyPolynomial",
-    "RootConvergenceError",
     "evaluate",
     "is_real_value",
     "matching_distance",
     "mul",
-    "roots",
     "taylor_shift",
     "to_variable",
     "RecursionCoefficients",
@@ -147,7 +142,6 @@ __all__ = [
     "ode_residual_dshg",
     "reproduce_all_tables",
     "reproduce_tables",
-    "root_match_floor",
     "wedge_decay_probe",
     "__version__",
 ]

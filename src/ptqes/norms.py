@@ -16,26 +16,40 @@ variant (-1)^n * prod a_i also circulates for these families; it disagrees
 with the Gram diagonal at odd index, and sign_report exposes both so the
 discrepancy is visible rather than silently absorbed.
 
-For odd M below the critical coupling the roots E_k are real and the system
-above is real, so the weights come out real (up to rounding) even though
-they are solved in complex arithmetic.
+Because the support points are the zeros of R_M, that system has the
+closed-form solution (Christoffel numbers; Golub & Welsch, Math. Comp. 1969)
 
-The complex P and Q families admit the same construction on the roots of
-their critical polynomials; those norms and weights are genuinely complex
-and are exposed for inspection only.
+    omega_k = 1 / sum_{n<M} R_n(E_k)^2 / gamma_n,
+
+with R_n(E_k) run by the recursion at E_k and E_k the levels of
+spectra.qes_spectrum.  For odd M below the critical coupling the levels are
+exactly real, and so are the weights.
+
+The complex P and Q families admit the same construction on their own
+sector levels; those norms and weights are genuinely complex and are
+exposed for inspection only.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ModelParams, k_index
-from .polyengine import _dd_add, _two_prod, evaluate
-from .recursion import build_P, build_Q, build_R, recurrence_a
+from .polyengine import evaluate
+from .recursion import build_P, build_Q, build_R, recurrence_a, recurrence_b
+from .spectra import qes_spectrum
+
+# Weights are refused when the rounding of their support points can move
+# them by more than this fraction of the largest weight.
+WEIGHT_RTOL = 1e-8
+
+_EPS = float(np.finfo(float).eps)
 
 
 class DegenerateSpectrumError(RuntimeError):
-    """Weight solve refused: two support points (near-)coincide."""
+    """Weights refused: support points too close to resolve them to
+    WEIGHT_RTOL of the largest weight."""
 
 
 def norm(n: int, params: ModelParams) -> float:
@@ -63,70 +77,50 @@ class WeightTable:
         return max(abs(w.imag) for w in self.weights) / scale
 
 
-def _residual_compensated(A: np.ndarray, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # rhs - A x with double-double accumulation.  The moment matrix gets
-    # ill-conditioned when two support points approach each other, and the
-    # plain-precision residual is then too noisy to drive refinement.
-    n = rhs.size
-    out = np.empty(n, dtype=complex)
-    for j in range(n):
-        re = (0.0, 0.0)
-        im = (0.0, 0.0)
-        for k in range(n):
-            a, v = A[j, k], x[k]
-            re = _dd_add(re, _two_prod(a.real, v.real))
-            re = _dd_add(re, _two_prod(-a.imag, v.imag))
-            im = _dd_add(im, _two_prod(a.real, v.imag))
-            im = _dd_add(im, _two_prod(a.imag, v.real))
-        re = _dd_add(re, (-rhs[j].real, 0.0))
-        im = _dd_add(im, (-rhs[j].imag, 0.0))
-        out[j] = -complex(re[0] + re[1], im[0] + im[1])
+def _r_values(params: ModelParams, E: complex) -> list:
+    """R_0(E) .. R_{M-1}(E), run by the recursion at E."""
+    cur, prev = 1.0 + 0j, 0j
+    out = [cur]
+    for n in range(params.M - 1):
+        cur, prev = (E - recurrence_b(n, params)) * cur - recurrence_a(n, params) * prev, cur
+        out.append(cur)
     return out
 
 
-def weights(params: ModelParams) -> WeightTable:
-    """Solve the M x M moment system on the roots of R_M.
+def _christoffel(support, values, norms) -> list:
+    """omega_k = 1 / sum_n F_n(E_k)^2 / h_n on the zeros E_k of the truncating
+    member of a monic orthogonal family F with Gram diagonal h; values(E)
+    returns F_0(E) .. F_{len(norms)-1}(E).
 
-    One step of iterative refinement with a compensated residual recovers
-    the digits the conditioning of the support points would otherwise cost.
+    A support point off by eps(1 + |E_k|) moves omega_k by about
+    |omega_k| times that over the gap delta_k to its nearest neighbour, so
+    the weights are refused when that exceeds WEIGHT_RTOL of the largest.
     """
-    from .polyengine import roots
-
-    M = params.M
-    r_fam = build_R(params, M)
-    support = roots(r_fam[M])
-    _check_separated(support)
-    A = np.empty((M, M), dtype=complex)
-    for j in range(M):
-        for k in range(M):
-            A[j, k] = evaluate(r_fam[j], support[k])
-    rhs = np.zeros(M, dtype=complex)
-    rhs[0] = 1.0
-    try:
-        omega = np.linalg.solve(A, rhs)
-        for _ in range(2):
-            res = _residual_compensated(A, omega, rhs)
-            if not np.any(res):
-                break
-            omega = omega + np.linalg.solve(A, res)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateSpectrumError(f"weight system singular: {exc}") from exc
-    gamma = tuple(norm(n, params) for n in range(M + 1))
-    return WeightTable(
-        params=params,
-        energies=tuple(support),
-        weights=tuple(complex(w) for w in omega),
-        gamma=gamma,
-    )
+    if not all(norms):
+        raise DegenerateSpectrumError("a Gram diagonal entry vanishes (zeta = 0)")
+    gaps = [
+        min((abs(E - F) for j, F in enumerate(support) if j != k), default=math.inf)
+        for k, E in enumerate(support)
+    ]
+    if min(gaps) == 0.0:
+        raise DegenerateSpectrumError("two support points coincide")
+    omega = [1.0 / sum(v * v / h for v, h in zip(values(E), norms)) for E in support]
+    scale = max(abs(w) for w in omega)
+    for E, w, gap in zip(support, omega, gaps):
+        if _EPS * (1.0 + abs(E)) * abs(w) / (gap * scale) > WEIGHT_RTOL:
+            raise DegenerateSpectrumError(
+                f"support point {E:.12g} is {gap:.1e} from its neighbour: its weight "
+                f"cannot be resolved to {WEIGHT_RTOL:.0e} of the largest"
+            )
+    return omega
 
 
-def _check_separated(support, rtol: float = 1e-10):
-    for i in range(len(support)):
-        for j in range(i + 1, len(support)):
-            if abs(support[i] - support[j]) <= rtol * (1.0 + abs(support[i])):
-                raise DegenerateSpectrumError(
-                    f"support points {i} and {j} coincide within {rtol:.1e}"
-                )
+def weights(params: ModelParams) -> WeightTable:
+    """Christoffel weights of the R functional on the M levels."""
+    support = qes_spectrum(params).energies
+    gamma = tuple(norm(n, params) for n in range(params.M + 1))
+    omega = _christoffel(support, lambda E: _r_values(params, E), gamma[: params.M])
+    return WeightTable(params=params, energies=support, weights=tuple(omega), gamma=gamma)
 
 
 def gram_matrix(table: WeightTable) -> np.ndarray:
@@ -198,30 +192,18 @@ def pq_norms(params: ModelParams, family: str):
 def pq_weight_report(params: ModelParams) -> dict:
     """Support points, weights and norms for both complex families.
 
-    Inspection output only; no reality holds or is claimed here.
+    The support of each family is its own sector's levels (E_P for P, E_Q
+    for Q).  Inspection output only; no reality holds or is claimed here.
     """
-    from .polyengine import roots
-
+    levels = qes_spectrum(params).levels
     report = {}
     for family in ("P", "Q"):
         fam, count = _pq_family(params, family)
-        crit = fam[count]
-        if crit.degree == 0:
-            report[family] = {"energies": [], "weights": [], "norms": [1.0 + 0j]}
+        norms = pq_norms(params, family)
+        if count == 0:
+            report[family] = {"energies": [], "weights": [], "norms": norms}
             continue
-        support = roots(crit)
-        _check_separated(support)
-        n = crit.degree
-        A = np.empty((n, n), dtype=complex)
-        for j in range(n):
-            for k in range(n):
-                A[j, k] = evaluate(fam[j], support[k])
-        rhs = np.zeros(n, dtype=complex)
-        rhs[0] = 1.0
-        omega = np.linalg.solve(A, rhs)
-        report[family] = {
-            "energies": list(support),
-            "weights": [complex(w) for w in omega],
-            "norms": pq_norms(params, family),
-        }
+        support = [lvl.E for lvl in levels if lvl.label == "E_" + family]
+        omega = _christoffel(support, lambda E: [evaluate(f, E) for f in fam[:count]], norms)
+        report[family] = {"energies": support, "weights": omega, "norms": norms}
     return report

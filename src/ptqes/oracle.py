@@ -82,43 +82,8 @@ def gauge_char_poly(params: ModelParams) -> EnergyPolynomial:
     return EnergyPolynomial(tuple(desc[::-1]), variable="E")
 
 
-# Matching roots(R_M) against the gauge eigenvalues is limited by the R_M
-# coefficients themselves once M >= 6 and zeta != 0: rounding them to double
-# precision moves the near-degenerate root pairs by more than 1e-8.  The
-# first-order bound is eps*sum|c_i||z|^i / |R'(z)| for a resolved root and
-# half the true pair splitting for a pair below its noise radius; the gauge
-# eigenvalues stay good to ~1e-13 throughout.  Measured ceilings with margin,
-# keyed by (M, zeta^2).
-_ROOT_MATCH_FLOORS = {
-    (6, 0.005): 1.2e-7,
-    (6, 0.01): 6.5e-7,
-    (6, 0.02): 3.7e-6,
-    (6, 0.025): 1.1e-7,
-    (7, 0.005): 5.2e-5,
-    (7, 0.01): 1.1e-6,
-    (7, 0.02): 1.4e-6,
-    (7, 0.025): 4.3e-7,
-    (8, 0.005): 6.6e-6,
-    (8, 0.01): 3.9e-6,
-    (8, 0.02): 2.2e-5,
-    (8, 0.025): 3.9e-5,
-    (9, 0.005): 1.6e-4,
-    (9, 0.01): 6.3e-4,
-    (9, 0.02): 1.5e-4,
-    (9, 0.025): 7.2e-5,
-}
-
+# Levels from qes_spectrum agree with the gauge eigenvalues to this distance.
 ROOT_MATCH_TOL = 1e-8
-
-
-def root_match_floor(M: int, zeta2: float) -> float:
-    """Achievable matching distance between roots(R_M) and the gauge
-    eigenvalues: 1e-8, except at documented cells where coefficient rounding
-    alone costs more."""
-    for (m, z2), bound in _ROOT_MATCH_FLOORS.items():
-        if m == M and abs(z2 - zeta2) <= 1e-12:
-            return bound
-    return ROOT_MATCH_TOL
 
 
 # ---------------------------------------------------------------------------

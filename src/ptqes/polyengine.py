@@ -1,40 +1,17 @@
-"""Monic polynomials in the energy variable: arithmetic and root finding.
+"""Monic polynomials in the energy variable: arithmetic and evaluation.
 
 Coefficients are complex doubles stored in ascending order with an exactly
-unit leading coefficient.  Degrees stay small (a little above M, so below
-~20 in practice); a companion-matrix eigensolve followed by Newton polishing
-is simple and accurate at these sizes.
-
-Spectra here contain near-degenerate pairs whose true separation can sit far
-below the noise that coefficient rounding alone injects into the roots.  The
-polish therefore runs to step stagnation with a compensated evaluation, and a
-final pass merges root clusters that are indistinguishable at that noise
-level, replacing each cluster by its (much better conditioned) center.
+unit leading coefficient.  Coefficients serve the paper's identities
+(factorization, the printed critical polynomials) and the independent
+checks; levels are never taken from them (see spectra).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-# A computed root z is treated as real when |Im z| <= RTOL * (1 + |z|).
+# A computed level z is treated as real when |Im z| <= RTOL * (1 + |z|).
 REAL_CLASSIFICATION_RTOL = 1e-8
-
-_NEWTON_MAX_ITER = 50
-_NEWTON_RTOL = 1e-13
-
-# Clusters merge when roots lie within this multiple of the local noise
-# radius.  Biased toward collapsing: a wrong merge reports the pair center
-# (off by half the true splitting, which is tiny in that regime), while a
-# wrong resolve reports rounding noise as structure.
-_CLUSTER_FACTOR = 8.0
-
-_EPS = float(np.finfo(float).eps)
-_SPLITTER = 134217729.0  # 2**27 + 1, Dekker coefficient splitter
-
-
-class RootConvergenceError(RuntimeError):
-    """Newton polishing failed to reach the backward-error tolerance."""
 
 
 @dataclass(frozen=True)
@@ -77,6 +54,13 @@ def evaluate(p: EnergyPolynomial, z: complex) -> complex:
     return acc
 
 
+def backward_error(p: EnergyPolynomial, z: complex) -> float:
+    """|p(z)| / sum_i |c_i| |z|^i: the relative coefficient perturbation that
+    makes z an exact root of p."""
+    az = abs(z)
+    return abs(evaluate(p, z)) / sum(abs(c) * az**i for i, c in enumerate(p.coeffs))
+
+
 def mul(p: EnergyPolynomial, q: EnergyPolynomial) -> EnergyPolynomial:
     """Product of two polynomials in the same variable."""
     if p.variable != q.variable:
@@ -109,209 +93,6 @@ def divide_exact(p: EnergyPolynomial, d: EnergyPolynomial):
     scale = max(abs(c) for c in p.coeffs)
     rem_norm = max((abs(c) for c in rem[:nd]), default=0.0) / scale
     return EnergyPolynomial(tuple(quot), variable=p.variable), rem_norm
-
-
-def _backward_scale(abs_coeffs: np.ndarray, z: complex) -> float:
-    # Sum |c_i| |z|^i, floored at 1: the natural size of rounding noise in
-    # a Horner evaluation is eps times this.
-    return max(1.0, float(npoly.polyval(abs(z), abs_coeffs)))
-
-
-def _two_sum(a: float, b: float):
-    s = a + b
-    t = s - a
-    return s, (a - (s - t)) + (b - t)
-
-
-def _fast_two_sum(a: float, b: float):
-    # Requires |a| >= |b| or a == 0; callers guarantee a is the high part.
-    s = a + b
-    return s, b - (s - a)
-
-
-def _two_prod(a: float, b: float):
-    p = a * b
-    ca = _SPLITTER * a
-    ahi = ca - (ca - a)
-    alo = a - ahi
-    cb = _SPLITTER * b
-    bhi = cb - (cb - b)
-    blo = b - bhi
-    err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-    return p, err
-
-
-def _dd_add(x, y):
-    s, e = _two_sum(x[0], y[0])
-    e += x[1] + y[1]
-    return _fast_two_sum(s, e)
-
-
-def _dd_add_d(x, d):
-    s, e = _two_sum(x[0], d)
-    e += x[1]
-    return _fast_two_sum(s, e)
-
-
-def _dd_mul_d(x, d):
-    p, e = _two_prod(x[0], d)
-    e += x[1] * d
-    return _fast_two_sum(p, e)
-
-
-def _dd_neg(x):
-    return (-x[0], -x[1])
-
-
-def _eval_compensated(coeffs: tuple, z: complex) -> complex:
-    """Horner evaluation with double-double accumulators.
-
-    Same coefficients, same IEEE doubles, but the running value keeps a
-    compensation term, so the returned residual is trustworthy well below
-    the plain-Horner noise floor.  Matters only near clustered roots where
-    cancellation eats every significant digit of the plain evaluation.
-    """
-    zr, zi = z.real, z.imag
-    re = (0.0, 0.0)
-    im = (0.0, 0.0)
-    for c in reversed(coeffs):
-        nre = _dd_add(_dd_mul_d(re, zr), _dd_neg(_dd_mul_d(im, zi)))
-        nim = _dd_add(_dd_mul_d(re, zi), _dd_mul_d(im, zr))
-        re = _dd_add_d(nre, c.real)
-        im = _dd_add_d(nim, c.imag)
-    return complex(re[0] + re[1], im[0] + im[1])
-
-
-def _newton_polish(coeffs: tuple, dc: np.ndarray, abs_c: np.ndarray, z0: complex) -> complex:
-    # Iterate to step stagnation rather than to a residual target: near a
-    # cluster the residual bottoms out at coefficient-rounding level long
-    # before the step information is exhausted.  Track the best point seen.
-    z = complex(z0)
-    best = z
-    best_res = abs(_eval_compensated(coeffs, z))
-    prev_step = None
-    for _ in range(_NEWTON_MAX_ITER):
-        pz = _eval_compensated(coeffs, z)
-        apz = abs(pz)
-        if apz < best_res:
-            best, best_res = z, apz
-        if apz == 0.0:
-            return z
-        dpz = complex(npoly.polyval(z, dc))
-        if dpz == 0:
-            break
-        step = pz / dpz
-        z = z - step
-        astep = abs(step)
-        # Steps toward an m-fold cluster contract by (m-1)/m per iteration,
-        # so only a ratio near 1 means stagnation; 0.8 lets the exact 1/2
-        # contraction of a paired root keep running.
-        if astep == 0.0 or (prev_step is not None and astep >= 0.8 * prev_step):
-            pz = _eval_compensated(coeffs, z)
-            if abs(pz) < best_res:
-                best, best_res = z, abs(pz)
-            break
-        prev_step = astep
-    if best_res <= _NEWTON_RTOL * _backward_scale(abs_c, best):
-        return best
-    raise RootConvergenceError(
-        f"root polishing stalled at residual {best_res:.3e} "
-        f"(tolerance {_NEWTON_RTOL * _backward_scale(abs_c, best):.3e})"
-    )
-
-
-def _noise_radius(abs_c: np.ndarray, dc: np.ndarray, d2c: np.ndarray, z: complex) -> float:
-    # Radius within which coefficient rounding alone can move a root at z.
-    # Solves |p'| r + |p''/2| r^2 = eps * sum|c_i||z|^i, interpolating the
-    # simple-root regime (eta/|p'|) and the paired regime (sqrt(eta/|p''/2|)).
-    eta = _EPS * float(npoly.polyval(abs(z), abs_c))
-    p1 = abs(complex(npoly.polyval(z, dc)))
-    h2 = 0.5 * abs(complex(npoly.polyval(z, d2c))) if d2c.size else 0.0
-    if h2 == 0.0:
-        if p1 == 0.0:
-            return float("inf")
-        return eta / p1
-    return (np.sqrt(p1 * p1 + 4.0 * h2 * eta) - p1) / (2.0 * h2)
-
-
-def _refine_cluster_center(coeffs: tuple, size: int, center: complex, radius: float) -> complex:
-    # For an m-root cluster the (m-1)-th derivative has a simple, well
-    # conditioned zero at the cluster center.
-    dc = np.asarray(coeffs, dtype=complex)
-    for _ in range(size - 1):
-        dc = dc[1:] * np.arange(1, dc.size)
-    ddc = dc[1:] * np.arange(1, dc.size)
-    z = complex(center)
-    for _ in range(20):
-        d1 = complex(npoly.polyval(z, ddc))
-        if d1 == 0:
-            break
-        step = complex(npoly.polyval(z, dc)) / d1
-        z = z - step
-        if abs(step) <= 1e-3 * max(radius, _EPS * (1.0 + abs(z))):
-            break
-    if abs(z - center) <= 4.0 * max(radius, _EPS * (1.0 + abs(center))):
-        return z
-    return complex(center)
-
-
-def _collapse_clusters(zs: list, coeffs: tuple, abs_c: np.ndarray, dc: np.ndarray) -> list:
-    n = len(zs)
-    if n < 2:
-        return zs
-    d2c = dc[1:] * np.arange(1, dc.size)
-    radii = [_noise_radius(abs_c, dc, d2c, z) for z in zs]
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(zs[i] - zs[j]) <= _CLUSTER_FACTOR * max(radii[i], radii[j]):
-                parent[find(i)] = find(j)
-
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-
-    out = []
-    for members in groups.values():
-        if len(members) == 1:
-            out.append(zs[members[0]])
-            continue
-        pts = [zs[i] for i in members]
-        center = sum(pts) / len(pts)
-        radius = max(radii[i] for i in members)
-        center = _refine_cluster_center(coeffs, len(members), center, radius)
-        out.extend([center] * len(members))
-    return out
-
-
-def roots(p: EnergyPolynomial) -> list:
-    """All roots, Newton-polished and sorted by (Re, Im).
-
-    Real-coefficient input goes through the real companion solve, which
-    returns exactly conjugate-symmetric raw roots; the polish preserves the
-    symmetry.  Roots closer than the local coefficient-rounding noise are
-    merged onto their common center and reported with multiplicity.
-    """
-    if p.degree < 1:
-        raise ValueError("constant polynomial has no roots")
-    c = np.asarray(p.coeffs, dtype=complex)
-    if np.all(c.imag == 0.0):
-        raw = np.roots(c.real[::-1])
-    else:
-        raw = np.roots(c[::-1])
-    dc = c[1:] * np.arange(1, c.size)
-    abs_c = np.abs(c)
-    polished = [_newton_polish(p.coeffs, dc, abs_c, z) for z in raw]
-    polished = _collapse_clusters(polished, p.coeffs, abs_c, dc)
-    polished.sort(key=lambda z: (z.real, z.imag))
-    return polished
 
 
 def is_real_value(z: complex, rtol: float = REAL_CLASSIFICATION_RTOL) -> bool:

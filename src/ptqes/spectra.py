@@ -1,29 +1,34 @@
 """Quasi-exactly-solvable spectra, critical polynomials and critical couplings.
 
-For odd M = 2k + 1 the recursions truncate: P_{k+1} and Q_k acquire real
-coefficients and their roots are the M solvable levels (labels E_P and E_Q).
-For even M there is no even/odd split; the M levels are the roots of R_M
-and come in complex-conjugate pairs once zeta is nonzero.
+The solvable levels are the zeros of R_M, so they are the eigenvalues of the
+real M x M Jacobi matrix T of the R recursion: diagonal b_n, super-diagonal
+1, sub-diagonal a_n.  Its eigenvalues depend on the off-diagonal entries
+only through their products a_n, and b_n = b_{M-1-n}, a_n = a_{M-n}, so for
+odd M = 2k + 1 the index reflection splits T into two real blocks:
+
+  E_P: the leading (k+1) x (k+1) block with its last sub-diagonal entry
+       doubled to 2 a_k; its characteristic polynomial is P_{k+1};
+  E_Q: the leading k x k block; its characteristic polynomial is Q_k.
+
+For even M there is no split; the M levels are the eigenvalues of T itself
+and come in complex-conjugate pairs once zeta is nonzero.  Every matrix is
+real, so a real level comes back with imaginary part exactly 0 and complex
+levels come in exact conjugate pairs.
 
 As zeta^2 grows, the two largest E_P levels approach each other and merge at
 a critical coupling zeta_c^2, beyond which they leave the real axis as a
 conjugate pair.  critical_coupling locates that point by bisection on the
-appearance of non-real roots.
+appearance of non-real E_P levels.
 """
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import ModelParams, k_index
-from .polyengine import (
-    EnergyPolynomial,
-    divide_exact,
-    is_real_value,
-    matching_distance,
-    mul,
-    roots,
-)
-from .recursion import build_P, build_Q, build_R, build_Rbar
+from .polyengine import EnergyPolynomial, divide_exact, is_real_value, matching_distance, mul
+from .recursion import build_P, build_Q, build_R, build_Rbar, recurrence_a, recurrence_b
 
 # Realization threshold for critical polynomials: imaginary parts must sit at
 # rounding level, anything bigger signals a broken recursion.
@@ -112,20 +117,44 @@ def degenerate_pairs(energies):
     return tuple(pairs)
 
 
+def _jacobi(params: ModelParams, size: int) -> np.ndarray:
+    """Leading size x size block of the R-recursion Jacobi matrix T."""
+    T = np.diag([recurrence_b(n, params) for n in range(size)])
+    for n in range(1, size):
+        T[n - 1, n] = 1.0
+        T[n, n - 1] = recurrence_a(n, params)
+    return T
+
+
+def _p_block(params: ModelParams) -> np.ndarray:
+    """E_P block for odd M = 2k + 1: T's leading (k+1) x (k+1) block with the
+    last sub-diagonal entry doubled."""
+    k = k_index(params.M)
+    block = _jacobi(params, k + 1)
+    if k:
+        block[k, k - 1] *= 2.0
+    return block
+
+
+def _sector_levels(params: ModelParams) -> dict:
+    """{label: eigenvalues}: E_P and E_Q blocks for odd M, all of T for even M."""
+    if params.M % 2 == 0:
+        return {"E_R": np.linalg.eigvals(_jacobi(params, params.M))}
+    block = _p_block(params)
+    out = {"E_P": np.linalg.eigvals(block)}
+    k = params.M // 2
+    if k:
+        out["E_Q"] = np.linalg.eigvals(block[:k, :k])
+    return out
+
+
 def qes_spectrum(params: ModelParams) -> QesSpectrum:
     """All M solvable levels, ascending by (Re E, Im E).
 
-    Odd M: roots of the critical polynomials, labelled E_P / E_Q.
-    Even M: roots of R_M, labelled E_R.
+    Odd M: eigenvalues of the two sector blocks, labelled E_P / E_Q.
+    Even M: eigenvalues of the whole Jacobi matrix, labelled E_R.
     """
-    if params.M % 2 == 1:
-        p_crit, q_crit = critical_polynomials(params)
-        tagged = [(z, "E_P") for z in roots(p_crit)]
-        if q_crit.degree >= 1:
-            tagged.extend((z, "E_Q") for z in roots(q_crit))
-    else:
-        r_m = build_R(params, params.M)[params.M]
-        tagged = [(z, "E_R") for z in roots(r_m)]
+    tagged = [(complex(z), label) for label, vals in _sector_levels(params).items() for z in vals]
     tagged.sort(key=lambda t: (t[0].real, t[0].imag, t[1]))
     levels = tuple(QesLevel(E=z, label=lab, is_real=is_real_value(z)) for z, lab in tagged)
     return QesSpectrum(
@@ -135,18 +164,21 @@ def qes_spectrum(params: ModelParams) -> QesSpectrum:
     )
 
 
-def _has_complex_p_root(M: int, zeta2: float) -> bool:
-    params = ModelParams(M=M, zeta=math.sqrt(zeta2))
-    p_crit, _ = critical_polynomials(params)
-    return any(not is_real_value(z) for z in roots(p_crit))
+def _p_levels(M: int, zeta2: float) -> list:
+    return [complex(z) for z in np.linalg.eigvals(_p_block(ModelParams(M=M, zeta=math.sqrt(zeta2))))]
+
+
+def _has_complex_p_level(M: int, zeta2: float) -> bool:
+    return any(not is_real_value(z) for z in _p_levels(M, zeta2))
 
 
 def critical_coupling(M: int, tol: float = 1e-10) -> CriticalCoupling:
     """Smallest zeta^2 > 0 at which two E_P levels merge, found by bisection.
 
-    The merger of the two largest real roots is where a conjugate pair first
-    appears, so the bisection predicate is simply "P_{k+1} has a non-real
-    root".  M = 1 has a single level and no finite critical coupling.
+    The merger of the two largest real E_P levels is where a conjugate pair
+    first appears, so the bisection predicate is simply "the E_P block has a
+    non-real eigenvalue".  M = 1 has a single level and no finite critical
+    coupling.
     """
     k_index(M)  # validates odd positive M
     if not (tol > 0):
@@ -162,27 +194,25 @@ def critical_coupling(M: int, tol: float = 1e-10) -> CriticalCoupling:
         prev = 0.0
         for i in range(1, steps + 1):
             z2 = hi * i / steps
-            if _has_complex_p_root(M, z2):
+            if _has_complex_p_level(M, z2):
                 bracket = (prev, z2)
                 break
             prev = z2
         if bracket is None:
             hi *= 4.0
     if bracket is None:
-        raise BracketError(f"no complex P root found for M={M} up to zeta^2={hi / 4.0}")
+        raise BracketError(f"no complex E_P level found for M={M} up to zeta^2={hi / 4.0}")
 
     lo, up = bracket
     while up - lo > tol:
         mid = 0.5 * (lo + up)
-        if _has_complex_p_root(M, mid):
+        if _has_complex_p_level(M, mid):
             up = mid
         else:
             lo = mid
     zc2 = 0.5 * (lo + up)
 
-    params = ModelParams(M=M, zeta=math.sqrt(zc2))
-    p_crit, _ = critical_polynomials(params)
-    rts = roots(p_crit)
+    rts = _p_levels(M, zc2)
     pair = min(
         ((i, j) for i in range(len(rts)) for j in range(i + 1, len(rts))),
         key=lambda ij: abs(rts[ij[0]] - rts[ij[1]]),
@@ -253,11 +283,11 @@ def check_factorization(params: ModelParams, n_extra: int = 3) -> FactorizationR
 
 
 def even_M_pairing(params: ModelParams, tol: float = 1e-8) -> bool:
-    """True when the R_M root multiset is conjugation-invariant and, for
-    zeta != 0, at least one root is genuinely complex."""
+    """True when the level multiset is conjugation-invariant and, for
+    zeta != 0, at least one level is genuinely complex."""
     if params.M % 2 != 0:
         raise ValueError(f"even_M_pairing needs even M, got {params.M}")
-    rts = roots(build_R(params, params.M)[params.M])
+    rts = qes_spectrum(params).energies
     conj = [z.conjugate() for z in rts]
     if matching_distance(rts, conj) > tol:
         return False

@@ -129,12 +129,14 @@ def test_verify_all_includes_every_suite():
 
 
 def test_verify_oracle_narrowed_floor_cell():
+    # M = 6, zeta^2 = 0.005 holds a level pair 1e-7 apart near E = 11
     p = run("verify", "--suite", "oracle", "--M", "6", "--zeta2", "0.005")
     assert p.returncode == 0
-    payload = json.loads(p.stdout)
-    root = next(c for c in payload["checks"] if c["name"] == "oracle.R_roots_match")
-    assert "1 cells held to the documented rounding floor" in root["detail"]
-    assert "bound 1.2e-07" in root["detail"]
+    checks = {c["name"]: c for c in json.loads(p.stdout)["checks"]}
+    assert set(checks) == {"oracle.R_residual", "oracle.spectrum_match", "oracle.char_poly"}
+    assert all(c["passed"] for c in checks.values())
+    assert "at M=6 zeta2=0.005 (bound 1.0e-08)" in checks["oracle.spectrum_match"]["detail"]
+    assert "(bound 1.0e-12)" in checks["oracle.R_residual"]["detail"]
 
 
 def test_verify_csv_format():

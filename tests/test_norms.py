@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -48,9 +49,7 @@ def test_weight_table_m3():
 
 
 def test_gram_identity_cells():
-    # M = 5 deviation is limited by coefficient rounding of the support
-    # polynomial; these zeta^2 sit where the identity holds with margin.
-    for m, z2, tol in ((3, 0.01, 1e-12), (3, 0.02, 1e-12), (5, 0.019, 1e-7), (5, 0.037, 1e-8)):
+    for (m, tol), z2 in itertools.product(((3, 1e-12), (5, 1e-9)), (0.005, 0.01, 0.019, 0.02, 0.037)):
         params = ModelParams(M=m, zeta=math.sqrt(z2))
         t = weights(params)
         G = gram_matrix(t)
@@ -63,6 +62,49 @@ def test_gram_identity_cells():
 def test_degenerate_support_refused():
     with pytest.raises(DegenerateSpectrumError):
         weights(ModelParams(M=3, zeta=0.5))  # double root at zeta^2 = 0.25
+    with pytest.raises(DegenerateSpectrumError):
+        weights(ModelParams(M=4, zeta=0.0))  # levels coincide in pairs
+
+
+# Weights at these cells miss the reference by 1.8e-7, 1.9e-5, 1.8e-6 and
+# 3.2e-7 of the largest weight, so they must be refused.
+@pytest.mark.parametrize("M, z2", [(6, 0.005), (7, 0.005), (7, 0.01), (7, 0.02)])
+def test_unresolvable_weights_refused(M, z2):
+    with pytest.raises(DegenerateSpectrumError):
+        weights(ModelParams(M=M, zeta=math.sqrt(z2)))
+
+
+# (support point, weight) at 40 digits, rounded to doubles; generated by
+#   python3 -c 'import sys; sys.path.insert(0, "bench"); import reference as r;
+#               s, w = r.weights(6, Z2); print([(complex(a), complex(b)) for a, b in zip(s, w)])'
+M6_WEIGHTS = {
+    0.01: [
+        (11.002499349567216 + 2.6070156103823956e-07j, 0.5003906725499274 + 2.7179323944185054e-08j),
+        (11.002499349567216 - 2.6070156103823956e-07j, 0.5003906725499274 - 2.7179323944185054e-08j),
+        (27.017430700212625 - 0.003020970988554692j, -0.00039153137176547076 + 1.4878605760548733e-07j),
+        (27.017430700212625 + 0.003020970988554692j, -0.00039153137176547076 - 1.4878605760548733e-07j),
+        (34.95006995022016 - 0.6030207102869937j, 8.58821838017526e-07 + 1.7596538154967238e-07j),
+        (34.95006995022016 + 0.6030207102869937j, 8.58821838017526e-07 - 1.7596538154967238e-07j),
+    ],
+    0.02: [
+        (11.004997400692345 - 1.4763630608166907e-06j, 0.5007814405100033 - 1.5404729333495222e-07j),
+        (11.004997400692345 + 1.4763630608166907e-06j, 0.5007814405100033 + 1.5404729333495222e-07j),
+        (27.03470940090818 - 0.008603142980402052j, -0.0007848343290870801 + 8.542678061243521e-07j),
+        (27.03470940090818 + 0.008603142980402052j, -0.0007848343290870801 - 8.542678061243521e-07j),
+        (34.900293198399474 - 0.8571298040411983j, 3.3938190838240274e-06 + 1.0083150994593042e-06j),
+        (34.900293198399474 + 0.8571298040411983j, 3.3938190838240274e-06 - 1.0083150994593042e-06j),
+    ],
+}
+
+
+@pytest.mark.parametrize("z2", sorted(M6_WEIGHTS))
+def test_close_pair_weights_match_reference_m6(z2):
+    t = weights(ModelParams(M=6, zeta=math.sqrt(z2)))
+    got = dict(zip(t.energies, t.weights))
+    scale = max(abs(w) for _, w in M6_WEIGHTS[z2])
+    for E_ref, w_ref in M6_WEIGHTS[z2]:
+        E = min(got, key=lambda E: abs(E - E_ref))
+        assert abs(got.pop(E) - w_ref) <= 1e-8 * scale
 
 
 def test_sign_report():

@@ -6,7 +6,6 @@ import pytest
 
 from ptqes.model import Model, ModelParams
 from ptqes.oracle import (
-    ROOT_MATCH_TOL,
     default_sample_points,
     dshg_closed_form,
     dshg_closed_form_levels,
@@ -17,7 +16,6 @@ from ptqes.oracle import (
     ode_residual,
     ode_residual_dshg,
     reproduce_tables,
-    root_match_floor,
     wedge_decay_probe,
 )
 from ptqes.polyengine import matching_distance
@@ -66,14 +64,6 @@ def test_char_poly_equals_recursion(M):
     scale = max(abs(c) for c in rm.coeffs)
     worst = max(abs(a - b) for a, b in zip(cp.coeffs, rm.coeffs))
     assert worst / scale < 1e-12
-
-
-def test_root_match_floor():
-    assert root_match_floor(5, 0.01) == ROOT_MATCH_TOL
-    assert root_match_floor(6, 0.005) == pytest.approx(1.2e-7)
-    assert root_match_floor(6, 0.005 + 1e-13) == pytest.approx(1.2e-7)
-    assert root_match_floor(6, 0.006) == ROOT_MATCH_TOL
-    assert root_match_floor(9, 0.01) > 1e-4
 
 
 def test_ode_residual_validation():

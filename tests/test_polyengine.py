@@ -1,19 +1,16 @@
 import math
-from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from ptqes.model import ModelParams
 from ptqes.polyengine import (
     EnergyPolynomial,
-    _eval_compensated,
+    backward_error,
     evaluate,
     divide_exact,
     is_real_value,
     matching_distance,
     mul,
-    roots,
     taylor_shift,
     to_variable,
 )
@@ -55,57 +52,12 @@ def test_divide_exact():
         divide_exact(EnergyPolynomial((1.0, 1.0)), p)
 
 
-def test_roots_simple():
-    p = EnergyPolynomial((2.0, -3.0, 1.0))  # roots 1, 2
-    rts = roots(p)
-    assert rts[0] == pytest.approx(1.0, abs=1e-14)
-    assert rts[1] == pytest.approx(2.0, abs=1e-14)
-    with pytest.raises(ValueError):
-        roots(EnergyPolynomial((1.0,)))
-
-
-def test_roots_conjugate_symmetry():
-    # (E^2 + 1)(E^2 + 2E + 5): roots +-i and -1 +- 2i.  Real coefficients
-    # must give an exactly conjugation-invariant multiset.
-    p = EnergyPolynomial((5.0, 2.0, 6.0, 2.0, 1.0))
-    rts = roots(p)
-    conj = [z.conjugate() for z in rts]
-    assert matching_distance(rts, conj) == 0.0
-    assert matching_distance(rts, [1j, -1j, -1 + 2j, -1 - 2j]) < 1e-12
-
-
-def test_roots_double_collapses_to_center():
-    p = EnergyPolynomial((9.0, -6.0, 1.0))  # (E - 3)^2
-    rts = roots(p)
-    assert rts == [3.0, 3.0]
-
-
-def test_roots_triple_collapses_to_center():
-    p = EnergyPolynomial((-1.0, 3.0, -3.0, 1.0))  # (E - 1)^3
-    rts = roots(p)
-    assert len(rts) == 3
-    assert rts[0] == rts[1] == rts[2]
-    assert abs(rts[0] - 1.0) < 1e-9
-
-
-def test_roots_nearby_but_resolvable_pair_stays_split():
-    # separation 1e-3 is far above rounding noise for these coefficients
-    p = mul(EnergyPolynomial((-1.0, 1.0)), EnergyPolynomial((-(1.0 + 1e-3), 1.0)))
-    rts = roots(p)
-    assert abs(rts[1] - rts[0]) == pytest.approx(1e-3, rel=1e-6)
-
-
-def test_compensated_evaluation_against_exact_rationals():
-    # (E-1)(E-2)(E-3) near the middle root: plain Horner loses most digits,
-    # the compensated value must track the exact rational result.
-    coeffs = (-6.0, 11.0, -6.0, 1.0)
-    z = 2.0 + 1e-8
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * Fraction(z) + Fraction(c)
-    got = _eval_compensated(tuple(complex(c) for c in coeffs), complex(z))
-    assert got.imag == 0.0
-    assert abs(Fraction(got.real) - acc) < Fraction(1, 10**20)
+def test_backward_error():
+    p = EnergyPolynomial((-6.0, 11.0, -6.0, 1.0))  # (E-1)(E-2)(E-3)
+    assert backward_error(p, 2.0) == 0.0
+    # p(0) = -6 against sum |c_i| 0^i = 6
+    assert backward_error(p, 0.0) == 1.0
+    assert backward_error(p, 1.0 + 1e-9) < 1e-9
 
 
 def test_matching_distance():
@@ -143,11 +95,3 @@ def test_to_variable_shift():
     assert to_variable(p, "E", params) is p
     with pytest.raises(ValueError):
         to_variable(p, "x", params)
-
-
-def test_real_coefficient_roots_have_exact_zero_imag():
-    # real dispatch: real roots of a real polynomial come back with
-    # imaginary part exactly zero
-    p = EnergyPolynomial((-6.0, 11.0, -6.0, 1.0))
-    for z in roots(p):
-        assert z.imag == 0.0

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from ptqes.model import ModelParams
-from ptqes.polyengine import evaluate, to_variable
+from ptqes.polyengine import evaluate, matching_distance, to_variable
 from ptqes.spectra import (
     check_factorization,
     critical_coupling,
@@ -163,3 +163,61 @@ def test_spectrum_energies_sorted():
     for lvl in spec.levels:
         poly = p4 if lvl.label == "E_P" else q3
         assert abs(evaluate(poly, lvl.E)) < 1e-6 * max(abs(c) for c in poly.coeffs)
+
+
+@pytest.mark.parametrize("M", [31, 61])
+def test_zero_coupling_levels_are_exactly_b_n(M):
+    # At zeta = 0 the Jacobi matrix is bidiagonal and its eigenvalues are
+    # its diagonal, b_n = 4n(M-1-n) + 2M - 1, with no rounding at all.
+    spec = qes_spectrum(ModelParams(M=M, zeta=0.0))
+    assert all(lvl.E.imag == 0.0 and lvl.is_real for lvl in spec.levels)
+    want = sorted(4.0 * n * (M - 1 - n) + 2 * M - 1 for n in range(M))
+    assert sorted(lvl.E.real for lvl in spec.levels) == want
+
+
+# 40-digit levels at M = 12, zeta^2 = 0.01, rounded to doubles; generated by
+#   python3 -c 'import sys; sys.path.insert(0, "bench"); import reference as r;
+#               print([complex(z) for z in r.levels(12, 0.01)["E_R"]])'
+M12_LEVELS = [
+    23.000999969446735 - 5.922442232098846e-20j,
+    23.000999969446735 + 5.922442232098846e-20j,
+    63.00399972059154 - 1.744940857464144e-14j,
+    63.00399972059154 + 1.744940857464144e-14j,
+    95.00999790075235 + 1.0952886311557503e-09j,
+    95.00999790075235 - 1.0952886311557503e-09j,
+    119.02497584145041 - 1.4647149183834323e-05j,
+    119.02497584145041 + 1.4647149183834323e-05j,
+    135.08350351908072 - 0.026964986544871068j,
+    135.08350351908072 + 0.026964986544871068j,
+    142.81652304867825 - 1.2269503404909585j,
+    142.81652304867825 + 1.2269503404909585j,
+]
+
+
+def test_even_m_levels_match_reference_m12():
+    got = list(qes_spectrum(ModelParams(M=12, zeta=math.sqrt(0.01))).energies)
+    for want in M12_LEVELS:
+        nearest = min(got, key=lambda E: abs(E - want))
+        got.remove(nearest)
+        assert abs(nearest - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("M, zc2", [(17, 0.00747403225327626), (21, 0.00489582468825987)])
+def test_critical_coupling_large_m(M, zc2):
+    # reference values from bench/reference.py's critical(M), which solves
+    # p = dp/dE = 0 for the E_P block at 40 digits
+    assert abs(critical_coupling(M).zeta_c_squared - zc2) <= 1e-10
+
+
+@pytest.mark.parametrize("M", sorted(ZC2))
+def test_odd_m_levels_exactly_real_below_critical(M):
+    for factor in (0.1, 0.5, 0.9):
+        spec = qes_spectrum(ModelParams(M=M, zeta=math.sqrt(factor * ZC2[M])))
+        assert all(lvl.E.imag == 0.0 for lvl in spec.levels)
+
+
+@pytest.mark.parametrize("M", range(1, 13))
+def test_spectrum_exactly_closed_under_conjugation(M):
+    for z2 in (0.0, 0.005, 0.03, 0.3, 2.0):
+        es = qes_spectrum(ModelParams(M=M, zeta=math.sqrt(z2))).energies
+        assert matching_distance(es, [E.conjugate() for E in es]) == 0.0
