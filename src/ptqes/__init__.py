@@ -29,7 +29,6 @@ from .polyengine import (
     to_variable,
 )
 from .recursion import (
-    RecursionCoefficients,
     build_P,
     build_Q,
     build_R,
@@ -100,7 +99,6 @@ __all__ = [
     "mul",
     "taylor_shift",
     "to_variable",
-    "RecursionCoefficients",
     "build_P",
     "build_Q",
     "build_R",

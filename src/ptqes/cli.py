@@ -1,9 +1,10 @@
 """Command line interface: spectra, critical couplings, verification, sweeps.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-failure.  Output is byte-deterministic for fixed inputs and version: levels
-are sorted, floats in csv/table output carry 12 significant digits, and
-json payloads always include "schema": 1.
+Exit codes: 0 success, 1 verification failure, 2 usage error (argument
+validation only, raised as UsageError), 3 numerical or internal failure.
+Output is byte-deterministic for fixed inputs and version: levels are
+sorted, floats in csv/table output carry 12 significant digits, and json
+payloads always include "schema": 1.
 """
 
 import argparse
@@ -52,42 +53,36 @@ def _bool(x) -> str:
 
 def _resolve_zeta(args):
     if args.zeta2 is not None:
-        if args.zeta2 < 0:
-            raise UsageError(f"--zeta2 must be >= 0, got {args.zeta2}")
+        if not (0 <= args.zeta2 < math.inf):
+            raise UsageError(f"--zeta2 must be finite and >= 0, got {args.zeta2}")
         return math.sqrt(args.zeta2), args.zeta2
     zeta = abs(args.zeta)
+    if not math.isfinite(zeta * zeta):
+        raise UsageError(f"--zeta must be finite with a finite square, got {args.zeta}")
     return zeta, zeta * zeta
+
+
+def _check_M(args):
+    if args.M < 1:
+        raise UsageError(f"--M must be >= 1, got {args.M}")
+    if args.model == "dsg" and args.M % 2 == 0:
+        raise UsageError(f"--model dsg needs odd M, got M={args.M}")
 
 
 def _spectrum_payload(model: str, M: int, zeta2: float, zeta: float) -> dict:
     params = ModelParams(M=M, zeta=zeta)
     if model == "dsg":
         spec = dual_spectrum(params)
-        levels = [
-            {
-                "index": i,
-                "label": lvl.label,
-                "E_re": lvl.Ehat.real,
-                "E_im": lvl.Ehat.imag,
-                "is_real": lvl.is_real,
-                "source_index": lvl.source_index,
-            }
-            for i, lvl in enumerate(spec.levels)
-        ]
         pairs = degenerate_pairs(spec.energies)
     else:
         spec = qes_spectrum(params)
-        levels = [
-            {
-                "index": i,
-                "label": lvl.label,
-                "E_re": lvl.E.real,
-                "E_im": lvl.E.imag,
-                "is_real": lvl.is_real,
-            }
-            for i, lvl in enumerate(spec.levels)
-        ]
         pairs = spec.degenerate_pairs
+    levels = []
+    for i, (lvl, E) in enumerate(zip(spec.levels, spec.energies)):
+        row = {"index": i, "label": lvl.label, "E_re": E.real, "E_im": E.imag, "is_real": lvl.is_real}
+        if model == "dsg":
+            row["source_index"] = lvl.source_index
+        levels.append(row)
     return {
         "schema": 1,
         "command": "spectrum",
@@ -100,6 +95,7 @@ def _spectrum_payload(model: str, M: int, zeta2: float, zeta: float) -> dict:
 
 
 def _cmd_spectrum(args):
+    _check_M(args)
     zeta, zeta2 = _resolve_zeta(args)
     return _spectrum_payload(args.model, args.M, zeta2, zeta), EXIT_OK
 
@@ -107,8 +103,8 @@ def _cmd_spectrum(args):
 def _cmd_critical_zeta(args):
     if args.M < 3 or args.M % 2 == 0:
         raise UsageError(f"critical-zeta needs odd M >= 3, got M={args.M}")
-    if args.tol <= 0:
-        raise UsageError(f"--tol must be positive, got {args.tol}")
+    if not (0 < args.tol < math.inf):
+        raise UsageError(f"--tol must be positive and finite, got {args.tol}")
     cc = critical_coupling(args.M, tol=args.tol)
     payload = {
         "schema": 1,
@@ -162,20 +158,18 @@ def _parse_range(spec: str):
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"bad --zeta2-range {spec!r}: {exc}") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise UsageError(f"--zeta2-range bounds and step must be finite, got {spec!r}")
     if start < 0 or step <= 0 or stop < start:
         raise UsageError(f"need 0 <= start <= stop and step > 0, got {spec!r}")
     values = []
-    i = 0
-    while True:
-        v = start + i * step
-        if v > stop + 1e-9 * step:
-            break
+    while (v := start + len(values) * step) <= stop + 1e-9 * step:
         values.append(v)
-        i += 1
     return values
 
 
 def _cmd_sweep(args):
+    _check_M(args)
     values = _parse_range(args.zeta2_range)
     rows = []
     for z2 in values:
@@ -534,11 +528,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError) as exc:
+        print(f"numerical or internal failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     if args.out:
         with open(args.out, "w") as fh:

@@ -8,7 +8,9 @@ supported on the M roots of R_M.  The weights omega_k are fixed by
 and the induced Gram form is then diagonal,
 
     sum_k omega_k R_i(E_k) R_j(E_k) = gamma_i delta_{ij},
-    gamma_n = prod_{i=1..n} a_i,   gamma_0 = 1,   gamma_n = 0 for n >= M.
+    gamma_n = prod_{i=1..n} a_i,   gamma_0 = 1,   gamma_n = 0 for n >= M,
+
+the products of the recursion tails (recursion.family_norms).
 
 Each a_i is negative for 0 < i < M once zeta != 0, so the nonzero norms
 alternate: positive at even index, negative at odd index.  An alternating
@@ -21,13 +23,15 @@ closed-form solution (Christoffel numbers; Golub & Welsch, Math. Comp. 1969)
 
     omega_k = 1 / sum_{n<M} R_n(E_k)^2 / gamma_n,
 
-with R_n(E_k) run by the recursion at E_k and E_k the levels of
-spectra.qes_spectrum.  For odd M below the critical coupling the levels are
-exactly real, and so are the weights.
+with R_n(E_k) run by the recursion at E_k (recursion.family_values, never
+through expanded coefficients) and E_k the levels of spectra.qes_spectrum.
+For odd M below the critical coupling the levels are exactly real, and so
+are the weights.
 
 The complex P and Q families admit the same construction on their own
-sector levels; those norms and weights are genuinely complex and are
-exposed for inspection only.
+sector levels, with norms the products of their own recursion tails; those
+norms and weights are genuinely complex and are exposed for inspection
+only.
 """
 
 import math
@@ -36,8 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, k_index
-from .polyengine import evaluate
-from .recursion import build_P, build_Q, build_R, recurrence_a, recurrence_b
+from .recursion import family_norms, family_values
 from .spectra import qes_spectrum
 
 # Weights are refused when the rounding of their support points can move
@@ -56,10 +59,7 @@ def norm(n: int, params: ModelParams) -> float:
     """Gram diagonal gamma_n = prod_{i=1..n} a_i (1 at n = 0, 0 for n >= M)."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    out = 1.0
-    for i in range(1, n + 1):
-        out *= recurrence_a(i, params)
-    return out
+    return family_norms("R", params, n + 1)[n]
 
 
 @dataclass(frozen=True)
@@ -75,16 +75,6 @@ class WeightTable:
     def max_weight_imag(self) -> float:
         scale = max(abs(w) for w in self.weights)
         return max(abs(w.imag) for w in self.weights) / scale
-
-
-def _r_values(params: ModelParams, E: complex) -> list:
-    """R_0(E) .. R_{M-1}(E), run by the recursion at E."""
-    cur, prev = 1.0 + 0j, 0j
-    out = [cur]
-    for n in range(params.M - 1):
-        cur, prev = (E - recurrence_b(n, params)) * cur - recurrence_a(n, params) * prev, cur
-        out.append(cur)
-    return out
 
 
 def _christoffel(support, values, norms) -> list:
@@ -118,21 +108,20 @@ def _christoffel(support, values, norms) -> list:
 def weights(params: ModelParams) -> WeightTable:
     """Christoffel weights of the R functional on the M levels."""
     support = qes_spectrum(params).energies
-    gamma = tuple(norm(n, params) for n in range(params.M + 1))
-    omega = _christoffel(support, lambda E: _r_values(params, E), gamma[: params.M])
+    gamma = tuple(family_norms("R", params, params.M + 1))
+    omega = _christoffel(support, lambda E: family_values("R", params, E, params.M), gamma[: params.M])
     return WeightTable(params=params, energies=support, weights=tuple(omega), gamma=gamma)
 
 
 def gram_matrix(table: WeightTable) -> np.ndarray:
     """G[i, j] = sum_k omega_k R_i(E_k) R_j(E_k) for i, j < M."""
-    M = table.params.M
-    r_fam = build_R(table.params, M - 1)
+    # vals[k, j] = R_j(E_k)
     vals = np.array(
-        [[evaluate(r_fam[j], e) for e in table.energies] for j in range(M)],
+        [family_values("R", table.params, E, table.params.M) for E in table.energies],
         dtype=complex,
     )
     w = np.array(table.weights, dtype=complex)
-    return vals @ (w[:, None] * vals.T)
+    return vals.T @ (w[:, None] * vals)
 
 
 def sign_report(params: ModelParams) -> dict:
@@ -144,7 +133,7 @@ def sign_report(params: ModelParams) -> dict:
     table = weights(params)
     G = gram_matrix(table)
     diagonal = [complex(G[n, n]) for n in range(params.M)]
-    product = [norm(n, params) for n in range(params.M)]
+    product = family_norms("R", params, params.M)
     alternating = [((-1) ** n) * g for n, g in enumerate(product)]
     signs = ["0" if g == 0 else ("+" if g > 0 else "-") for g in product]
     return {
@@ -160,33 +149,13 @@ def sign_report(params: ModelParams) -> dict:
     }
 
 
-def _pq_family(params: ModelParams, family: str):
-    k = k_index(params.M)
-    if family == "P":
-        return build_P(params, k + 1, s=0.0), k + 1
-    if family == "Q":
-        return build_Q(params, k, s=0.5), k
-    raise ValueError(f"family must be 'P' or 'Q', got {family!r}")
-
-
 def pq_norms(params: ModelParams, family: str):
-    """Complex Gram diagonals of the truncating P or Q family.
-
-    Derived from the recursion tails: the coefficient coupling index m+1
-    back to m-1 plays the role a_n plays for R.
-    """
-    M, zeta, s = params.M, params.zeta, 0.0 if family == "P" else 0.5
-    _, count = _pq_family(params, family)
-    out = [1.0 + 0j]
-    acc = 1.0 + 0j
-    for m in range(1, count):
-        if family == "P":
-            beta = 8j * zeta * m * (2 * m - 1) * (M + 1 - 2 * s - 2 * m)
-        else:
-            beta = 8j * zeta * m * (2 * m + 1) * (M - 2 * s - 2 * m)
-        acc *= beta
-        out.append(acc)
-    return out
+    """Complex Gram diagonals of the truncating P or Q family: the products
+    of its recursion tails, as family_norms gives them for R.  [1] when the
+    family has no member (Q at M = 1)."""
+    if family not in ("P", "Q"):
+        raise ValueError(f"family must be 'P' or 'Q', got {family!r}")
+    return family_norms(family, params, k_index(params.M) + (family == "P"))
 
 
 def pq_weight_report(params: ModelParams) -> dict:
@@ -198,12 +167,11 @@ def pq_weight_report(params: ModelParams) -> dict:
     levels = qes_spectrum(params).levels
     report = {}
     for family in ("P", "Q"):
-        fam, count = _pq_family(params, family)
         norms = pq_norms(params, family)
-        if count == 0:
+        support = [lvl.E for lvl in levels if lvl.label == "E_" + family]
+        if not support:
             report[family] = {"energies": [], "weights": [], "norms": norms}
             continue
-        support = [lvl.E for lvl in levels if lvl.label == "E_" + family]
-        omega = _christoffel(support, lambda E: [evaluate(f, E) for f in fam[:count]], norms)
+        omega = _christoffel(support, lambda E: family_values(family, params, E, len(support)), norms)
         report[family] = {"energies": support, "weights": omega, "norms": norms}
     return report

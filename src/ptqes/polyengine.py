@@ -6,9 +6,11 @@ unit leading coefficient.  Coefficients serve the paper's identities
 checks; levels are never taken from them (see spectra).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .model import shift_to_physical
 
 # A computed level z is treated as real when |Im z| <= RTOL * (1 + |z|).
 REAL_CLASSIFICATION_RTOL = 1e-8
@@ -28,7 +30,6 @@ class EnergyPolynomial:
     variable: str = "E"
     family: str = "derived"
     index: int = None
-    s: float = None
 
     def __post_init__(self):
         coeffs = tuple(complex(c) for c in self.coeffs)
@@ -135,13 +136,7 @@ def taylor_shift(p: EnergyPolynomial, delta: complex, variable: str = None) -> E
     for c in reversed(p.coeffs[:-1]):
         res = np.convolve(res, step)
         res[0] += c
-    return EnergyPolynomial(
-        tuple(res),
-        variable=variable if variable is not None else p.variable,
-        family=p.family,
-        index=p.index,
-        s=p.s,
-    )
+    return replace(p, coeffs=tuple(res), variable=variable if variable is not None else p.variable)
 
 
 def to_variable(p: EnergyPolynomial, variable: str, params) -> EnergyPolynomial:
@@ -150,7 +145,7 @@ def to_variable(p: EnergyPolynomial, variable: str, params) -> EnergyPolynomial:
         raise ValueError(f"unknown variable {variable!r}")
     if p.variable == variable:
         return p
-    offset = params.M**2 - params.zeta2
+    offset = shift_to_physical(0.0, params)
     if variable == "calE":
         # q(calE) = p(calE + offset)
         return taylor_shift(p, offset, variable="calE")

@@ -22,7 +22,7 @@ appearance of non-real E_P levels.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,13 +87,7 @@ def _realize_real(p: EnergyPolynomial) -> EnergyPolynomial:
             f"{p.family}_{p.index}: imaginary coefficient {worst:.3e} "
             f"exceeds {_REALIZE_RTOL:.1e} of scale {scale:.3e}"
         )
-    return EnergyPolynomial(
-        tuple(complex(c.real, 0.0) for c in p.coeffs),
-        variable=p.variable,
-        family=p.family,
-        index=p.index,
-        s=p.s,
-    )
+    return replace(p, coeffs=tuple(complex(c.real, 0.0) for c in p.coeffs))
 
 
 def critical_polynomials(params: ModelParams):
@@ -102,8 +96,8 @@ def critical_polynomials(params: ModelParams):
     Q_0 is the constant 1 (no odd-sector level for M = 1).
     """
     k = k_index(params.M)
-    p_crit = build_P(params, k + 1, s=0.0)[k + 1]
-    q_crit = build_Q(params, k, s=0.5)[k]
+    p_crit = build_P(params, k + 1)[k + 1]
+    q_crit = build_Q(params, k)[k]
     return _realize_real(p_crit), _realize_real(q_crit)
 
 
@@ -264,8 +258,8 @@ def check_factorization(params: ModelParams, n_extra: int = 3) -> FactorizationR
 
     if M % 2 == 1:
         k = k_index(M)
-        p_fam = build_P(params, k + 1 + n_extra, s=0.0)
-        q_fam = build_Q(params, k + n_extra, s=0.5)
+        p_fam = build_P(params, k + 1 + n_extra)
+        q_fam = build_Q(params, k + n_extra)
         prod = mul(p_fam[k + 1], q_fam[k])
         checks.append(FactorizationCheck("R = P*Q", M, _coeff_distance(r_fam[M], prod)))
         for n in range(1, n_extra + 1):

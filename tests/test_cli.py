@@ -6,12 +6,15 @@ import sys
 
 import pytest
 
+import ptqes.cli
 
-def run(*args):
+
+def run(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "ptqes.cli", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -88,13 +91,43 @@ def test_critical_zeta_json_and_csv():
         ("verify", "--suite", "oracle", "--M", "10"),
         ("sweep", "--M", "1", "--zeta2-range", "0.02:0:0.01"),
         ("sweep", "--M", "1", "--zeta2-range", "1:2"),
+        ("sweep", "--M", "0", "--zeta2-range", "0:0.02:0.01"),
+        ("spectrum", "--M", "4", "--zeta2", "0.01", "--model", "dsg"),
+        ("sweep", "--M", "2", "--zeta2-range", "0:0.02:0.01", "--model", "dsg"),
+        ("spectrum", "--M", "3", "--zeta2", "nan"),
+        ("spectrum", "--M", "3", "--zeta2", "inf"),
+        ("spectrum", "--M", "3", "--zeta", "inf"),
+        ("spectrum", "--M", "3", "--zeta", "nan"),
+        ("spectrum", "--M", "3", "--zeta", "1e200"),
+        ("verify", "--suite", "oracle", "--zeta2", "nan"),
+        ("critical-zeta", "--M", "3", "--tol", "nan"),
+        ("sweep", "--M", "1", "--zeta2-range", "0:inf:0.01"),
+        ("sweep", "--M", "1", "--zeta2-range", "0:1:inf"),
+        ("sweep", "--M", "1", "--zeta2-range", "nan:1:0.1"),
+        ("sweep", "--M", "1", "--zeta2-range", "0:nan:0.1"),
+        ("sweep", "--M", "1", "--zeta2-range", "0:1:nan"),
     ],
 )
 def test_usage_errors_exit_2(args):
-    p = run(*args)
+    # a non-finite sweep range once looped without end; the timeout turns
+    # such a regression into a failure instead of a hang
+    p = run(*args, timeout=30)
     assert p.returncode == 2
     assert p.stderr != ""
     assert p.stdout == ""
+
+
+def test_internal_value_error_exits_3(monkeypatch, capsys):
+    # only argument validation maps to usage exit 2; a ValueError raised
+    # inside the package is an internal failure
+    def broken(params):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(ptqes.cli, "qes_spectrum", broken)
+    assert ptqes.cli.main(["spectrum", "--M", "3", "--zeta2", "0.01"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal fault" in captured.err
 
 
 @pytest.mark.parametrize("suite", ["oracle", "factorization", "norms", "duality"])

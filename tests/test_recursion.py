@@ -5,7 +5,6 @@ import pytest
 from ptqes.model import ModelParams
 from ptqes.polyengine import evaluate
 from ptqes.recursion import (
-    RecursionCoefficients,
     build_P,
     build_Q,
     build_R,
@@ -21,9 +20,6 @@ def test_recurrence_coefficients():
     assert recurrence_a(2, p) == pytest.approx(-0.08, rel=1e-15)
     assert recurrence_a(3, p) == 0.0  # vanishes identically at n = M
     assert recurrence_b(0, p) == pytest.approx(5.0 - 0.01, rel=1e-15)
-    rc = RecursionCoefficients(p)
-    assert rc.a(1) == recurrence_a(1, p)
-    assert rc.b(2) == recurrence_b(2, p)
 
 
 def test_p1_explicit():
@@ -33,7 +29,6 @@ def test_p1_explicit():
     assert fam[1].coeffs[1] == 1.0
     assert fam[1].coeffs[0] == pytest.approx(-8.99 + 0.4j, abs=1e-13)
     assert fam[1].family == "P"
-    assert fam[1].s == 0.0
 
 
 def test_q1_root():
@@ -63,10 +58,6 @@ def test_r1_and_rbar1():
 
 def test_validation():
     p = ModelParams(M=3, zeta=0.1)
-    with pytest.raises(ValueError):
-        build_P(p, 2, s=0.3)
-    with pytest.raises(ValueError):
-        build_Q(p, 2, s=1.0)
     with pytest.raises(ValueError):
         build_R(p, -1)
     with pytest.raises(ValueError):
