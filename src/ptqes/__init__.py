@@ -10,10 +10,10 @@ finite-dimensional gauge rotation of the Hamiltonian.
 """
 
 from .model import (
-    Model,
     ModelParams,
     ShiftedEnergy,
     k_index,
+    periodic_potential,
     potential,
     pt_reflection,
     shift_from_physical,
@@ -62,7 +62,6 @@ from .duality import (
     DualLevel,
     DualSpectrum,
     dual_closed_form_levels,
-    dual_eigenfunction,
     dual_spectrum,
 )
 from .oracle import (
@@ -84,10 +83,10 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Model",
     "ModelParams",
     "ShiftedEnergy",
     "k_index",
+    "periodic_potential",
     "potential",
     "pt_reflection",
     "shift_from_physical",
@@ -126,7 +125,6 @@ __all__ = [
     "DualLevel",
     "DualSpectrum",
     "dual_closed_form_levels",
-    "dual_eigenfunction",
     "dual_spectrum",
     "GaugeMatrix",
     "ROOT_MATCH_TOL",

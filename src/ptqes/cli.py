@@ -19,7 +19,14 @@ import numpy as np
 from .duality import dual_closed_form_levels, dual_spectrum
 from .model import ModelParams
 from .norms import gram_matrix, norm, sign_report, weights
-from .oracle import ROOT_MATCH_TOL, gauge_char_poly, gauge_matrix_eigs, ode_residual_dsg, reproduce_tables
+from .oracle import (
+    ROOT_MATCH_TOL,
+    dshg_closed_form_levels,
+    gauge_char_poly,
+    gauge_matrix_eigs,
+    ode_residual_dsg,
+    reproduce_tables,
+)
 from .polyengine import backward_error, matching_distance
 from .recursion import build_R
 from .spectra import check_factorization, critical_coupling, degenerate_pairs, qes_spectrum
@@ -33,6 +40,8 @@ _SUITES = ("tables", "oracle", "factorization", "norms", "duality", "all")
 
 # Backward error of R_M at the gauge eigenvalues, relative to its coefficients.
 R_RESIDUAL_TOL = 1e-12
+
+MAX_SWEEP_POINTS = 10**6
 
 
 class UsageError(ValueError):
@@ -162,6 +171,9 @@ def _parse_range(spec: str):
         raise UsageError(f"--zeta2-range bounds and step must be finite, got {spec!r}")
     if start < 0 or step <= 0 or stop < start:
         raise UsageError(f"need 0 <= start <= stop and step > 0, got {spec!r}")
+    # The loop below makes floor((stop - start) / step + 1e-9) + 1 points.
+    if (stop - start) / step + 1e-9 >= MAX_SWEEP_POINTS:
+        raise UsageError(f"--zeta2-range gives more than {MAX_SWEEP_POINTS} points, got {spec!r}")
     values = []
     while (v := start + len(values) * step) <= stop + 1e-9 * step:
         values.append(v)
@@ -360,11 +372,9 @@ def _suite_duality():
         }
     )
     worst_res = 0.0
-    params1 = ModelParams(M=1, zeta=0.2)
-    worst_res = max(worst_res, ode_residual_dsg(params1, -(1.0 - params1.zeta2), 0))
-    params3 = ModelParams(M=3, zeta=math.sqrt(0.1))
-    for idx, ehat in enumerate(dual_closed_form_levels(params3)):
-        worst_res = max(worst_res, ode_residual_dsg(params3, ehat, idx))
+    for params in (ModelParams(M=1, zeta=0.2), ModelParams(M=3, zeta=math.sqrt(0.1))):
+        for tag, E in dshg_closed_form_levels(params).items():
+            worst_res = max(worst_res, ode_residual_dsg(params, -E, tag))
     checks.append(
         {
             "name": "duality.ode_residual",

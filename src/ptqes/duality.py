@@ -6,27 +6,17 @@ hyperbolic levels E_0 <= ... <= E_{M-1}, the dual levels are
 
     Ehat_k = -E_{M-1-k},
 
-again ascending.  Applying the map twice is the identity on the level
-multiset, exactly, since negation of floats is exact.
-
-For M = 1 and M = 3 the dual eigenfunctions are available in closed form
-(listed in ascending order of the M = 1 level and in the conventional
-closed-form order for M = 3, which is not ascending; see
-dual_closed_form_levels for the pairing used by dual_eigenfunction):
-
-  M = 1:  Ehat = -(1 - zeta^2),
-          psi = exp(i*zeta*cos(2*theta)/2)
-
-  M = 3, with r = sqrt(1 - 4*zeta^2) and g = exp(i*zeta*cos(2*theta)/2):
-    Ehat = -7 + zeta^2 - 2r :  psi = [-2i*zeta - (r - 1)*cos(2*theta)] * g
-    Ehat = zeta^2 - 5       :  psi = sin(2*theta) * g
-    Ehat = -7 + zeta^2 + 2r :  psi = [-2i*zeta + (r + 1)*cos(2*theta)] * g
+again ascending, and a hyperbolic eigenfunction psi(x) gives the dual one
+psi(i*theta).  This map is the only route to the periodic model: its levels
+and closed forms are those of the hyperbolic model, negated.  Applying the
+map twice is the identity on the level multiset, exactly, since negation of
+floats is exact.
 """
 
-import cmath
 from dataclasses import dataclass
 
-from .model import Model, ModelParams, k_index
+from .model import ModelParams, k_index
+from .oracle import dshg_closed_form_levels
 from .spectra import qes_spectrum
 
 
@@ -51,54 +41,17 @@ class DualSpectrum:
 def dual_spectrum(params: ModelParams) -> DualSpectrum:
     """Periodic-model levels Ehat_k = -E_{M-1-k}, ascending; odd M only."""
     k_index(params.M)
-    base = qes_spectrum(params.with_model(Model.DSHG))
-    M = params.M
-    levels = []
-    for k in range(M):
-        src = base.levels[M - 1 - k]
-        levels.append(
-            DualLevel(
-                Ehat=-src.E,
-                source_index=M - 1 - k,
-                label=src.label,
-                is_real=src.is_real,
-            )
-        )
-    return DualSpectrum(params=params.with_model(Model.DSG), levels=tuple(levels))
+    levels = [
+        DualLevel(Ehat=-src.E, source_index=i, label=src.label, is_real=src.is_real)
+        for i, src in enumerate(qes_spectrum(params).levels)
+    ]
+    return DualSpectrum(params=params, levels=tuple(reversed(levels)))
 
 
 def dual_closed_form_levels(params: ModelParams):
-    """Closed-form dual levels for M = 1 and M = 3, in the order matched by
-    dual_eigenfunction (for M = 3 that order is not ascending)."""
-    z2 = params.zeta2
-    if params.M == 1:
-        return [-(1.0 - z2)]
-    if params.M == 3:
-        r = cmath.sqrt(1.0 - 4.0 * z2)
-        return [-7.0 + z2 - 2.0 * r, z2 - 5.0, -7.0 + z2 + 2.0 * r]
-    raise ValueError(f"closed forms available for M in (1, 3) only, got M={params.M}")
-
-
-def dual_eigenfunction(params: ModelParams, level_index: int, theta: complex) -> complex:
-    """Closed-form dual eigenfunction value at theta.
-
-    level_index refers to the closed-form list of dual_closed_form_levels:
-    for M = 3, index 1 is the sin(2*theta) state at Ehat = zeta^2 - 5.
-    """
-    zeta = params.zeta
-    t = complex(theta)
-    gauge = cmath.exp(0.5j * zeta * cmath.cos(2.0 * t))
-    if params.M == 1:
-        if level_index != 0:
-            raise ValueError("M = 1 has a single closed-form level")
-        return gauge
-    if params.M == 3:
-        if level_index not in (0, 1, 2):
-            raise ValueError("M = 3 has three closed-form levels")
-        if level_index == 1:
-            return cmath.sin(2.0 * t) * gauge
-        r = cmath.sqrt(1.0 - 4.0 * params.zeta2)
-        if level_index == 0:
-            return (-2j * zeta - (r - 1.0) * cmath.cos(2.0 * t)) * gauge
-        return (-2j * zeta + (r + 1.0) * cmath.cos(2.0 * t)) * gauge
-    raise ValueError(f"closed forms available for M in (1, 3) only, got M={params.M}")
+    """Closed-form dual levels for M = 1 and M = 3: -E of
+    oracle.dshg_closed_form_levels in descending-E tag order, so ascending
+    while the M = 3 levels are real."""
+    closed = dshg_closed_form_levels(params)
+    tags = ("ground",) if params.M == 1 else ("even_plus", "odd", "even_minus")
+    return [-closed[tag] for tag in tags]

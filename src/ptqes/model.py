@@ -1,4 +1,4 @@
-"""Model definitions shared by every other module.
+"""Parameters, potentials and energy conventions shared by every other module.
 
 Two PT-invariant, non-Hermitian Schroedinger problems are treated, in units
 hbar = 2m = 1:
@@ -11,26 +11,22 @@ x -> i*pi/2 - x and complex conjugation the hyperbolic potential maps onto
 itself, which is the PT invariance that keeps the quasi-exactly-solvable
 levels real below a critical coupling.
 
+ModelParams describes both: the periodic problem is the image of the
+hyperbolic one under x -> i*theta (duality.py).  periodic_potential is written
+out on its own so that checks of the periodic equation do not use that map.
+
 Spectra are often written in the shifted variable calE = E - M**2 + zeta**2.
 The conversion lives here so that every module shares a single definition.
 """
 
 import cmath
 import math
-from dataclasses import dataclass, replace
-from enum import Enum
-
-
-class Model(str, Enum):
-    """Which of the two potentials a parameter set refers to."""
-
-    DSHG = "dshg"
-    DSG = "dsg"
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Immutable parameter bundle (M, zeta) plus the model selector.
+    """Immutable parameter bundle (M, zeta).
 
     zeta is stored as given, any sign.  Every implemented formula for the
     spectrum depends on zeta only through zeta**2; that is a tested property,
@@ -39,7 +35,6 @@ class ModelParams:
 
     M: int
     zeta: float
-    model: Model = Model.DSHG
 
     def __post_init__(self):
         if isinstance(self.M, bool) or not isinstance(self.M, int):
@@ -50,14 +45,10 @@ class ModelParams:
         if not math.isfinite(zeta):
             raise ValueError(f"zeta must be finite, got {self.zeta!r}")
         object.__setattr__(self, "zeta", zeta)
-        object.__setattr__(self, "model", Model(self.model))
 
     @property
     def zeta2(self) -> float:
         return self.zeta * self.zeta
-
-    def with_model(self, model: Model) -> "ModelParams":
-        return replace(self, model=Model(model))
 
 
 def shift_to_physical(calE: complex, params: ModelParams) -> complex:
@@ -104,12 +95,14 @@ def k_index(M: int) -> int:
 
 
 def potential(x: complex, params: ModelParams) -> complex:
-    """Potential value at a (possibly complex) point for the selected model."""
-    z = complex(x)
-    if params.model is Model.DSHG:
-        core = params.zeta * cmath.cosh(2.0 * z) - 1j * params.M
-        return -(core * core)
-    core = params.zeta * cmath.cos(2.0 * z) - 1j * params.M
+    """Hyperbolic potential -(zeta*cosh(2x) - i*M)**2 at a (possibly complex) point."""
+    core = params.zeta * cmath.cosh(2.0 * complex(x)) - 1j * params.M
+    return -(core * core)
+
+
+def periodic_potential(theta: complex, params: ModelParams) -> complex:
+    """Periodic potential (zeta*cos(2*theta) - i*M)**2 at a (possibly complex) point."""
+    core = params.zeta * cmath.cos(2.0 * complex(theta)) - 1j * params.M
     return core * core
 
 

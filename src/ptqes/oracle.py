@@ -23,7 +23,7 @@ from importlib import resources
 
 import numpy as np
 
-from .model import Model, ModelParams, potential
+from .model import ModelParams, periodic_potential, potential
 from .polyengine import EnergyPolynomial
 from .spectra import qes_spectrum
 
@@ -159,20 +159,17 @@ def default_sample_points(count: int = 21):
 
 
 def ode_residual_dshg(params: ModelParams, E: complex, tag: str, points=None, h: float = 1e-4) -> float:
-    if params.model is not Model.DSHG:
-        raise ValueError("ode_residual_dshg expects hyperbolic-model params")
     psi = dshg_closed_form(params, tag)
     pts = default_sample_points() if points is None else points
     return ode_residual(psi, lambda x: potential(x, params), E, pts, h=h)
 
 
-def ode_residual_dsg(params: ModelParams, Ehat: complex, level_index: int, thetas=None, h: float = 1e-4) -> float:
-    from .duality import dual_eigenfunction
-
-    dsg = params.with_model(Model.DSG)
-    psi = lambda t: dual_eigenfunction(dsg, level_index, t)
+def ode_residual_dsg(params: ModelParams, Ehat: complex, tag: str, thetas=None, h: float = 1e-4) -> float:
+    """Residual of the periodic equation for the hyperbolic closed form `tag`
+    taken at x = i*theta, against periodic_potential and the dual level Ehat."""
+    psi = dshg_closed_form(params, tag)
     pts = list(np.linspace(0.0, math.pi, 50)) if thetas is None else thetas
-    return ode_residual(psi, lambda t: potential(t, dsg), Ehat, pts, h=h)
+    return ode_residual(lambda t: psi(1j * t), lambda t: periodic_potential(t, params), Ehat, pts, h=h)
 
 
 # ---------------------------------------------------------------------------

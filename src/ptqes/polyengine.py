@@ -96,9 +96,9 @@ def divide_exact(p: EnergyPolynomial, d: EnergyPolynomial):
     return EnergyPolynomial(tuple(quot), variable=p.variable), rem_norm
 
 
-def is_real_value(z: complex, rtol: float = REAL_CLASSIFICATION_RTOL) -> bool:
+def is_real_value(z: complex) -> bool:
     z = complex(z)
-    return abs(z.imag) <= rtol * (1.0 + abs(z))
+    return abs(z.imag) <= REAL_CLASSIFICATION_RTOL * (1.0 + abs(z))
 
 
 def matching_distance(a, b) -> float:

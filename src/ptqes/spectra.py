@@ -37,6 +37,8 @@ _REALIZE_RTOL = 1e-9
 # Two levels closer than this (relative) are reported as degenerate.
 DEGENERACY_RTOL = 1e-6
 
+_PAIRING_TOL = 1e-8
+
 _NO_FINITE_CRITICAL = math.inf
 
 
@@ -200,6 +202,8 @@ def critical_coupling(M: int, tol: float = 1e-10) -> CriticalCoupling:
     lo, up = bracket
     while up - lo > tol:
         mid = 0.5 * (lo + up)
+        if mid in (lo, up):  # lo and up are adjacent doubles; tol is below their spacing
+            break
         if _has_complex_p_level(M, mid):
             up = mid
         else:
@@ -276,14 +280,14 @@ def check_factorization(params: ModelParams, n_extra: int = 3) -> FactorizationR
     return FactorizationReport(params=params, checks=tuple(checks))
 
 
-def even_M_pairing(params: ModelParams, tol: float = 1e-8) -> bool:
+def even_M_pairing(params: ModelParams) -> bool:
     """True when the level multiset is conjugation-invariant and, for
     zeta != 0, at least one level is genuinely complex."""
     if params.M % 2 != 0:
         raise ValueError(f"even_M_pairing needs even M, got {params.M}")
     rts = qes_spectrum(params).energies
     conj = [z.conjugate() for z in rts]
-    if matching_distance(rts, conj) > tol:
+    if matching_distance(rts, conj) > _PAIRING_TOL:
         return False
     if params.zeta != 0 and all(is_real_value(z) for z in rts):
         return False

@@ -17,6 +17,7 @@ from ptqes.duality import dual_closed_form_levels, dual_spectrum
 from ptqes.model import ModelParams
 from ptqes.norms import gram_matrix, norm, weights
 from ptqes.oracle import (
+    dshg_closed_form_levels,
     gauge_char_poly,
     gauge_matrix_eigs,
     ode_residual_dsg,
@@ -240,10 +241,10 @@ def test_c08_duality(acceptance):
         for a, b in zip(dual_spectrum(params).energies, closed):
             worst = max(worst, abs(a - b))
     assert worst <= 1e-12
-    worst_res = ode_residual_dsg(ModelParams(M=1, zeta=0.2), -(1.0 - 0.04), 0)
+    worst_res = ode_residual_dsg(ModelParams(M=1, zeta=0.2), -(1.0 - 0.04), "ground")
     params3 = ModelParams(M=3, zeta=math.sqrt(0.1))
-    for idx, ehat in enumerate(dual_closed_form_levels(params3)):
-        worst_res = max(worst_res, ode_residual_dsg(params3, ehat, idx))
+    for tag, E in dshg_closed_form_levels(params3).items():
+        worst_res = max(worst_res, ode_residual_dsg(params3, -E, tag))
     assert worst_res <= 1e-6
     acceptance(
         8,
@@ -256,7 +257,7 @@ def test_c08_duality(acceptance):
 def test_c09_even_m_conjugate_pairing(acceptance):
     for M in (2, 4, 6):
         for z2 in (0.02, 0.1):
-            assert even_M_pairing(ModelParams(M=M, zeta=math.sqrt(z2)), tol=1e-8)
+            assert even_M_pairing(ModelParams(M=M, zeta=math.sqrt(z2)))
     acceptance(
         9,
         "even-M conjugate pairing",

@@ -78,6 +78,14 @@ def test_critical_zeta_json_and_csv():
     assert lines[1].startswith("3,0.25")
 
 
+def test_critical_zeta_tol_below_double_spacing():
+    # the bisection once never ended when tol was below the spacing of
+    # doubles near zeta_c^2; the timeout turns that into a failure
+    p = run("critical-zeta", "--M", "3", "--tol", "1e-300", timeout=30)
+    assert p.returncode == 0, p.stderr
+    assert abs(json.loads(p.stdout)["zeta_c_squared"] - 0.25) <= 1e-14
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -106,6 +114,7 @@ def test_critical_zeta_json_and_csv():
         ("sweep", "--M", "1", "--zeta2-range", "nan:1:0.1"),
         ("sweep", "--M", "1", "--zeta2-range", "0:nan:0.1"),
         ("sweep", "--M", "1", "--zeta2-range", "0:1:nan"),
+        ("sweep", "--M", "1", "--zeta2-range", "0:1:1e-6"),
     ],
 )
 def test_usage_errors_exit_2(args):
@@ -115,6 +124,13 @@ def test_usage_errors_exit_2(args):
     assert p.returncode == 2
     assert p.stderr != ""
     assert p.stdout == ""
+
+
+def test_sweep_point_cap():
+    # 0:1:1e-6 asks for MAX_SWEEP_POINTS + 1 couplings
+    with pytest.raises(ptqes.cli.UsageError):
+        ptqes.cli._parse_range("0:1:1e-6")
+    assert len(ptqes.cli._parse_range("0:0.999999:1e-6")) == ptqes.cli.MAX_SWEEP_POINTS
 
 
 def test_internal_value_error_exits_3(monkeypatch, capsys):

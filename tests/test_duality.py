@@ -1,14 +1,9 @@
-import cmath
 import math
 
 import pytest
 
-from ptqes.duality import (
-    dual_closed_form_levels,
-    dual_eigenfunction,
-    dual_spectrum,
-)
-from ptqes.model import Model, ModelParams
+from ptqes.duality import dual_closed_form_levels, dual_spectrum
+from ptqes.model import ModelParams
 from ptqes.polyengine import matching_distance
 from ptqes.spectra import qes_spectrum
 
@@ -21,7 +16,7 @@ def test_dual_is_exact_negation_reversal():
     assert dual.energies == pytest.approx(
         [-8.949591794226542, -5.030408205773458, -4.99], abs=1e-12
     )
-    assert dual.params.model is Model.DSG
+    assert dual.params == p
     # applying the map twice is the identity on the multiset, exactly
     assert tuple(-e for e in reversed(dual.energies)) == base
 
@@ -68,24 +63,3 @@ def test_closed_forms_beyond_critical_coupling():
     closed = dual_closed_form_levels(p)
     assert matching_distance(computed, closed) < 1e-12
     assert any(abs(complex(x).imag) > 0.1 for x in closed)
-
-
-def test_dual_eigenfunction_values():
-    p = ModelParams(M=3, zeta=0.2)
-    theta = 0.37
-    gauge = cmath.exp(0.5j * 0.2 * math.cos(2 * theta))
-    psi1 = dual_eigenfunction(p, 1, theta)
-    assert psi1 == pytest.approx(math.sin(2 * theta) * gauge, rel=1e-14)
-    r = math.sqrt(1.0 - 4.0 * 0.04)
-    psi0 = dual_eigenfunction(p, 0, theta)
-    want = (-0.4j - (r - 1.0) * math.cos(2 * theta)) * gauge
-    assert psi0 == pytest.approx(want, rel=1e-14)
-
-
-def test_dual_eigenfunction_validation():
-    with pytest.raises(ValueError):
-        dual_eigenfunction(ModelParams(M=1, zeta=0.2), 1, 0.1)
-    with pytest.raises(ValueError):
-        dual_eigenfunction(ModelParams(M=3, zeta=0.2), 3, 0.1)
-    with pytest.raises(ValueError):
-        dual_eigenfunction(ModelParams(M=5, zeta=0.2), 0, 0.1)

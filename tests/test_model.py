@@ -4,10 +4,10 @@ import math
 import pytest
 
 from ptqes.model import (
-    Model,
     ModelParams,
     ShiftedEnergy,
     k_index,
+    periodic_potential,
     potential,
     pt_reflection,
     shift_from_physical,
@@ -32,13 +32,14 @@ def test_params_validation():
 
 def test_params_fields():
     p = ModelParams(M=3, zeta=0.1)
-    assert p.model is Model.DSHG
     assert p.zeta2 == pytest.approx(0.01, rel=1e-15)
-    q = p.with_model("dsg")
-    assert q.model is Model.DSG
-    assert q.M == 3 and q.zeta == p.zeta
-    # model accepted as a string at construction too
-    assert ModelParams(M=1, zeta=0.0, model="dsg").model is Model.DSG
+
+
+def test_params_have_no_model_selector():
+    # the periodic model is reached through duality.dual_spectrum only; a
+    # selector that qes_spectrum ignored gave the hyperbolic levels silently
+    with pytest.raises(TypeError):
+        ModelParams(M=3, zeta=0.1, model="dsg")
 
 
 def test_shift_conventions():
@@ -70,17 +71,15 @@ def test_potential_values():
     p = ModelParams(M=3, zeta=0.1)
     core = 0.1 - 3j
     assert potential(0.0, p) == pytest.approx(-(core * core), rel=1e-15)
-    d = p.with_model(Model.DSG)
-    assert potential(0.0, d) == pytest.approx(core * core, rel=1e-15)
+    assert periodic_potential(0.0, p) == pytest.approx(core * core, rel=1e-15)
 
 
 def test_potential_duality_map():
     # V_dshg(i*theta) = -V_dsg(theta) since cosh(2i*theta) = cos(2*theta)
     p = ModelParams(M=5, zeta=0.3)
-    d = p.with_model(Model.DSG)
     for theta in (0.3, 1.1, 0.4 + 0.2j, -0.7):
         lhs = potential(1j * theta, p)
-        rhs = -potential(theta, d)
+        rhs = -periodic_potential(theta, p)
         assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
 
 

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from ptqes.model import Model, ModelParams
+from ptqes.model import ModelParams
 from ptqes.oracle import (
     default_sample_points,
     dshg_closed_form,
@@ -14,6 +14,7 @@ from ptqes.oracle import (
     gauge_matrix_eigs,
     load_golden_levels,
     ode_residual,
+    ode_residual_dsg,
     ode_residual_dshg,
     reproduce_tables,
     wedge_decay_probe,
@@ -100,18 +101,21 @@ def test_ode_residual_closed_forms():
     assert ode_residual_dshg(p1, 1.0 - 0.04 + 0.1, "ground") > 1e-2
 
 
+def test_ode_residual_dsg_takes_the_negated_level():
+    # the hyperbolic closed form at x = i*theta solves the periodic equation
+    # at -E, and the check rejects the unmapped level +E
+    for p in (ModelParams(M=1, zeta=0.2), ModelParams(M=3, zeta=math.sqrt(0.01))):
+        for tag, E in dshg_closed_form_levels(p).items():
+            assert ode_residual_dsg(p, -E, tag) < 1e-6
+            assert ode_residual_dsg(p, E, tag) > 1.0
+
+
 def test_ode_residual_fd_order():
     # central difference: halving h cuts the defect by about 4
     p1 = ModelParams(M=1, zeta=0.2)
     r1 = ode_residual_dshg(p1, 0.96, "ground", h=2e-3)
     r2 = ode_residual_dshg(p1, 0.96, "ground", h=1e-3)
     assert 3.5 < r1 / r2 < 4.5
-
-
-def test_ode_residual_model_mismatch():
-    p = ModelParams(M=1, zeta=0.2, model=Model.DSG)
-    with pytest.raises(ValueError):
-        ode_residual_dshg(p, 0.96, "ground")
 
 
 def test_default_sample_points():

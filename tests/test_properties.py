@@ -9,6 +9,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ptqes.duality import dual_spectrum
 from ptqes.model import ModelParams
 from ptqes.polyengine import evaluate
 from ptqes.recursion import _step, build_P, build_Q, build_R, build_Rbar, family_values, recurrence_b
@@ -17,6 +18,7 @@ from ptqes.spectra import qes_spectrum
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
 
 Ms = st.integers(min_value=1, max_value=61)
+odd_Ms = st.integers(min_value=0, max_value=30).map(lambda k: 2 * k + 1)
 zeta2s = st.floats(min_value=0.0, max_value=1.0)
 
 
@@ -40,6 +42,21 @@ def test_spectrum_depends_on_zeta_through_zeta2_only(M, z2):
     minus = qes_spectrum(ModelParams(M=M, zeta=-zeta))
     assert plus.levels == minus.levels
     assert plus.degenerate_pairs == minus.degenerate_pairs
+
+
+@PROPERTY
+@given(M=odd_Ms, z2=zeta2s)
+def test_dual_spectrum_is_the_negated_reversed_spectrum(M, z2):
+    params = ModelParams(M=M, zeta=math.sqrt(z2))
+    base = qes_spectrum(params)
+    dual = dual_spectrum(params)
+    assert dual.params == params
+    assert dual.energies == tuple(-E for E in reversed(base.energies))
+    assert [lvl.label for lvl in dual.levels] == [lvl.label for lvl in reversed(base.levels)]
+    assert [lvl.is_real for lvl in dual.levels] == [lvl.is_real for lvl in reversed(base.levels)]
+    assert [lvl.source_index for lvl in dual.levels] == list(range(M - 1, -1, -1))
+    # the map applied twice is the identity, exactly
+    assert tuple(-Ehat for Ehat in reversed(dual.energies)) == base.energies
 
 
 BUILDERS = {"P": build_P, "Q": build_Q, "R": build_R, "Rbar": build_Rbar}
