@@ -11,7 +11,6 @@ finite-dimensional gauge rotation of the Hamiltonian.
 
 from .model import (
     ModelParams,
-    ShiftedEnergy,
     k_index,
     periodic_potential,
     potential,
@@ -55,7 +54,6 @@ from .norms import (
     gram_matrix,
     norm,
     pq_norms,
-    sign_report,
     weights,
 )
 from .duality import (
@@ -66,7 +64,6 @@ from .duality import (
 )
 from .oracle import (
     ROOT_MATCH_TOL,
-    GaugeMatrix,
     dshg_closed_form,
     dshg_closed_form_levels,
     gauge_char_poly,
@@ -75,7 +72,6 @@ from .oracle import (
     ode_residual,
     ode_residual_dsg,
     ode_residual_dshg,
-    reproduce_all_tables,
     reproduce_tables,
     wedge_decay_probe,
 )
@@ -84,7 +80,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ModelParams",
-    "ShiftedEnergy",
     "k_index",
     "periodic_potential",
     "potential",
@@ -120,13 +115,11 @@ __all__ = [
     "gram_matrix",
     "norm",
     "pq_norms",
-    "sign_report",
     "weights",
     "DualLevel",
     "DualSpectrum",
     "dual_closed_form_levels",
     "dual_spectrum",
-    "GaugeMatrix",
     "ROOT_MATCH_TOL",
     "dshg_closed_form",
     "dshg_closed_form_levels",
@@ -136,7 +129,6 @@ __all__ = [
     "ode_residual",
     "ode_residual_dsg",
     "ode_residual_dshg",
-    "reproduce_all_tables",
     "reproduce_tables",
     "wedge_decay_probe",
     "__version__",

@@ -13,33 +13,27 @@ import io
 import json
 import math
 import sys
+from operator import itemgetter
 
-import numpy as np
-
-from .duality import dual_closed_form_levels, dual_spectrum
+from .duality import dual_spectrum, verify_duality
 from .model import ModelParams
-from .norms import gram_matrix, norm, sign_report, weights
-from .oracle import (
-    ROOT_MATCH_TOL,
-    dshg_closed_form_levels,
-    gauge_char_poly,
-    gauge_matrix_eigs,
-    ode_residual_dsg,
-    reproduce_tables,
-)
-from .polyengine import backward_error, matching_distance
-from .recursion import build_R
-from .spectra import check_factorization, critical_coupling, degenerate_pairs, qes_spectrum
+from .norms import verify_norms
+from .oracle import verify_gauge, verify_tables
+from .spectra import critical_coupling, degenerate_pairs, qes_spectrum, verify_factorization
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-_SUITES = ("tables", "oracle", "factorization", "norms", "duality", "all")
-
-# Backward error of R_M at the gauge eigenvalues, relative to its coefficients.
-R_RESIDUAL_TOL = 1e-12
+# verify suites, in the order --suite all runs them
+_SUITES = {
+    "tables": verify_tables,
+    "oracle": verify_gauge,
+    "factorization": verify_factorization,
+    "norms": verify_norms,
+    "duality": verify_duality,
+}
 
 MAX_SWEEP_POINTS = 10**6
 
@@ -54,6 +48,59 @@ def _fmt(x) -> str:
 
 def _bool(x) -> str:
     return "true" if x else "false"
+
+
+# ---------------------------------------------------------------------------
+# Output columns, one spec per command: (key, table header, table width as a
+# format spec, formatter).  The key names the json field and heads the csv
+# column; every csv and table cell is formatter(value).  The critical-zeta
+# table is key=value lines and the verify table PASS/FAIL lines, so their
+# headers and widths are unused.
+
+_LEVEL_COLUMNS = (
+    ("index", "index", ">5", str),
+    ("label", "label", "<5", str),
+    ("E_re", "E_re", ">18", _fmt),
+    ("E_im", "E_im", ">18", _fmt),
+    ("is_real", "real", "", _bool),
+)
+
+_COLUMNS = {
+    "spectrum": _LEVEL_COLUMNS,
+    "sweep": (("zeta2", "zeta2", ">14", _fmt),) + _LEVEL_COLUMNS,
+    "critical-zeta": (
+        ("M", "M", "", str),
+        ("zeta_c_squared", "zeta_c_squared", "", _fmt),
+        ("degenerate_energy", "degenerate_energy", "", _fmt),
+        ("tol", "tol", "", _fmt),
+    ),
+    "verify": (("name", "name", "", str), ("passed", "passed", "", _bool), ("detail", "detail", "", str)),
+}
+
+_KEYS = {command: [key for key, *_ in columns] for command, columns in _COLUMNS.items()}
+
+# The payload field that holds a command's rows; critical-zeta's payload is
+# its one row.
+_ROWS = {"spectrum": "levels", "sweep": "rows", "verify": "checks"}
+
+
+def _fields(command: str, values) -> dict:
+    """One output row of `command`: its column keys paired with `values`."""
+    return dict(zip(_KEYS[command], values))
+
+
+def _rows(payload: dict) -> list:
+    key = _ROWS.get(payload["command"])
+    return payload[key] if key else [payload]
+
+
+def _cells(payload: dict):
+    """The csv and table cells of each row: its values through the column
+    formatters.  Formatting a column at a time keeps the per-row cost of a
+    long sweep at that of a hand-written row."""
+    command = payload["command"]
+    columns = zip(*map(itemgetter(*_KEYS[command]), _rows(payload)))
+    return zip(*(map(fmt, column) for (*_, fmt), column in zip(_COLUMNS[command], columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -78,20 +125,23 @@ def _check_M(args):
         raise UsageError(f"--model dsg needs odd M, got M={args.M}")
 
 
-def _spectrum_payload(model: str, M: int, zeta2: float, zeta: float) -> dict:
+def _levels(model: str, M: int, zeta: float):
+    """The spectrum of one model and its level rows in _LEVEL_COLUMNS order."""
     params = ModelParams(M=M, zeta=zeta)
+    spec = dual_spectrum(params) if model == "dsg" else qes_spectrum(params)
+    levels = enumerate(zip(spec.levels, spec.energies))
+    return spec, [(i, lvl.label, E.real, E.imag, lvl.is_real) for i, (lvl, E) in levels]
+
+
+def _spectrum_payload(model: str, M: int, zeta2: float, zeta: float) -> dict:
+    spec, rows = _levels(model, M, zeta)
+    levels = [_fields("spectrum", row) for row in rows]
     if model == "dsg":
-        spec = dual_spectrum(params)
         pairs = degenerate_pairs(spec.energies)
-    else:
-        spec = qes_spectrum(params)
-        pairs = spec.degenerate_pairs
-    levels = []
-    for i, (lvl, E) in enumerate(zip(spec.levels, spec.energies)):
-        row = {"index": i, "label": lvl.label, "E_re": E.real, "E_im": E.imag, "is_real": lvl.is_real}
-        if model == "dsg":
+        for row, lvl in zip(levels, spec.levels):
             row["source_index"] = lvl.source_index
-        levels.append(row)
+    else:
+        pairs = spec.degenerate_pairs
     return {
         "schema": 1,
         "command": "spectrum",
@@ -115,15 +165,8 @@ def _cmd_critical_zeta(args):
     if not (0 < args.tol < math.inf):
         raise UsageError(f"--tol must be positive and finite, got {args.tol}")
     cc = critical_coupling(args.M, tol=args.tol)
-    payload = {
-        "schema": 1,
-        "command": "critical-zeta",
-        "M": args.M,
-        "zeta_c_squared": cc.zeta_c_squared,
-        "degenerate_energy": cc.degenerate_energy,
-        "tol": args.tol,
-    }
-    return payload, EXIT_OK
+    fields = _fields("critical-zeta", (args.M, cc.zeta_c_squared, cc.degenerate_energy, args.tol))
+    return {"schema": 1, "command": "critical-zeta", **fields}, EXIT_OK
 
 
 def _cmd_verify(args):
@@ -131,29 +174,21 @@ def _cmd_verify(args):
     narrowed = args.M is not None or args.zeta2 is not None or args.zeta is not None
     if narrowed and suite != "oracle":
         raise UsageError("--M and --zeta2/--zeta narrow the oracle suite only")
-    checks = []
-    if suite in ("tables", "all"):
-        checks.extend(_suite_tables())
-    if suite in ("oracle", "all"):
-        z2 = None
-        if args.zeta2 is not None or args.zeta is not None:
-            _, z2 = _resolve_zeta(args)
-        m = args.M
-        if m is not None and not 1 <= m <= 9:
-            raise UsageError(f"--M must be in 1..9 for the oracle suite, got {m}")
-        checks.extend(_suite_oracle(m, z2))
-    if suite in ("factorization", "all"):
-        checks.extend(_suite_factorization())
-    if suite in ("norms", "all"):
-        checks.extend(_suite_norms())
-    if suite in ("duality", "all"):
-        checks.extend(_suite_duality())
+    narrowing = {}
+    if args.zeta2 is not None or args.zeta is not None:
+        _, narrowing["zeta2"] = _resolve_zeta(args)
+    if args.M is not None:
+        if not 1 <= args.M <= 9:
+            raise UsageError(f"--M must be in 1..9 for the oracle suite, got {args.M}")
+        narrowing["M"] = args.M
+    runs = _SUITES.values() if suite == "all" else [_SUITES[suite]]
+    checks = [c for run in runs for c in run(**narrowing)]
     passed = all(c["passed"] for c in checks)
     payload = {
         "schema": 1,
         "command": "verify",
         "suite": suite,
-        "checks": checks,
+        "checks": [{key: c[key] for key in _KEYS["verify"]} for c in checks],
         "passed": passed,
     }
     return payload, EXIT_OK if passed else EXIT_VERIFY_FAIL
@@ -185,18 +220,8 @@ def _cmd_sweep(args):
     values = _parse_range(args.zeta2_range)
     rows = []
     for z2 in values:
-        payload = _spectrum_payload(args.model, args.M, z2, math.sqrt(z2))
-        for lvl in payload["levels"]:
-            rows.append(
-                {
-                    "zeta2": z2,
-                    "index": lvl["index"],
-                    "label": lvl["label"],
-                    "E_re": lvl["E_re"],
-                    "E_im": lvl["E_im"],
-                    "is_real": lvl["is_real"],
-                }
-            )
+        _, levels = _levels(args.model, args.M, math.sqrt(z2))
+        rows.extend(_fields("sweep", (z2, *row)) for row in levels)
     payload = {
         "schema": 1,
         "command": "sweep",
@@ -209,263 +234,38 @@ def _cmd_sweep(args):
 
 
 # ---------------------------------------------------------------------------
-# Verification suites
-
-
-def _suite_tables():
-    checks = []
-    for name in ("I", "II", "III"):
-        report = reproduce_tables(name)
-        checks.append(
-            {
-                "name": f"tables.{name}",
-                "passed": report.passed,
-                "detail": f"max_abs_err={report.max_abs_err:.3e} over {len(report.cells)} cells",
-            }
-        )
-    return checks
-
-
-def _suite_oracle(M=None, zeta2=None):
-    # The gauge matrix is complex and built from its own formula, so its
-    # eigenvalues are independent of the real sector blocks behind
-    # qes_spectrum and of the R_M coefficients.
-    ms = [M] if M is not None else list(range(1, 10))
-    z2s = [zeta2] if zeta2 is not None else [0.0, 0.005, 0.01, 0.02, 0.025]
-    worst_res = (0.0, "-")
-    worst_spec = (0.0, "-")
-    worst_char = (0.0, "-")
-    char_cells = 0
-    for m in ms:
-        for z2 in z2s:
-            params = ModelParams(M=m, zeta=math.sqrt(z2))
-            eigs = gauge_matrix_eigs(params)
-            where = f"M={m} zeta2={z2:g}"
-            r_m = build_R(params, m)[m]
-            res = max(backward_error(r_m, z) for z in eigs)
-            if res > worst_res[0]:
-                worst_res = (res, where)
-            if m <= 6:
-                cp = gauge_char_poly(params)
-                scale = max(abs(c) for c in r_m.coeffs)
-                dc = max(abs(a - b) for a, b in zip(cp.coeffs, r_m.coeffs)) / scale
-                char_cells += 1
-                if dc > worst_char[0]:
-                    worst_char = (dc, where)
-            d = matching_distance(qes_spectrum(params).energies, eigs)
-            if d > worst_spec[0]:
-                worst_spec = (d, where)
-    checks = [
-        {
-            "name": "oracle.R_residual",
-            "passed": worst_res[0] <= R_RESIDUAL_TOL,
-            "detail": (
-                f"max_backward_error={worst_res[0]:.3e} of R_M at the gauge eigenvalues "
-                f"at {worst_res[1]} (bound {R_RESIDUAL_TOL:.1e})"
-            ),
-        },
-        {
-            "name": "oracle.spectrum_match",
-            "passed": worst_spec[0] <= ROOT_MATCH_TOL,
-            "detail": f"max_distance={worst_spec[0]:.3e} at {worst_spec[1]} (bound {ROOT_MATCH_TOL:.1e})",
-        },
-    ]
-    if char_cells:
-        checks.append(
-            {
-                "name": "oracle.char_poly",
-                "passed": worst_char[0] <= 1e-8,
-                "detail": f"max_rel_coeff_err={worst_char[0]:.3e} at {worst_char[1]}",
-            }
-        )
-    return checks
-
-
-def _suite_factorization():
-    checks = []
-    for m in (1, 2, 3, 4, 5, 7):
-        worst = 0.0
-        for z2 in (0.005, 0.02):
-            report = check_factorization(ModelParams(M=m, zeta=math.sqrt(z2)), n_extra=4)
-            worst = max(worst, report.max_deviation)
-        checks.append(
-            {
-                "name": f"factorization.M{m}",
-                "passed": worst <= 1e-9,
-                "detail": f"max_deviation={worst:.3e}",
-            }
-        )
-    return checks
-
-
-def _suite_norms():
-    worst_gram = 0.0
-    worst_imag = 0.0
-    endpoints_ok = True
-    for m in (3, 5):
-        for z2 in (0.005, 0.01, 0.02):
-            params = ModelParams(M=m, zeta=math.sqrt(z2))
-            table = weights(params)
-            if table.gamma[0] != 1.0 or table.gamma[m] != 0.0:
-                endpoints_ok = False
-            G = gram_matrix(table)
-            target = np.diag([norm(n, params) for n in range(m)]).astype(complex)
-            scale = 1.0 + max(abs(g) for g in table.gamma)
-            worst_gram = max(worst_gram, float(np.max(np.abs(G - target))) / scale)
-            worst_imag = max(worst_imag, table.max_weight_imag)
-    report = sign_report(ModelParams(M=5, zeta=math.sqrt(0.01)))
-    return [
-        {
-            "name": "norms.gamma_endpoints",
-            "passed": endpoints_ok,
-            "detail": "gamma_0 == 1 and gamma_M == 0 exactly",
-        },
-        {
-            "name": "norms.gram_identity",
-            "passed": worst_gram <= 1e-9,
-            "detail": f"max_error={worst_gram:.3e} (M in 3,5; zeta^2 in 0.005,0.01,0.02)",
-        },
-        {
-            "name": "norms.weight_reality",
-            "passed": worst_imag <= 1e-9,
-            "detail": f"max_rel_imag={worst_imag:.3e}",
-        },
-        {
-            "name": "norms.sign_pattern",
-            "passed": True,
-            "detail": "observed signs " + "".join(report["signs"]) + " (M=5); " + report["note"],
-        },
-    ]
-
-
-def _suite_duality():
-    checks = []
-    exact_ok = True
-    for m in (1, 3, 5, 7, 9):
-        params = ModelParams(M=m, zeta=math.sqrt(0.01))
-        base = tuple(qes_spectrum(params).energies)
-        dual = tuple(dual_spectrum(params).energies)
-        manual = tuple(-e for e in reversed(base))
-        if dual != manual:
-            exact_ok = False
-        if tuple(-e for e in reversed(manual)) != base:
-            exact_ok = False
-    checks.append(
-        {
-            "name": "duality.negation_reversal",
-            "passed": exact_ok,
-            "detail": "exact float equality and involution, M in 1,3,5,7,9",
-        }
-    )
-    worst = 0.0
-    for z2 in (0.01, 0.1, 0.24):
-        params = ModelParams(M=3, zeta=math.sqrt(z2))
-        computed = dual_spectrum(params).energies
-        closed = sorted(x.real for x in dual_closed_form_levels(params))
-        for a, b in zip(computed, closed):
-            worst = max(worst, abs(a - b))
-    checks.append(
-        {
-            "name": "duality.closed_form_m3",
-            "passed": worst <= 1e-12,
-            "detail": f"max_error={worst:.3e}",
-        }
-    )
-    worst_res = 0.0
-    for params in (ModelParams(M=1, zeta=0.2), ModelParams(M=3, zeta=math.sqrt(0.1))):
-        for tag, E in dshg_closed_form_levels(params).items():
-            worst_res = max(worst_res, ode_residual_dsg(params, -E, tag))
-    checks.append(
-        {
-            "name": "duality.ode_residual",
-            "passed": worst_res <= 1e-6,
-            "detail": f"max_residual={worst_res:.3e} on 50-point grids",
-        }
-    )
-    return checks
-
-
-# ---------------------------------------------------------------------------
 # Rendering
 
 
 def _render_csv(payload: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    command = payload["command"]
-    if command == "spectrum":
-        writer.writerow(["index", "label", "E_re", "E_im", "is_real"])
-        for lvl in payload["levels"]:
-            writer.writerow(
-                [lvl["index"], lvl["label"], _fmt(lvl["E_re"]), _fmt(lvl["E_im"]), _bool(lvl["is_real"])]
-            )
-    elif command == "critical-zeta":
-        writer.writerow(["M", "zeta_c_squared", "degenerate_energy", "tol"])
-        writer.writerow(
-            [
-                payload["M"],
-                _fmt(payload["zeta_c_squared"]),
-                "" if payload["degenerate_energy"] is None else _fmt(payload["degenerate_energy"]),
-                _fmt(payload["tol"]),
-            ]
-        )
-    elif command == "verify":
-        writer.writerow(["name", "passed", "detail"])
-        for c in payload["checks"]:
-            writer.writerow([c["name"], _bool(c["passed"]), c["detail"]])
-    elif command == "sweep":
-        writer.writerow(["zeta2", "index", "label", "E_re", "E_im", "is_real"])
-        for row in payload["rows"]:
-            writer.writerow(
-                [
-                    _fmt(row["zeta2"]),
-                    row["index"],
-                    row["label"],
-                    _fmt(row["E_re"]),
-                    _fmt(row["E_im"]),
-                    _bool(row["is_real"]),
-                ]
-            )
-    else:
-        raise ValueError(f"no csv renderer for {command!r}")
+    writer.writerow(_KEYS[payload["command"]])
+    writer.writerows(_cells(payload))
     return buf.getvalue()
 
 
 def _render_table(payload: dict) -> str:
     command = payload["command"]
-    lines = []
-    if command == "spectrum":
-        lines.append(
-            f"model={payload['model']} M={payload['M']} zeta2={_fmt(payload['zeta2'])}"
-        )
-        lines.append(f"{'index':>5}  {'label':<5}  {'E_re':>18}  {'E_im':>18}  real")
-        for lvl in payload["levels"]:
-            lines.append(
-                f"{lvl['index']:>5}  {lvl['label']:<5}  {_fmt(lvl['E_re']):>18}  "
-                f"{_fmt(lvl['E_im']):>18}  {_bool(lvl['is_real'])}"
-            )
-        pairs = payload["degenerate_pairs"]
-        lines.append(f"degenerate_pairs={pairs if pairs else '[]'}")
-    elif command == "critical-zeta":
-        lines.append(f"M={payload['M']}")
-        lines.append(f"zeta_c_squared={_fmt(payload['zeta_c_squared'])}")
-        de = payload["degenerate_energy"]
-        lines.append(f"degenerate_energy={'-' if de is None else _fmt(de)}")
-        lines.append(f"tol={_fmt(payload['tol'])}")
+    if command == "critical-zeta":
+        lines = [f"{key}={cell}" for key, cell in zip(_KEYS[command], *_cells(payload))]
     elif command == "verify":
-        for c in payload["checks"]:
-            lines.append(f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']:<28}  {c['detail']}")
-        lines.append(f"OVERALL {'PASS' if payload['passed'] else 'FAIL'}")
-    elif command == "sweep":
-        lines.append(f"model={payload['model']} M={payload['M']} range={payload['zeta2_range']}")
-        lines.append(f"{'zeta2':>14}  {'index':>5}  {'label':<5}  {'E_re':>18}  {'E_im':>18}  real")
-        for row in payload["rows"]:
-            lines.append(
-                f"{_fmt(row['zeta2']):>14}  {row['index']:>5}  {row['label']:<5}  "
-                f"{_fmt(row['E_re']):>18}  {_fmt(row['E_im']):>18}  {_bool(row['is_real'])}"
-            )
+        verdict = {True: "PASS", False: "FAIL"}
+        lines = [f"{verdict[c['passed']]}  {c['name']:<28}  {c['detail']}" for c in payload["checks"]]
+        lines.append(f"OVERALL {verdict[payload['passed']]}")
     else:
-        raise ValueError(f"no table renderer for {command!r}")
+        columns = _COLUMNS[command]
+        line = "  ".join(f"{{:{width}}}" for _, _, width, _ in columns).format
+        if command == "spectrum":
+            where = f"zeta2={_fmt(payload['zeta2'])}"
+        else:
+            where = f"range={payload['zeta2_range']}"
+        lines = [f"model={payload['model']} M={payload['M']} {where}"]
+        lines.append(line(*(head for _, head, _, _ in columns)))
+        lines.extend(line(*cells) for cells in _cells(payload))
+        if command == "spectrum":
+            pairs = payload["degenerate_pairs"]
+            lines.append(f"degenerate_pairs={pairs if pairs else '[]'}")
     return "\n".join(lines) + "\n"
 
 
@@ -513,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cz.set_defaults(func=_cmd_critical_zeta)
 
     vf = sub.add_parser("verify", help="run self-checks against independent routes")
-    vf.add_argument("--suite", choices=_SUITES, default="all")
+    vf.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
     vf.add_argument("--M", type=int, default=None, dest="M", help="narrow the oracle suite")
     _add_zeta(vf, required=False)
     _add_common(vf)

@@ -16,7 +16,8 @@ hyperbolic one under x -> i*theta (duality.py).  periodic_potential is written
 out on its own so that checks of the periodic equation do not use that map.
 
 Spectra are often written in the shifted variable calE = E - M**2 + zeta**2.
-The conversion lives here so that every module shares a single definition.
+The conversion lives here so that every module shares a single definition,
+as does the record each module's verify suite returns (_check).
 """
 
 import cmath
@@ -61,26 +62,6 @@ def shift_from_physical(E: complex, params: ModelParams) -> complex:
     return E - params.M**2 + params.zeta2
 
 
-@dataclass(frozen=True)
-class ShiftedEnergy:
-    """An energy carried in both conventions at once.
-
-    calE and E always satisfy E = calE + M**2 - zeta**2 for the params the
-    value was built with; construct through from_cal or from_physical.
-    """
-
-    calE: complex
-    E: complex
-
-    @classmethod
-    def from_cal(cls, calE: complex, params: ModelParams) -> "ShiftedEnergy":
-        return cls(calE=calE, E=shift_to_physical(calE, params))
-
-    @classmethod
-    def from_physical(cls, E: complex, params: ModelParams) -> "ShiftedEnergy":
-        return cls(calE=shift_from_physical(E, params), E=E)
-
-
 def k_index(M: int) -> int:
     """Sector index k for odd M = 2k + 1.
 
@@ -113,3 +94,9 @@ def pt_reflection(x: complex) -> complex:
     for the periodic model is not asserted anywhere in this package.
     """
     return 0.5j * math.pi - complex(x).conjugate()
+
+
+def _check(name: str, measured, bound, detail: str) -> dict:
+    """One verify check: it passes exactly when measured <= bound."""
+    passed = bool(measured <= bound)
+    return {"name": name, "passed": passed, "detail": detail, "measured": measured, "bound": bound}

@@ -13,10 +13,9 @@ and the induced Gram form is then diagonal,
 the products of the recursion tails (recursion.family_norms).
 
 Each a_i is negative for 0 < i < M once zeta != 0, so the nonzero norms
-alternate: positive at even index, negative at odd index.  An alternating
-variant (-1)^n * prod a_i also circulates for these families; it disagrees
-with the Gram diagonal at odd index, and sign_report exposes both so the
-discrepancy is visible rather than silently absorbed.
+alternate: gamma_n has the sign (-1)^n, positive at even index and negative
+at odd index.  verify_norms checks that sign on the Gram diagonal built
+from the weights.
 
 Because the support points are the zeros of R_M, that system has the
 closed-form solution (Christoffel numbers; Golub & Welsch, Math. Comp. 1969)
@@ -28,10 +27,9 @@ through expanded coefficients) and E_k the levels of spectra.qes_spectrum.
 For odd M below the critical coupling the levels are exactly real, and so
 are the weights.
 
-The complex P and Q families admit the same construction on their own
-sector levels, with norms the products of their own recursion tails; those
-norms and weights are genuinely complex and are exposed for inspection
-only.
+The complex P and Q families have as norms the products of their own
+recursion tails (pq_norms); those are genuinely complex and are exposed for
+inspection only.
 """
 
 import math
@@ -39,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, k_index
+from .model import ModelParams, _check, k_index
 from .recursion import family_norms, family_values
 from .spectra import qes_spectrum
 
@@ -48,6 +46,12 @@ from .spectra import qes_spectrum
 WEIGHT_RTOL = 1e-8
 
 _EPS = float(np.finfo(float).eps)
+
+# verify_norms bounds: distance of the Gram matrix from diag(gamma), relative
+# to 1 + max |gamma_n|, and the largest weight imaginary part, relative to
+# the largest weight.
+_GRAM_TOL = 1e-9
+_WEIGHT_IMAG_TOL = 1e-9
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -77,16 +81,17 @@ class WeightTable:
         return max(abs(w.imag) for w in self.weights) / scale
 
 
-def _christoffel(support, values, norms) -> list:
-    """omega_k = 1 / sum_n F_n(E_k)^2 / h_n on the zeros E_k of the truncating
-    member of a monic orthogonal family F with Gram diagonal h; values(E)
-    returns F_0(E) .. F_{len(norms)-1}(E).
+def weights(params: ModelParams) -> WeightTable:
+    """Christoffel weights of the R functional on the M levels.
 
     A support point off by eps(1 + |E_k|) moves omega_k by about
     |omega_k| times that over the gap delta_k to its nearest neighbour, so
     the weights are refused when that exceeds WEIGHT_RTOL of the largest.
     """
-    if not all(norms):
+    M = params.M
+    support = qes_spectrum(params).energies
+    gamma = tuple(family_norms("R", params, M + 1))
+    if not all(gamma[:M]):
         raise DegenerateSpectrumError("a Gram diagonal entry vanishes (zeta = 0)")
     gaps = [
         min((abs(E - F) for j, F in enumerate(support) if j != k), default=math.inf)
@@ -94,7 +99,7 @@ def _christoffel(support, values, norms) -> list:
     ]
     if min(gaps) == 0.0:
         raise DegenerateSpectrumError("two support points coincide")
-    omega = [1.0 / sum(v * v / h for v, h in zip(values(E), norms)) for E in support]
+    omega = [1.0 / sum(v * v / h for v, h in zip(family_values("R", params, E, M), gamma)) for E in support]
     scale = max(abs(w) for w in omega)
     for E, w, gap in zip(support, omega, gaps):
         if _EPS * (1.0 + abs(E)) * abs(w) / (gap * scale) > WEIGHT_RTOL:
@@ -102,14 +107,6 @@ def _christoffel(support, values, norms) -> list:
                 f"support point {E:.12g} is {gap:.1e} from its neighbour: its weight "
                 f"cannot be resolved to {WEIGHT_RTOL:.0e} of the largest"
             )
-    return omega
-
-
-def weights(params: ModelParams) -> WeightTable:
-    """Christoffel weights of the R functional on the M levels."""
-    support = qes_spectrum(params).energies
-    gamma = tuple(family_norms("R", params, params.M + 1))
-    omega = _christoffel(support, lambda E: family_values("R", params, E, params.M), gamma[: params.M])
     return WeightTable(params=params, energies=support, weights=tuple(omega), gamma=gamma)
 
 
@@ -124,31 +121,6 @@ def gram_matrix(table: WeightTable) -> np.ndarray:
     return vals.T @ (w[:, None] * vals)
 
 
-def sign_report(params: ModelParams) -> dict:
-    """Observed Gram diagonal next to the alternating-sign variant.
-
-    The two differ by (-1)^n at odd n; the Gram diagonal computed from the
-    weights is the authoritative one and is what norm() returns.
-    """
-    table = weights(params)
-    G = gram_matrix(table)
-    diagonal = [complex(G[n, n]) for n in range(params.M)]
-    product = family_norms("R", params, params.M)
-    alternating = [((-1) ** n) * g for n, g in enumerate(product)]
-    signs = ["0" if g == 0 else ("+" if g > 0 else "-") for g in product]
-    return {
-        "gram_diagonal": diagonal,
-        "product_formula": product,
-        "alternating_variant": alternating,
-        "signs": signs,
-        "note": (
-            "norm() follows the Gram diagonal prod(a_i); the alternating "
-            "variant (-1)^n*prod(a_i) flips every odd-index sign and does "
-            "not reproduce the Gram form."
-        ),
-    }
-
-
 def pq_norms(params: ModelParams, family: str):
     """Complex Gram diagonals of the truncating P or Q family: the products
     of its recursion tails, as family_norms gives them for R.  [1] when the
@@ -158,20 +130,36 @@ def pq_norms(params: ModelParams, family: str):
     return family_norms(family, params, k_index(params.M) + (family == "P"))
 
 
-def pq_weight_report(params: ModelParams) -> dict:
-    """Support points, weights and norms for both complex families.
-
-    The support of each family is its own sector's levels (E_P for P, E_Q
-    for Q).  Inspection output only; no reality holds or is claimed here.
-    """
-    levels = qes_spectrum(params).levels
-    report = {}
-    for family in ("P", "Q"):
-        norms = pq_norms(params, family)
-        support = [lvl.E for lvl in levels if lvl.label == "E_" + family]
-        if not support:
-            report[family] = {"energies": [], "weights": [], "norms": norms}
-            continue
-        omega = _christoffel(support, lambda E: family_values(family, params, E, len(support)), norms)
-        report[family] = {"energies": support, "weights": omega, "norms": norms}
-    return report
+def verify_norms() -> list:
+    """verify --suite norms on M in {3, 5} x zeta^2 in {0.005, 0.01, 0.02}."""
+    wrong_ends = 0
+    wrong_signs = 0
+    worst_gram = 0.0
+    worst_imag = 0.0
+    for m in (3, 5):
+        for z2 in (0.005, 0.01, 0.02):
+            params = ModelParams(M=m, zeta=math.sqrt(z2))
+            table = weights(params)
+            wrong_ends += (table.gamma[0] != 1.0) + (table.gamma[m] != 0.0)
+            G = gram_matrix(table)
+            wrong_signs += sum(int((-1) ** n * G[n, n].real <= 0.0) for n in range(1, m))
+            target = np.diag([norm(n, params) for n in range(m)]).astype(complex)
+            scale = 1.0 + max(abs(g) for g in table.gamma)
+            worst_gram = max(worst_gram, float(np.max(np.abs(G - target))) / scale)
+            worst_imag = max(worst_imag, table.max_weight_imag)
+    return [
+        _check("norms.gamma_endpoints", wrong_ends, 0, "gamma_0 == 1 and gamma_M == 0 exactly"),
+        _check(
+            "norms.gram_identity",
+            worst_gram,
+            _GRAM_TOL,
+            f"max_error={worst_gram:.3e} (M in 3,5; zeta^2 in 0.005,0.01,0.02)",
+        ),
+        _check("norms.weight_reality", worst_imag, _WEIGHT_IMAG_TOL, f"max_rel_imag={worst_imag:.3e}"),
+        _check(
+            "norms.sign_pattern",
+            wrong_signs,
+            0,
+            f"wrong_signs={wrong_signs}: G_nn has the sign (-1)^n for 0 < n < M",
+        ),
+    ]

@@ -11,6 +11,9 @@ code with it:
   the implementation under test is reused.
 * reproduce_tables compares computed spectra against an embedded golden
   data set (override path via the QES_GOLDEN_PATH environment variable).
+
+verify_tables and verify_gauge are the `tables` and `oracle` suites of
+`ptqes verify`; each check's bound is a constant beside the code.
 """
 
 import cmath
@@ -23,8 +26,9 @@ from importlib import resources
 
 import numpy as np
 
-from .model import ModelParams, periodic_potential, potential
-from .polyengine import EnergyPolynomial
+from .model import ModelParams, _check, periodic_potential, potential
+from .polyengine import EnergyPolynomial, backward_error, matching_distance
+from .recursion import build_R
 from .spectra import qes_spectrum
 
 GOLDEN_PATH_ENV = "QES_GOLDEN_PATH"
@@ -41,15 +45,8 @@ _TABLE_M = {"I": 5, "II": 7, "III": 9}
 # Algebraic twin
 
 
-@dataclass(frozen=True)
-class GaugeMatrix:
-    M: int
-    zeta: float
-    entries: np.ndarray
-
-
-def gauge_matrix(params: ModelParams) -> GaugeMatrix:
-    """Tridiagonal action of the gauged Hamiltonian on {z^j, j < M}.
+def gauge_matrix(params: ModelParams) -> np.ndarray:
+    """Tridiagonal action of the gauged Hamiltonian on {z^j, j < M}, read-only.
 
     With j measured from the spin label (M - 1)/2:
       diagonal       -4*(j - (M-1)/2)^2 + M^2 - zeta^2
@@ -65,12 +62,12 @@ def gauge_matrix(params: ModelParams) -> GaugeMatrix:
     for j in range(1, M):
         A[j - 1, j] = 2j * zeta * j
     A.setflags(write=False)
-    return GaugeMatrix(M=M, zeta=zeta, entries=A)
+    return A
 
 
 def gauge_matrix_eigs(params: ModelParams) -> list:
     """Eigenvalues of the gauge matrix, sorted by (Re, Im)."""
-    eigs = np.linalg.eigvals(gauge_matrix(params).entries)
+    eigs = np.linalg.eigvals(gauge_matrix(params))
     out = [complex(z) for z in eigs]
     out.sort(key=lambda z: (z.real, z.imag))
     return out
@@ -78,12 +75,19 @@ def gauge_matrix_eigs(params: ModelParams) -> list:
 
 def gauge_char_poly(params: ModelParams) -> EnergyPolynomial:
     """Characteristic polynomial of the gauge matrix, monic in E."""
-    desc = np.poly(np.asarray(gauge_matrix(params).entries))
+    desc = np.poly(gauge_matrix(params))
     return EnergyPolynomial(tuple(desc[::-1]), variable="E")
 
 
 # Levels from qes_spectrum agree with the gauge eigenvalues to this distance.
 ROOT_MATCH_TOL = 1e-8
+
+# Backward error of R_M at the gauge eigenvalues, relative to its coefficients.
+_R_RESIDUAL_TOL = 1e-12
+
+# Largest coefficient gap between the gauge characteristic polynomial and
+# R_M, relative to R_M's largest coefficient; checked for M <= 6.
+_CHAR_POLY_RTOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -323,5 +327,83 @@ def reproduce_tables(table: str, golden=None) -> TableReport:
     return TableReport(table=table, cells=tuple(cells))
 
 
-def reproduce_all_tables(golden=None) -> dict:
-    return {t: reproduce_tables(t, golden=golden) for t in ("I", "II", "III")}
+
+# ---------------------------------------------------------------------------
+# Verify suites
+
+
+def verify_tables() -> list:
+    """verify --suite tables: cells of each golden table outside their
+    tolerance, bound 0."""
+    checks = []
+    for name in ("I", "II", "III"):
+        report = reproduce_tables(name)
+        checks.append(
+            _check(
+                f"tables.{name}",
+                sum(not c.passed for c in report.cells),
+                0,
+                f"max_abs_err={report.max_abs_err:.3e} over {len(report.cells)} cells",
+            )
+        )
+    return checks
+
+
+def verify_gauge(M: int = None, zeta2: float = None) -> list:
+    """verify --suite oracle on M = 1..9 x zeta^2 in {0, 0.005, 0.01, 0.02,
+    0.025}, or on the one M or zeta^2 given.
+
+    The gauge matrix is complex and built from its own formula, so its
+    eigenvalues are independent of the real sector blocks behind
+    qes_spectrum and of the R_M coefficients.
+    """
+    ms = [M] if M is not None else list(range(1, 10))
+    z2s = [zeta2] if zeta2 is not None else [0.0, 0.005, 0.01, 0.02, 0.025]
+    worst_res = (0.0, "-")
+    worst_spec = (0.0, "-")
+    worst_char = (0.0, "-")
+    char_cells = 0
+    for m in ms:
+        for z2 in z2s:
+            params = ModelParams(M=m, zeta=math.sqrt(z2))
+            eigs = gauge_matrix_eigs(params)
+            where = f"M={m} zeta2={z2:g}"
+            r_m = build_R(params, m)[m]
+            res = max(backward_error(r_m, z) for z in eigs)
+            if res > worst_res[0]:
+                worst_res = (res, where)
+            if m <= 6:
+                cp = gauge_char_poly(params)
+                scale = max(abs(c) for c in r_m.coeffs)
+                dc = max(abs(a - b) for a, b in zip(cp.coeffs, r_m.coeffs)) / scale
+                char_cells += 1
+                if dc > worst_char[0]:
+                    worst_char = (dc, where)
+            d = matching_distance(qes_spectrum(params).energies, eigs)
+            if d > worst_spec[0]:
+                worst_spec = (d, where)
+    checks = [
+        _check(
+            "oracle.R_residual",
+            worst_res[0],
+            _R_RESIDUAL_TOL,
+            f"max_backward_error={worst_res[0]:.3e} of R_M at the gauge eigenvalues "
+            f"at {worst_res[1]} (bound {_R_RESIDUAL_TOL:.1e})",
+        ),
+        _check(
+            "oracle.spectrum_match",
+            worst_spec[0],
+            ROOT_MATCH_TOL,
+            f"max_distance={worst_spec[0]:.3e} at {worst_spec[1]} (bound {ROOT_MATCH_TOL:.1e})",
+        ),
+    ]
+    if char_cells:
+        checks.append(
+            _check(
+                "oracle.char_poly",
+                worst_char[0],
+                _CHAR_POLY_RTOL,
+                f"max_rel_coeff_err={worst_char[0]:.3e} at {worst_char[1]}",
+            )
+        )
+    return checks

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ModelParams, k_index
+from .model import ModelParams, _check, k_index
 from .polyengine import EnergyPolynomial, divide_exact, is_real_value, matching_distance, mul
 from .recursion import build_P, build_Q, build_R, build_Rbar, recurrence_a, recurrence_b
 
@@ -38,6 +38,9 @@ _REALIZE_RTOL = 1e-9
 DEGENERACY_RTOL = 1e-6
 
 _PAIRING_TOL = 1e-8
+
+# Largest truncation-identity deviation verify_factorization accepts.
+_FACTORIZATION_TOL = 1e-9
 
 _NO_FINITE_CRITICAL = math.inf
 
@@ -278,6 +281,19 @@ def check_factorization(params: ModelParams, n_extra: int = 3) -> FactorizationR
         checks.append(FactorizationCheck("Rbar quotient", n, _coeff_distance(rbar_fam[n], quot)))
 
     return FactorizationReport(params=params, checks=tuple(checks))
+
+
+def verify_factorization() -> list:
+    """verify --suite factorization: the largest check_factorization
+    deviation (n_extra = 4) over zeta^2 in {0.005, 0.02}, one check per M."""
+    checks = []
+    for m in (1, 2, 3, 4, 5, 7):
+        worst = 0.0
+        for z2 in (0.005, 0.02):
+            report = check_factorization(ModelParams(M=m, zeta=math.sqrt(z2)), n_extra=4)
+            worst = max(worst, report.max_deviation)
+        checks.append(_check(f"factorization.M{m}", worst, _FACTORIZATION_TOL, f"max_deviation={worst:.3e}"))
+    return checks
 
 
 def even_M_pairing(params: ModelParams) -> bool:

@@ -7,31 +7,20 @@ state so the suite stays green while the verdict line reports the criterion
 outcome.
 """
 
-import itertools
 import math
 import time
 
-import numpy as np
-
-from ptqes.duality import dual_closed_form_levels, dual_spectrum
+from ptqes.duality import verify_duality
 from ptqes.model import ModelParams
-from ptqes.norms import gram_matrix, norm, weights
-from ptqes.oracle import (
-    dshg_closed_form_levels,
-    gauge_char_poly,
-    gauge_matrix_eigs,
-    ode_residual_dsg,
-    reproduce_tables,
-    wedge_decay_probe,
-)
-from ptqes.polyengine import backward_error, matching_distance, to_variable
-from ptqes.recursion import build_R
+from ptqes.norms import verify_norms
+from ptqes.oracle import reproduce_tables, verify_gauge, wedge_decay_probe
+from ptqes.polyengine import to_variable
 from ptqes.spectra import (
-    check_factorization,
     critical_coupling,
     critical_polynomials,
     even_M_pairing,
     qes_spectrum,
+    verify_factorization,
 )
 
 
@@ -164,93 +153,66 @@ def test_c04_critical_polynomial_coefficients(acceptance):
     )
 
 
+def _measured(checks, names):
+    """{name: measured} of one verify suite, after checking that it runs
+    exactly the named checks and that each passes exactly when its
+    measured value is within its bound."""
+    assert [c["name"] for c in checks] == names
+    for c in checks:
+        assert c["passed"] == (c["measured"] <= c["bound"])
+    return {c["name"]: c["measured"] for c in checks}
+
+
 def test_c05_roots_vs_gauge_eigenvalues(acceptance):
-    worst = (0.0, "")
-    worst_res = 0.0
-    worst_char = 0.0
-    for M in range(1, 10):
-        for z2 in (0.0, 0.005, 0.01, 0.02, 0.025):
-            params = ModelParams(M=M, zeta=math.sqrt(z2))
-            eigs = gauge_matrix_eigs(params)
-            d = matching_distance(qes_spectrum(params).energies, eigs)
-            if d > worst[0]:
-                worst = (d, f"M={M} zeta2={z2:g}")
-            r_m = build_R(params, M)[M]
-            worst_res = max(worst_res, max(backward_error(r_m, z) for z in eigs))
-            if M <= 6:
-                cp = gauge_char_poly(params)
-                scale = max(abs(c) for c in r_m.coeffs)
-                dc = max(abs(a - b) for a, b in zip(cp.coeffs, r_m.coeffs)) / scale
-                worst_char = max(worst_char, dc)
-    assert worst[0] <= 1e-8
-    assert worst_res <= 1e-12
-    assert worst_char <= 1e-8
+    got = _measured(verify_gauge(), ["oracle.R_residual", "oracle.spectrum_match", "oracle.char_poly"])
+    assert got["oracle.spectrum_match"] <= 1e-8
+    assert got["oracle.R_residual"] <= 1e-12
+    assert got["oracle.char_poly"] <= 1e-8
     acceptance(
         5,
         "R_M roots vs gauge eigenvalues",
         True,
-        f"45/45 cells within 1e-8, worst {worst[0]:.1e} at {worst[1]}; R_M backward "
-        f"error at the gauge eigenvalues {worst_res:.1e}; char-poly identity {worst_char:.1e}",
+        f"M = 1..9 x 5 couplings: levels within {got['oracle.spectrum_match']:.1e}; R_M backward "
+        f"error at the gauge eigenvalues {got['oracle.R_residual']:.1e}; "
+        f"char-poly identity {got['oracle.char_poly']:.1e}",
     )
 
 
 def test_c06_truncation_factorizations(acceptance):
-    worst = 0.0
-    for M in (1, 2, 3, 4, 5, 7):
-        for z2 in (0.005, 0.02):
-            report = check_factorization(ModelParams(M=M, zeta=math.sqrt(z2)), n_extra=4)
-            worst = max(worst, report.max_deviation)
-    assert worst <= 1e-9
-    acceptance(6, "truncation factorizations", True, f"max deviation {worst:.1e} with n_extra=4")
+    got = _measured(verify_factorization(), [f"factorization.M{m}" for m in (1, 2, 3, 4, 5, 7)])
+    for deviation in got.values():
+        assert deviation <= 1e-9
+    acceptance(6, "truncation factorizations", True, f"max deviation {max(got.values()):.1e} with n_extra=4")
 
 
 def test_c07_weights_and_gram_identity(acceptance):
-    worst_gram = 0.0
-    worst_imag = 0.0
-    for M, z2 in itertools.product((3, 5), (0.005, 0.01, 0.02)):
-        params = ModelParams(M=M, zeta=math.sqrt(z2))
-        table = weights(params)
-        assert table.gamma[0] == 1.0
-        assert table.gamma[M] == 0.0
-        G = gram_matrix(table)
-        target = np.diag([norm(n, params) for n in range(M)]).astype(complex)
-        scale = 1.0 + max(abs(g) for g in table.gamma)
-        worst_gram = max(worst_gram, float(np.max(np.abs(G - target))) / scale)
-        worst_imag = max(worst_imag, table.max_weight_imag)
-    assert worst_gram <= 1e-9
-    assert worst_imag <= 1e-9
+    names = ["norms.gamma_endpoints", "norms.gram_identity", "norms.weight_reality", "norms.sign_pattern"]
+    got = _measured(verify_norms(), names)
+    assert got["norms.gamma_endpoints"] == 0
+    assert got["norms.gram_identity"] <= 1e-9
+    assert got["norms.weight_reality"] <= 1e-9
+    assert got["norms.sign_pattern"] == 0
     acceptance(
         7,
         "weights and Gram identity",
         True,
-        f"Gram error {worst_gram:.1e} on M in 3,5 x zeta^2 in 0.005,0.01,0.02; "
-        f"max weight imag {worst_imag:.1e}",
+        f"Gram error {got['norms.gram_identity']:.1e} on M in 3,5 x zeta^2 in 0.005,0.01,0.02; "
+        f"max weight imag {got['norms.weight_reality']:.1e}; Gram diagonal signs (-1)^n",
     )
 
 
 def test_c08_duality(acceptance):
-    for M in (1, 3, 5, 7, 9):
-        params = ModelParams(M=M, zeta=math.sqrt(0.01))
-        base = tuple(qes_spectrum(params).energies)
-        dual = tuple(dual_spectrum(params).energies)
-        assert dual == tuple(-e for e in reversed(base))
-    worst = 0.0
-    for z2 in (0.0, 0.01, 0.1, 0.24):
-        params = ModelParams(M=3, zeta=math.sqrt(z2))
-        closed = sorted(dual_closed_form_levels(params), key=lambda x: (x.real, x.imag))
-        for a, b in zip(dual_spectrum(params).energies, closed):
-            worst = max(worst, abs(a - b))
-    assert worst <= 1e-12
-    worst_res = ode_residual_dsg(ModelParams(M=1, zeta=0.2), -(1.0 - 0.04), "ground")
-    params3 = ModelParams(M=3, zeta=math.sqrt(0.1))
-    for tag, E in dshg_closed_form_levels(params3).items():
-        worst_res = max(worst_res, ode_residual_dsg(params3, -E, tag))
-    assert worst_res <= 1e-6
+    names = ["duality.negation_reversal", "duality.closed_form_m3", "duality.ode_residual"]
+    got = _measured(verify_duality(), names)
+    assert got["duality.negation_reversal"] == 0
+    assert got["duality.closed_form_m3"] <= 1e-12
+    assert got["duality.ode_residual"] <= 1e-6
     acceptance(
         8,
         "duality map and dual ODE",
         True,
-        f"negation-reversal exact; M=3 closed duals {worst:.1e}; ODE residual {worst_res:.1e}",
+        f"negation-reversal exact; M=3 closed duals {got['duality.closed_form_m3']:.1e}; "
+        f"ODE residual {got['duality.ode_residual']:.1e}",
     )
 
 

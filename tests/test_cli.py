@@ -1,12 +1,18 @@
 import csv
+import dataclasses
 import io
 import json
+import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 import ptqes.cli
+import ptqes.duality
+import ptqes.norms
+import ptqes.oracle
 
 
 def run(*args, timeout=None):
@@ -238,3 +244,86 @@ def test_json_payloads_carry_schema(args):
     p = run(*args)
     assert p.returncode == 0
     assert json.loads(p.stdout)["schema"] == 1
+
+
+# Corruptions for test_verify_checks_can_fail: each maps the original
+# callable to one that turns the named check red.
+def _negated(gram_matrix):
+    return lambda table: -gram_matrix(table)
+
+
+def _gamma0_doubled(weights):
+    def corrupted(params):
+        table = weights(params)
+        return dataclasses.replace(table, gamma=(2.0 * table.gamma[0], *table.gamma[1:]))
+
+    return corrupted
+
+
+def _first_level_nudged(dual_spectrum):
+    # one ulp off: every tolerance-based check still passes
+    def corrupted(params):
+        spec = dual_spectrum(params)
+        first = spec.levels[0]
+        Ehat = complex(math.nextafter(first.Ehat.real, math.inf), first.Ehat.imag)
+        return dataclasses.replace(spec, levels=(dataclasses.replace(first, Ehat=Ehat), *spec.levels[1:]))
+
+    return corrupted
+
+
+def _shifted(qes_spectrum):
+    return lambda params: SimpleNamespace(energies=[E + 1e-6 for E in qes_spectrum(params).energies])
+
+
+@pytest.mark.parametrize(
+    "suite, name, module, attr, corrupt",
+    [
+        ("norms", "norms.sign_pattern", ptqes.norms, "gram_matrix", _negated),
+        ("norms", "norms.gamma_endpoints", ptqes.norms, "weights", _gamma0_doubled),
+        ("duality", "duality.negation_reversal", ptqes.duality, "dual_spectrum", _first_level_nudged),
+        ("oracle", "oracle.spectrum_match", ptqes.oracle, "qes_spectrum", _shifted),
+    ],
+)
+def test_verify_checks_can_fail(monkeypatch, capsys, suite, name, module, attr, corrupt):
+    monkeypatch.setattr(module, attr, corrupt(getattr(module, attr)))
+    assert ptqes.cli.main(["verify", "--suite", suite]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert {c["name"]: c["passed"] for c in payload["checks"]}[name] is False
+    assert payload["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("spectrum", "--M", "4", "--zeta2", "0.1"),
+        ("spectrum", "--M", "5", "--zeta2", "0.05", "--model", "dsg"),
+        ("sweep", "--M", "3", "--zeta2-range", "0:0.3:0.1", "--model", "dsg"),
+        ("critical-zeta", "--M", "5"),
+        ("verify", "--suite", "tables"),
+    ],
+)
+def test_formats_show_the_json_values(capsys, args):
+    out = {}
+    for fmt in ("json", "csv", "table"):
+        ptqes.cli.main([*args, "--format", fmt])
+        out[fmt] = capsys.readouterr().out
+    payload = json.loads(out["json"])
+    command = payload["command"]
+    columns = ptqes.cli._COLUMNS[command]
+    rows = ptqes.cli._rows(payload)
+    cells = [[fmt(row[key]) for key, _, _, fmt in columns] for row in rows]
+
+    header, *csv_rows = csv.reader(io.StringIO(out["csv"]))
+    assert header == [key for key, *_ in columns]
+    assert csv_rows == cells
+
+    table = out["table"].splitlines()
+    if command == "critical-zeta":
+        assert table == [f"{key}={cell}" for (key, *_), cell in zip(columns, cells[0])]
+    elif command == "verify":
+        verdicts = [["PASS" if passed == "true" else "FAIL", name, detail] for name, passed, detail in cells]
+        assert [line.split(None, 2) for line in table[:-1]] == verdicts
+    else:
+        assert table[1].split() == [head for _, head, *_ in columns]
+        assert [line.split() for line in table[2 : 2 + len(rows)]] == cells
+        assert len(table) == 2 + len(rows) + (command == "spectrum")

@@ -5,7 +5,6 @@ import pytest
 
 from ptqes.model import (
     ModelParams,
-    ShiftedEnergy,
     k_index,
     periodic_potential,
     potential,
@@ -48,14 +47,6 @@ def test_shift_conventions():
     # round trip only up to float non-associativity in the offset
     for cal in (-4.0, 0.0, 2.5 + 1.5j):
         assert shift_from_physical(shift_to_physical(cal, p), p) == pytest.approx(cal, abs=1e-12)
-
-
-def test_shifted_energy_bundle():
-    p = ModelParams(M=1, zeta=0.0)
-    s = ShiftedEnergy.from_cal(0.0, p)
-    assert s.E == 1.0
-    t = ShiftedEnergy.from_physical(1.0, p)
-    assert t.calE == 0.0
 
 
 def test_k_index():

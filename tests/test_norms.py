@@ -10,11 +10,9 @@ from ptqes.norms import (
     gram_matrix,
     norm,
     pq_norms,
-    pq_weight_report,
-    sign_report,
     weights,
 )
-from ptqes.recursion import build_Q, build_R
+from ptqes.recursion import build_R
 from ptqes.polyengine import evaluate
 
 
@@ -107,16 +105,6 @@ def test_close_pair_weights_match_reference_m6(z2):
         assert abs(got.pop(E) - w_ref) <= 1e-8 * scale
 
 
-def test_sign_report():
-    rep = sign_report(ModelParams(M=5, zeta=math.sqrt(0.01)))
-    assert rep["signs"] == ["+", "-", "+", "-", "+"]
-    assert rep["product_formula"][1] == pytest.approx(-0.16, rel=1e-13)
-    assert rep["alternating_variant"][1] == pytest.approx(0.16, rel=1e-13)
-    # Gram diagonal follows the signed product, not the alternating variant
-    assert rep["gram_diagonal"][1].real == pytest.approx(-0.16, rel=1e-6)
-    assert "alternating" in rep["note"]
-
-
 def test_pq_norms_m5():
     p = ModelParams(M=5, zeta=math.sqrt(0.01))
     got_p = pq_norms(p, "P")
@@ -127,27 +115,3 @@ def test_pq_norms_m5():
     assert got_q == pytest.approx([1.0, 4.8j], rel=1e-13)
     with pytest.raises(ValueError):
         pq_norms(p, "R")
-
-
-def test_pq_weight_report_m5():
-    p = ModelParams(M=5, zeta=math.sqrt(0.01))
-    rep = pq_weight_report(p)
-    q2 = build_Q(p, 2)[2]
-    # Q support points are the two Q_2 roots
-    assert sorted(e.real for e in rep["Q"]["energies"]) == pytest.approx(
-        [9.003348181161689, 20.976651818838305], abs=1e-9
-    )
-    for e in rep["Q"]["energies"]:
-        assert abs(evaluate(q2, e)) < 1e-10 * max(abs(c) for c in q2.coeffs)
-    # weight normalization for both sectors
-    for fam in ("P", "Q"):
-        assert sum(rep[fam]["weights"]) == pytest.approx(1.0, abs=1e-10)
-    assert len(rep["P"]["energies"]) == 3
-    assert rep["P"]["norms"] == pq_norms(p, "P")
-
-
-def test_pq_weight_report_m1():
-    rep = pq_weight_report(ModelParams(M=1, zeta=0.2))
-    assert rep["Q"]["energies"] == []
-    assert rep["Q"]["norms"] == [1.0 + 0j]
-    assert len(rep["P"]["energies"]) == 1

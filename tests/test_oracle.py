@@ -26,8 +26,7 @@ from ptqes.spectra import qes_spectrum
 
 def test_gauge_matrix_entries_m3():
     z2 = 0.01
-    gm = gauge_matrix(ModelParams(M=3, zeta=math.sqrt(z2)))
-    A = gm.entries
+    A = gauge_matrix(ModelParams(M=3, zeta=math.sqrt(z2)))
     zeta = math.sqrt(z2)
     want = np.array(
         [
