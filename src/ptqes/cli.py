@@ -15,11 +15,12 @@ import math
 import sys
 from operator import itemgetter
 
-from .duality import dual_spectrum, verify_duality
+from .duality import dual_level_rows, dual_spectrum, verify_duality
 from .model import ModelParams
 from .norms import verify_norms
 from .oracle import verify_gauge, verify_tables
-from .spectra import critical_coupling, degenerate_pairs, qes_spectrum, verify_factorization
+from .polyengine import is_real_value
+from .spectra import critical_coupling, degenerate_pairs, level_rows, qes_spectrum, verify_factorization
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -125,12 +126,16 @@ def _check_M(args):
         raise UsageError(f"--model dsg needs odd M, got M={args.M}")
 
 
+def _level_values(tagged) -> list:
+    """Level rows in _LEVEL_COLUMNS order from ascending (E, label) pairs."""
+    return [(i, label, E.real, E.imag, is_real_value(E)) for i, (E, label) in enumerate(tagged)]
+
+
 def _levels(model: str, M: int, zeta: float):
     """The spectrum of one model and its level rows in _LEVEL_COLUMNS order."""
     params = ModelParams(M=M, zeta=zeta)
     spec = dual_spectrum(params) if model == "dsg" else qes_spectrum(params)
-    levels = enumerate(zip(spec.levels, spec.energies))
-    return spec, [(i, lvl.label, E.real, E.imag, lvl.is_real) for i, (lvl, E) in levels]
+    return spec, _level_values(zip(spec.energies, (lvl.label for lvl in spec.levels)))
 
 
 def _spectrum_payload(model: str, M: int, zeta2: float, zeta: float) -> dict:
@@ -218,10 +223,10 @@ def _parse_range(spec: str):
 def _cmd_sweep(args):
     _check_M(args)
     values = _parse_range(args.zeta2_range)
+    solve = dual_level_rows if args.model == "dsg" else level_rows
     rows = []
-    for z2 in values:
-        _, levels = _levels(args.model, args.M, math.sqrt(z2))
-        rows.extend(_fields("sweep", (z2, *row)) for row in levels)
+    for z2, tagged in zip(values, solve(args.M, [math.sqrt(z2) for z2 in values])):
+        rows.extend(_fields("sweep", (z2, *row)) for row in _level_values(tagged))
     payload = {
         "schema": 1,
         "command": "sweep",

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 from .model import ModelParams, _check, k_index
 from .oracle import dshg_closed_form_levels, ode_residual_dsg
-from .spectra import qes_spectrum
+from .polyengine import is_real_value
+from .spectra import level_rows, qes_spectrum
 
 # verify_duality bounds: the M = 3 closed-form dual levels, absolute, and the
 # periodic ODE residual of the mapped closed forms.
@@ -44,14 +45,21 @@ class DualSpectrum:
         return tuple(lvl.Ehat for lvl in self.levels)
 
 
+def dual_level_rows(M: int, zetas) -> list:
+    """For each zeta in zetas, the periodic-model levels as (Ehat, label)
+    pairs, Ehat_k = -E_{M-1-k} of spectra.level_rows; odd M only."""
+    k_index(M)
+    return [[(-E, label) for E, label in reversed(tagged)] for tagged in level_rows(M, zetas)]
+
+
 def dual_spectrum(params: ModelParams) -> DualSpectrum:
     """Periodic-model levels Ehat_k = -E_{M-1-k}, ascending; odd M only."""
-    k_index(params.M)
-    levels = [
-        DualLevel(Ehat=-src.E, source_index=i, label=src.label, is_real=src.is_real)
-        for i, src in enumerate(qes_spectrum(params).levels)
-    ]
-    return DualSpectrum(params=params, levels=tuple(reversed(levels)))
+    last = params.M - 1
+    levels = tuple(
+        DualLevel(Ehat=Ehat, source_index=last - k, label=label, is_real=is_real_value(Ehat))
+        for k, (Ehat, label) in enumerate(dual_level_rows(params.M, [params.zeta])[0])
+    )
+    return DualSpectrum(params=params, levels=levels)
 
 
 def dual_closed_form_levels(params: ModelParams):

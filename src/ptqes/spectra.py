@@ -15,12 +15,25 @@ and come in complex-conjugate pairs once zeta is nonzero.  Every matrix is
 real, so a real level comes back with imaginary part exactly 0 and complex
 levels come in exact conjugate pairs.
 
+Every entry is linear in zeta^2: b_n = c_n - zeta^2 with
+c_n = 4n(M-1-n) + 2M - 1, and a_n = -4n(M-n) zeta^2.  So each M has one
+pencil T(zeta^2) = C + zeta^2 S (_pencil, cached per M and read-only): for
+even M it is all of T, for odd M the E_P block, and E_Q is its leading
+k x k block.  level_rows solves a list of couplings at once.  For each
+sector it stacks the blocks of all the couplings and makes one eigvals call
+per chunk of at most _STACK_ENTRIES matrix entries, so a long sweep's extra
+memory stays bounded.  qes_spectrum and the CLI sweep go through it, and
+the critical_coupling probes through the same stacked solve of the E_P
+block alone.  A coupling's levels are the same bits whether it is solved
+alone or in a stack.
+
 As zeta^2 grows, the two largest E_P levels approach each other and merge at
 a critical coupling zeta_c^2, beyond which they leave the real axis as a
 conjugate pair.  critical_coupling locates that point by bisection on the
 appearance of non-real E_P levels.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -28,7 +41,7 @@ import numpy as np
 
 from .model import ModelParams, _check, k_index
 from .polyengine import EnergyPolynomial, divide_exact, is_real_value, matching_distance, mul
-from .recursion import build_P, build_Q, build_R, build_Rbar, recurrence_a, recurrence_b
+from .recursion import build_P, build_Q, build_R, build_Rbar
 
 # Realization threshold for critical polynomials: imaginary parts must sit at
 # rounding level, anything bigger signals a broken recursion.
@@ -43,6 +56,10 @@ _PAIRING_TOL = 1e-8
 _FACTORIZATION_TOL = 1e-9
 
 _NO_FINITE_CRITICAL = math.inf
+
+# Most matrix entries stacked into one eigvals call: it bounds the memory a
+# long sweep adds on top of its output rows.
+_STACK_ENTRIES = 1 << 16
 
 
 class NonRealCriticalPolynomialError(RuntimeError):
@@ -64,11 +81,16 @@ class QesLevel:
 class QesSpectrum:
     params: ModelParams
     levels: tuple
-    degenerate_pairs: tuple
 
     @property
     def energies(self):
         return tuple(lvl.E for lvl in self.levels)
+
+    @property
+    def degenerate_pairs(self):
+        """Index pairs of levels closer than DEGENERACY_RTOL (see
+        degenerate_pairs), computed when read."""
+        return degenerate_pairs(self.energies)
 
 
 @dataclass(frozen=True)
@@ -107,44 +129,86 @@ def critical_polynomials(params: ModelParams):
 
 
 def degenerate_pairs(energies):
-    """Index pairs closer than DEGENERACY_RTOL relative to the level size."""
+    """Index pairs closer than DEGENERACY_RTOL relative to the level size.
+
+    energies must be sorted by real part.  |E_i - E_j| >= Re E_j - Re E_i,
+    so the scan for partners of E_i stops at the first E_j whose real part
+    alone is already too far.
+    """
     pairs = []
-    for i in range(len(energies)):
+    for i, a in enumerate(energies):
+        bound = DEGENERACY_RTOL * (1.0 + abs(a))
         for j in range(i + 1, len(energies)):
-            if abs(energies[i] - energies[j]) <= DEGENERACY_RTOL * (1.0 + abs(energies[i])):
+            b = energies[j]
+            if b.real - a.real > bound:
+                break
+            if abs(a - b) <= bound:
                 pairs.append((i, j))
     return tuple(pairs)
 
 
-def _jacobi(params: ModelParams, size: int) -> np.ndarray:
-    """Leading size x size block of the R-recursion Jacobi matrix T."""
-    T = np.diag([recurrence_b(n, params) for n in range(size)])
-    for n in range(1, size):
-        T[n - 1, n] = 1.0
-        T[n, n - 1] = recurrence_a(n, params)
-    return T
+def _sectors(M: int) -> dict:
+    """{label: size} of the sector blocks, each the leading size x size block
+    of the pencil: E_P (k + 1) and E_Q (k, when k > 0) for odd M = 2k + 1,
+    E_R (all of T) for even M."""
+    if M % 2 == 0:
+        return {"E_R": M}
+    k = k_index(M)
+    return {"E_P": k + 1, "E_Q": k} if k else {"E_P": 1}
 
 
-def _p_block(params: ModelParams) -> np.ndarray:
-    """E_P block for odd M = 2k + 1: T's leading (k+1) x (k+1) block with the
-    last sub-diagonal entry doubled."""
-    k = k_index(params.M)
-    block = _jacobi(params, k + 1)
-    if k:
-        block[k, k - 1] *= 2.0
-    return block
+@functools.lru_cache(maxsize=32)
+def _pencil(M: int):
+    """(C, S), read-only, with the sector matrix T(zeta^2) = C + zeta^2 S.
+
+    C holds b_n + zeta^2 = 4 n (M - 1 - n) + 2M - 1 on the diagonal and 1 on
+    the super-diagonal; S holds -1 on the diagonal and a_n / zeta^2 =
+    -4 n (M - n) on the sub-diagonal.  For even M the pencil is all of T; for
+    odd M it is the E_P block, with the last sub-diagonal entry doubled.
+    """
+    size = max(_sectors(M).values())
+    n = np.arange(size, dtype=float)
+    C = np.diag(4.0 * n * (M - 1 - n) + 2.0 * M - 1.0) + np.eye(size, k=1)
+    S = np.diag(-4.0 * n[1:] * (M - n[1:]), -1) - np.eye(size)
+    if M % 2 and size > 1:
+        S[-1, -2] *= 2.0
+    C.flags.writeable = False
+    S.flags.writeable = False
+    return C, S
 
 
-def _sector_levels(params: ModelParams) -> dict:
-    """{label: eigenvalues}: E_P and E_Q blocks for odd M, all of T for even M."""
-    if params.M % 2 == 0:
-        return {"E_R": np.linalg.eigvals(_jacobi(params, params.M))}
-    block = _p_block(params)
-    out = {"E_P": np.linalg.eigvals(block)}
-    k = params.M // 2
-    if k:
-        out["E_Q"] = np.linalg.eigvals(block[:k, :k])
+def _eigvals(M: int, zetas, labels) -> dict:
+    """{label: eigenvalues of that sector block for each zeta in zetas, one
+    list of complex values per coupling}.  The pencil matrices T(zeta^2) are
+    built in chunks of at most _STACK_ENTRIES matrix entries, and each
+    sector of a chunk is one stacked eigvals call."""
+    C, S = _pencil(M)
+    sizes = _sectors(M)
+    zeta2 = np.square(np.asarray(zetas, dtype=float)).reshape(-1, 1, 1)  # as ModelParams.zeta2
+    out = {label: [] for label in labels}
+    per = max(1, _STACK_ENTRIES // C.size)
+    for i in range(0, len(zeta2), per):
+        T = C + zeta2[i : i + per] * S
+        for label, values in out.items():
+            size = sizes[label]
+            values += np.linalg.eigvals(T[:, :size, :size]).astype(complex, copy=False).tolist()
     return out
+
+
+def _level_key(tagged):
+    E, label = tagged
+    return E.real, E.imag, label
+
+
+def level_rows(M: int, zetas) -> list:
+    """For each zeta in zetas, the M solvable levels as (E, label) pairs,
+    ascending by (Re E, Im E, label).  Row i equals the levels of
+    qes_spectrum(ModelParams(M, zetas[i])), bit for bit."""
+    sectors = _eigvals(M, zetas, _sectors(M)).items()
+    return [
+        sorted(((E, label) for label, values in sectors for E in values[i]), key=_level_key)
+        for i in range(len(zetas))
+    ]
 
 
 def qes_spectrum(params: ModelParams) -> QesSpectrum:
@@ -153,18 +217,13 @@ def qes_spectrum(params: ModelParams) -> QesSpectrum:
     Odd M: eigenvalues of the two sector blocks, labelled E_P / E_Q.
     Even M: eigenvalues of the whole Jacobi matrix, labelled E_R.
     """
-    tagged = [(complex(z), label) for label, vals in _sector_levels(params).items() for z in vals]
-    tagged.sort(key=lambda t: (t[0].real, t[0].imag, t[1]))
-    levels = tuple(QesLevel(E=z, label=lab, is_real=is_real_value(z)) for z, lab in tagged)
-    return QesSpectrum(
-        params=params,
-        levels=levels,
-        degenerate_pairs=degenerate_pairs([z for z, _ in tagged]),
-    )
+    tagged = level_rows(params.M, [params.zeta])[0]
+    levels = tuple(QesLevel(E=E, label=label, is_real=is_real_value(E)) for E, label in tagged)
+    return QesSpectrum(params=params, levels=levels)
 
 
 def _p_levels(M: int, zeta2: float) -> list:
-    return [complex(z) for z in np.linalg.eigvals(_p_block(ModelParams(M=M, zeta=math.sqrt(zeta2))))]
+    return _eigvals(M, [math.sqrt(zeta2)], ("E_P",))["E_P"][0]
 
 
 def _has_complex_p_level(M: int, zeta2: float) -> bool:

@@ -13,6 +13,7 @@ import ptqes.cli
 import ptqes.duality
 import ptqes.norms
 import ptqes.oracle
+import ptqes.spectra
 
 
 def run(*args, timeout=None):
@@ -213,6 +214,34 @@ def test_sweep_csv():
         z2 = float(row["zeta2"])
         assert float(row["E_re"]) == pytest.approx(1.0 - z2, abs=1e-12)
         assert row["label"] == "E_P"
+
+
+# (M, zeta2 range); the M = 61 range has more couplings than fit in one
+# stacked eigvals call.
+SWEEP_RANGES = [(M, "0:0.3:0.0125") for M in (1, 2, 3, 4, 9, 15, 21)] + [(61, "0:0.0075:0.0001")]
+
+
+@pytest.mark.parametrize(
+    "model, M, spec", [(model, M, spec) for model in ("dshg", "dsg") for M, spec in SWEEP_RANGES if model == "dshg" or M % 2]
+)
+def test_sweep_rows_equal_spectrum_levels(capsys, model, M, spec):
+    def levels(*args):
+        assert ptqes.cli.main([*args, "--M", str(M), "--model", model]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        return payload["rows" if args[0] == "sweep" else "levels"]
+
+    rows = levels("sweep", "--zeta2-range", spec)
+    if M == 61:
+        # the E_P blocks of this sweep need more than one stacked call
+        assert len(rows) // M > ptqes.spectra._STACK_ENTRIES // (M // 2 + 1) ** 2
+    by_zeta2 = {}
+    for row in rows:
+        by_zeta2.setdefault(row["zeta2"], []).append(row)
+    assert len(by_zeta2) == len(ptqes.cli._parse_range(spec))
+    for z2, sweep_rows in by_zeta2.items():
+        want = levels("spectrum", "--zeta2", repr(z2))
+        got = [(r["index"], r["label"], r["E_re"].hex(), r["E_im"].hex(), r["is_real"]) for r in sweep_rows]
+        assert got == [(w["index"], w["label"], w["E_re"].hex(), w["E_im"].hex(), w["is_real"]) for w in want]
 
 
 def test_out_writes_file(tmp_path):

@@ -13,7 +13,7 @@ from ptqes.duality import dual_spectrum
 from ptqes.model import ModelParams
 from ptqes.polyengine import evaluate
 from ptqes.recursion import _step, build_P, build_Q, build_R, build_Rbar, family_values, recurrence_b
-from ptqes.spectra import qes_spectrum
+from ptqes.spectra import level_rows, qes_spectrum
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -34,14 +34,23 @@ def test_level_sum_is_the_trace(M, z2):
     assert abs(sum(E.imag for E in energies)) <= bound
 
 
+def _hex(tagged):
+    return [(E.real.hex(), E.imag.hex(), label) for E, label in tagged]
+
+
 @PROPERTY
-@given(M=Ms, z2=zeta2s)
-def test_spectrum_depends_on_zeta_through_zeta2_only(M, z2):
+@given(M=Ms, z2=zeta2s, others=st.lists(zeta2s, max_size=6))
+def test_spectrum_depends_on_zeta_through_zeta2_only(M, z2, others):
     zeta = math.sqrt(z2)
     plus = qes_spectrum(ModelParams(M=M, zeta=zeta))
     minus = qes_spectrum(ModelParams(M=M, zeta=-zeta))
     assert plus.levels == minus.levels
     assert plus.degenerate_pairs == minus.degenerate_pairs
+    # a batched solve gives each coupling the levels of its own solve, bit for bit
+    zetas = [zeta, -zeta, *map(math.sqrt, others)]
+    for row, one in zip(level_rows(M, zetas), zetas):
+        assert _hex(row) == _hex(level_rows(M, [one])[0])
+    assert _hex(level_rows(M, [zeta])[0]) == _hex((lvl.E, lvl.label) for lvl in plus.levels)
 
 
 @PROPERTY

@@ -1,14 +1,17 @@
 import math
 
+import numpy as np
 import pytest
 
 from ptqes.model import ModelParams
 from ptqes.polyengine import evaluate, matching_distance, to_variable
+from ptqes.recursion import recurrence_a, recurrence_b
 from ptqes.spectra import (
     check_factorization,
     critical_coupling,
     critical_polynomials,
     degenerate_pairs,
+    _pencil,
     even_M_pairing,
     qes_spectrum,
 )
@@ -76,6 +79,8 @@ def test_m2_exact_complex_pair():
 def test_degenerate_pairs_helper():
     assert degenerate_pairs([1.0, 1.0 + 1e-9, 5.0]) == ((0, 1),)
     assert degenerate_pairs([1.0, 2.0]) == ()
+    # a level with the same real part that is not a partner does not end the scan
+    assert degenerate_pairs([1.0 - 1j, 1.0 + 0j, 1.0 + 1e-9j]) == ((1, 2),)
 
 
 def test_critical_polynomials_m1():
@@ -221,3 +226,32 @@ def test_spectrum_exactly_closed_under_conjugation(M):
     for z2 in (0.0, 0.005, 0.03, 0.3, 2.0):
         es = qes_spectrum(ModelParams(M=M, zeta=math.sqrt(z2))).energies
         assert matching_distance(es, [E.conjugate() for E in es]) == 0.0
+
+
+def _recursion_block(params):
+    """The sector matrix written out entry by entry from the recursion: all of
+    T for even M, the E_P block with its last sub-diagonal entry doubled for
+    odd M."""
+    M = params.M
+    size = M if M % 2 == 0 else M // 2 + 1
+    T = np.zeros((size, size))
+    for n in range(size):
+        T[n, n] = recurrence_b(n, params)
+        if n:
+            T[n - 1, n] = 1.0
+            T[n, n - 1] = recurrence_a(n, params)
+    if M % 2 and size > 1:
+        T[-1, -2] *= 2.0
+    return T
+
+
+def test_pencil_is_the_recursion_block():
+    for M in range(1, 62):
+        C, S = _pencil(M)
+        for zeta in (0.0, 0.01, 0.1, 0.5, 1.3, -2.0):
+            params = ModelParams(M=M, zeta=zeta)
+            assert np.array_equal(C + params.zeta2 * S, _recursion_block(params))
+    with pytest.raises(ValueError):
+        C[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        S[0, 0] = 0.0
