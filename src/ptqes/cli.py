@@ -1,15 +1,21 @@
 """Command line interface: spectra, critical couplings, verification, sweeps.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (argument
-validation only, raised as UsageError), 3 numerical or internal failure.
+validation only, raised as UsageError, or an --out path that cannot be
+written), 3 numerical or internal failure.
 Output is byte-deterministic for fixed inputs and version: levels are
-sorted, floats in csv/table output carry 12 significant digits, and json
-payloads always include "schema": 1.
+sorted, floats in csv/table output carry 12 significant digits, json
+payloads always include "schema": 1, and json output is the bytes of
+json.dumps(payload, indent=2), rendered through json's C encoder.  The
+argument parser is built once per process, so main can be called
+repeatedly in one process.
 """
 
 import argparse
 import csv
+import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -112,7 +118,8 @@ def _resolve_zeta(args):
     if args.zeta2 is not None:
         if not (0 <= args.zeta2 < math.inf):
             raise UsageError(f"--zeta2 must be finite and >= 0, got {args.zeta2}")
-        return math.sqrt(args.zeta2), args.zeta2
+        zeta2 = abs(args.zeta2)  # -0.0 -> 0.0, as --zeta -0.0 gives
+        return math.sqrt(zeta2), zeta2
     zeta = abs(args.zeta)
     if not math.isfinite(zeta * zeta):
         raise UsageError(f"--zeta must be finite with a finite square, got {args.zeta}")
@@ -274,9 +281,57 @@ def _render_table(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _encode(level: int):
+    """json's encode for a container of scalars, its items on lines indented
+    to `level`; without indent, json takes its C encoder."""
+    return json.JSONEncoder(separators=(",\n" + "  " * level, ": ")).encode
+
+
+def _flat(x) -> bool:
+    """x is a non-empty container of scalars."""
+    if isinstance(x, dict):
+        x = x.values()
+    elif not isinstance(x, (list, tuple)):
+        return False
+    return bool(x) and not any(map(isinstance, x, itertools.repeat(_CONTAINERS)))
+
+
+def _json(x, depth: int = 0) -> str:
+    """json.dumps(x, indent=2) for x indented to `depth`.  A container of
+    scalars is one encode call, and so is a list of such containers (rows).
+    An encoded string holds no raw newline, so every ",\n" in the rows'
+    encoding is a separator, and only those between rows follow a closing
+    bracket; they are re-indented.  Other containers recurse."""
+    if not isinstance(x, _CONTAINERS) or not x:
+        return _encode(0)(x)
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    if _flat(x):
+        s = _encode(depth + 1)(x)
+        return f"{s[0]}{inner}{s[1:-1]}{outer}{s[-1]}"
+    if not isinstance(x, dict) and all(map(_flat, x)):
+        row = inner + "  "
+        s = _encode(depth + 2)(x)
+        for end in "}]":
+            for start in "{[":
+                s = s.replace(f"{end},{row}{start}", f"{inner}{end},{inner}{start}{row}")
+        return f"{s[0]}{inner}{s[1]}{row}{s[2:-2]}{inner}{s[-2]}{outer}{s[-1]}"
+    if isinstance(x, dict):
+        # json's key text ("k": ) from a one-item dict, so non-str keys read as in json
+        items = (_encode(0)({k: 0})[1:-2] + _json(v, depth + 1) for k, v in x.items())
+        start, end = "{}"
+    else:
+        items = (_json(v, depth + 1) for v in x)
+        start, end = "[]"
+    return f"{start}{inner}{(',' + inner).join(items)}{outer}{end}"
+
+
 def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        return _json(payload) + "\n"
     if fmt == "csv":
         return _render_csv(payload)
     return _render_table(payload)
@@ -297,6 +352,7 @@ def _add_zeta(sub, required: bool):
     group.add_argument("--zeta", type=float, default=None, help="coupling (sign ignored)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ptqes",
@@ -335,8 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         payload, code = args.func(args)
         text = _render(payload, args.format)
@@ -347,8 +402,12 @@ def main(argv=None) -> int:
         print(f"numerical or internal failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return code

@@ -8,6 +8,8 @@ import sys
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ptqes.cli
 import ptqes.duality
@@ -146,6 +148,10 @@ def test_internal_value_error_exits_3(monkeypatch, capsys):
     def broken(params):
         raise ValueError("internal fault")
 
+    # the parser is built once per process; a patch made after it was built
+    # must still reach the command
+    assert ptqes.cli.main(["spectrum", "--M", "3", "--zeta2", "0.01"]) == 0
+    capsys.readouterr()
     monkeypatch.setattr(ptqes.cli, "qes_spectrum", broken)
     assert ptqes.cli.main(["spectrum", "--M", "3", "--zeta2", "0.01"]) == 3
     captured = capsys.readouterr()
@@ -252,6 +258,25 @@ def test_out_writes_file(tmp_path):
     assert out.read_text().splitlines()[0] == "zeta2,index,label,E_re,E_im,is_real"
 
 
+def test_unwritable_out_exits_2(tmp_path):
+    out = tmp_path / "missing" / "x.json"
+    p = run("spectrum", "--M", "3", "--zeta2", "0.1", "--out", str(out))
+    assert p.returncode == 2
+    assert p.stdout == ""
+    assert p.stderr == f"error: cannot write --out {out}: No such file or directory\n"
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_negative_zero_coupling_prints_zero(capsys, fmt):
+    # --zeta2 -0 once printed "zeta2": -0.0 where --zeta -0.0 gives 0.0
+    out = []
+    for coupling in (("--zeta2", "-0"), ("--zeta2", "0"), ("--zeta", "-0.0")):
+        assert ptqes.cli.main(["spectrum", "--M", "3", *coupling, "--format", fmt]) == 0
+        out.append(capsys.readouterr().out)
+    assert out[0] == out[1] == out[2]
+
+
 def test_output_is_deterministic():
     args = ("sweep", "--M", "3", "--zeta2-range", "0:0.02:0.005")
     a = run(*args)
@@ -356,3 +381,80 @@ def test_formats_show_the_json_values(capsys, args):
         assert table[1].split() == [head for _, head, *_ in columns]
         assert [line.split() for line in table[2 : 2 + len(rows)]] == cells
         assert len(table) == 2 + len(rows) + (command == "spectrum")
+
+
+# ---------------------------------------------------------------------------
+# The json renderer: the bytes of json.dumps(x, indent=2), from the C encoder.
+
+_TRICKY = ["}", "]", "{", "[", ",", '": "', "\n", '"', "\\", "é", "\u2192", "\U0001d49c", "a", " ", "\x00"]
+_texts = st.text() | st.lists(st.sampled_from(_TRICKY), max_size=6).map("".join)
+_floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e308, 5e-324])
+_scalars = st.none() | st.booleans() | st.integers() | st.integers(min_value=-(10**40), max_value=10**40) | _floats | _texts
+_flat_containers = st.dictionaries(_texts, _scalars, max_size=4) | st.lists(_scalars, max_size=4)
+_json_values = st.recursive(
+    _scalars | _flat_containers | st.lists(_flat_containers, max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_texts, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(x=_json_values)
+def test_json_render_matches_stdlib(x):
+    assert ptqes.cli._render(x, "json") == json.dumps(x, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--M", "4", "--zeta2", "0.3"),
+        ("spectrum", "--M", "5", "--zeta2", "0.05", "--model", "dsg"),
+        ("sweep", "--M", "3", "--zeta2-range", "0:0.3:0.01"),
+        ("sweep", "--M", "5", "--zeta2-range", "0:0.1:0.01", "--model", "dsg"),
+        ("critical-zeta", "--M", "5"),
+        ("verify", "--suite", "all"),
+    ],
+)
+def test_json_render_matches_stdlib_on_payloads(argv):
+    args = ptqes.cli._build_parser().parse_args(argv)
+    payload, _ = args.func(args)
+    assert ptqes.cli._render(payload, "json") == json.dumps(payload, indent=2) + "\n"
+
+
+def test_json_render_stays_on_the_c_encoder(monkeypatch, capsys):
+    # json's pure-Python encoder is built by _make_iterencode; indent=2 took it
+    def refuse(*args, **kwargs):
+        raise AssertionError("pure-Python json encoder used")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    assert ptqes.cli.main(["sweep", "--M", "9", "--zeta2-range", "0:0.05:0.002"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 9 * 26
+
+
+def test_parser_is_built_once():
+    assert ptqes.cli._build_parser() is ptqes.cli._build_parser()
+
+
+def test_main_repeats_in_one_process(capsys):
+    # every subcommand through one parser, with argparse rejections between
+    # them; each call prints what a fresh interpreter prints
+    calls = [
+        ("spectrum", "--M", "3", "--zeta2", "0.01"),
+        ("spectrum", "--M", "3"),
+        ("sweep", "--M", "3", "--zeta2-range", "0:0.3:0.1", "--model", "dsg", "--format", "table"),
+        ("nosuch",),
+        ("critical-zeta", "--M", "5", "--format", "csv"),
+        ("verify", "--suite", "factorization"),
+        ("spectrum", "--M", "x", "--zeta2", "0.01"),
+        ("spectrum", "--M", "2", "--zeta", "0.3", "--format", "table"),
+    ]
+    for argv in calls:
+        try:
+            code = ptqes.cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = run(*argv)
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
