@@ -21,12 +21,10 @@ import math
 import sys
 from operator import itemgetter
 
-from .duality import dual_level_rows, dual_spectrum, verify_duality
-from .model import ModelParams
+from .duality import dual_level_rows, verify_duality
 from .norms import verify_norms
 from .oracle import verify_gauge, verify_tables
-from .polyengine import is_real_value
-from .spectra import critical_coupling, degenerate_pairs, level_rows, qes_spectrum, verify_factorization
+from .spectra import critical_coupling, degenerate_pairs, level_rows, verify_factorization
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -133,42 +131,34 @@ def _check_M(args):
         raise UsageError(f"--model dsg needs odd M, got M={args.M}")
 
 
+def _solver(args):
+    """The level rows of args.model, looked up when the command runs."""
+    return dual_level_rows if args.model == "dsg" else level_rows
+
+
 def _level_values(tagged) -> list:
-    """Level rows in _LEVEL_COLUMNS order from ascending (E, label) pairs."""
-    return [(i, label, E.real, E.imag, is_real_value(E)) for i, (E, label) in enumerate(tagged)]
-
-
-def _levels(model: str, M: int, zeta: float):
-    """The spectrum of one model and its level rows in _LEVEL_COLUMNS order."""
-    params = ModelParams(M=M, zeta=zeta)
-    spec = dual_spectrum(params) if model == "dsg" else qes_spectrum(params)
-    return spec, _level_values(zip(spec.energies, (lvl.label for lvl in spec.levels)))
-
-
-def _spectrum_payload(model: str, M: int, zeta2: float, zeta: float) -> dict:
-    spec, rows = _levels(model, M, zeta)
-    levels = [_fields("spectrum", row) for row in rows]
-    if model == "dsg":
-        pairs = degenerate_pairs(spec.energies)
-        for row, lvl in zip(levels, spec.levels):
-            row["source_index"] = lvl.source_index
-    else:
-        pairs = spec.degenerate_pairs
-    return {
-        "schema": 1,
-        "command": "spectrum",
-        "model": model,
-        "M": M,
-        "zeta2": zeta2,
-        "levels": levels,
-        "degenerate_pairs": [list(p) for p in pairs],
-    }
+    """Level rows in _LEVEL_COLUMNS order from (E, label, is_real) rows."""
+    return [(i, label, E.real, E.imag, real) for i, (E, label, real) in enumerate(tagged)]
 
 
 def _cmd_spectrum(args):
     _check_M(args)
     zeta, zeta2 = _resolve_zeta(args)
-    return _spectrum_payload(args.model, args.M, zeta2, zeta), EXIT_OK
+    tagged = _solver(args)(args.M, [zeta])[0]
+    levels = [_fields("spectrum", row) for row in _level_values(tagged)]
+    if args.model == "dsg":
+        for k, row in enumerate(levels):
+            row["source_index"] = args.M - 1 - k  # Ehat_k = -E_{M-1-k}
+    payload = {
+        "schema": 1,
+        "command": "spectrum",
+        "model": args.model,
+        "M": args.M,
+        "zeta2": zeta2,
+        "levels": levels,
+        "degenerate_pairs": [list(p) for p in degenerate_pairs([E for E, _, _ in tagged])],
+    }
+    return payload, EXIT_OK
 
 
 def _cmd_critical_zeta(args):
@@ -218,21 +208,19 @@ def _parse_range(spec: str):
         raise UsageError(f"--zeta2-range bounds and step must be finite, got {spec!r}")
     if start < 0 or step <= 0 or stop < start:
         raise UsageError(f"need 0 <= start <= stop and step > 0, got {spec!r}")
-    # The loop below makes floor((stop - start) / step + 1e-9) + 1 points.
-    if (stop - start) / step + 1e-9 >= MAX_SWEEP_POINTS:
+    # A point up to 1e-9 steps past stop counts, so rounding keeps the end.
+    # Points are start + i * step: adding step stalls below the double spacing.
+    span = (stop - start) / step + 1e-9
+    if span >= MAX_SWEEP_POINTS:
         raise UsageError(f"--zeta2-range gives more than {MAX_SWEEP_POINTS} points, got {spec!r}")
-    values = []
-    while (v := start + len(values) * step) <= stop + 1e-9 * step:
-        values.append(v)
-    return values
+    return [start + i * step for i in range(math.floor(span) + 1)]
 
 
 def _cmd_sweep(args):
     _check_M(args)
     values = _parse_range(args.zeta2_range)
-    solve = dual_level_rows if args.model == "dsg" else level_rows
     rows = []
-    for z2, tagged in zip(values, solve(args.M, [math.sqrt(z2) for z2 in values])):
+    for z2, tagged in zip(values, _solver(args)(args.M, [math.sqrt(z2) for z2 in values])):
         rows.extend(_fields("sweep", (z2, *row)) for row in _level_values(tagged))
     payload = {
         "schema": 1,
@@ -398,7 +386,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError, MemoryError) as exc:
         print(f"numerical or internal failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     if args.out:

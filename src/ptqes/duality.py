@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .model import ModelParams, _check, k_index
 from .oracle import dshg_closed_form_levels, ode_residual_dsg
-from .polyengine import is_real_value
 from .spectra import level_rows, qes_spectrum
 
 # verify_duality bounds: the M = 3 closed-form dual levels, absolute, and the
@@ -46,18 +45,20 @@ class DualSpectrum:
 
 
 def dual_level_rows(M: int, zetas) -> list:
-    """For each zeta in zetas, the periodic-model levels as (Ehat, label)
-    pairs, Ehat_k = -E_{M-1-k} of spectra.level_rows; odd M only."""
+    """For each zeta in zetas, the periodic-model levels as (Ehat, label,
+    is_real) rows, Ehat_k = -E_{M-1-k} of spectra.level_rows; odd M only.
+    Negation keeps a level's reality, so is_real is the flag of E_{M-1-k}
+    as spectra._eigvals decided it."""
     k_index(M)
-    return [[(-E, label) for E, label in reversed(tagged)] for tagged in level_rows(M, zetas)]
+    return [[(-E, label, real) for E, label, real in reversed(tagged)] for tagged in level_rows(M, zetas)]
 
 
 def dual_spectrum(params: ModelParams) -> DualSpectrum:
     """Periodic-model levels Ehat_k = -E_{M-1-k}, ascending; odd M only."""
     last = params.M - 1
     levels = tuple(
-        DualLevel(Ehat=Ehat, source_index=last - k, label=label, is_real=is_real_value(Ehat))
-        for k, (Ehat, label) in enumerate(dual_level_rows(params.M, [params.zeta])[0])
+        DualLevel(Ehat=Ehat, source_index=last - k, label=label, is_real=real)
+        for k, (Ehat, label, real) in enumerate(dual_level_rows(params.M, [params.zeta])[0])
     )
     return DualSpectrum(params=params, levels=levels)
 

@@ -157,22 +157,23 @@ def dshg_closed_form(params: ModelParams, tag: str):
     return lambda x: (-2j * zeta + (1.0 - r) * cmath.cosh(2.0 * x)) * gauge(x)
 
 
-def default_sample_points(count: int = 21):
-    """Points on the segment [-1, 1] - i*pi/4, inside the decay wedges."""
-    return [t - 0.25j * math.pi for t in np.linspace(-1.0, 1.0, count)]
+def default_sample_points():
+    """21 points on the segment [-1, 1] - i*pi/4, inside the decay wedges."""
+    return [t - 0.25j * math.pi for t in np.linspace(-1.0, 1.0, 21)]
 
 
-def ode_residual_dshg(params: ModelParams, E: complex, tag: str, points=None, h: float = 1e-4) -> float:
+def ode_residual_dshg(params: ModelParams, E: complex, tag: str, h: float = 1e-4) -> float:
+    """Residual of the hyperbolic equation for the closed form `tag` at E."""
     psi = dshg_closed_form(params, tag)
-    pts = default_sample_points() if points is None else points
-    return ode_residual(psi, lambda x: potential(x, params), E, pts, h=h)
+    return ode_residual(psi, lambda x: potential(x, params), E, default_sample_points(), h=h)
 
 
-def ode_residual_dsg(params: ModelParams, Ehat: complex, tag: str, thetas=None, h: float = 1e-4) -> float:
+def ode_residual_dsg(params: ModelParams, Ehat: complex, tag: str, h: float = 1e-4) -> float:
     """Residual of the periodic equation for the hyperbolic closed form `tag`
-    taken at x = i*theta, against periodic_potential and the dual level Ehat."""
+    taken at x = i*theta, against periodic_potential and the dual level Ehat,
+    on 50 points of theta in [0, pi]."""
     psi = dshg_closed_form(params, tag)
-    pts = list(np.linspace(0.0, math.pi, 50)) if thetas is None else thetas
+    pts = np.linspace(0.0, math.pi, 50)
     return ode_residual(lambda t: psi(1j * t), lambda t: periodic_potential(t, params), Ehat, pts, h=h)
 
 
@@ -294,11 +295,12 @@ def _parse_golden(fh):
     return out
 
 
-def reproduce_tables(table: str, golden=None) -> TableReport:
-    """Compare computed spectra against one golden table ("I", "II", "III")."""
+def reproduce_tables(table: str) -> TableReport:
+    """Compare computed spectra against one golden table ("I", "II", "III")
+    of load_golden_levels."""
     if table not in _TABLE_M:
         raise ValueError(f"unknown table {table!r}; expected one of {sorted(_TABLE_M)}")
-    rows = [g for g in (golden if golden is not None else load_golden_levels()) if g.table == table]
+    rows = [g for g in load_golden_levels() if g.table == table]
     if not rows:
         raise ValueError(f"golden data has no rows for table {table}")
     cells = []

@@ -22,10 +22,14 @@ even M it is all of T, for odd M the E_P block, and E_Q is its leading
 k x k block.  level_rows solves a list of couplings at once.  For each
 sector it stacks the blocks of all the couplings and makes one eigvals call
 per chunk of at most _STACK_ENTRIES matrix entries, so a long sweep's extra
-memory stays bounded.  qes_spectrum and the CLI sweep go through it, and
-the critical_coupling probes through the same stacked solve of the E_P
-block alone.  A coupling's levels are the same bits whether it is solved
-alone or in a stack.
+memory stays bounded.  A coupling's levels are the same bits whether it is
+solved alone or in a stack.
+
+_eigvals is the one place that decides whether a level is real
+(polyengine.is_real_value): each level leaves it as (E, is_real), and the
+rows of level_rows carry that flag as (E, label, is_real).  qes_spectrum,
+duality, the CLI spectrum and sweep commands and the critical_coupling
+probes all read the flag they were given.
 
 As zeta^2 grows, the two largest E_P levels approach each other and merge at
 a critical coupling zeta_c^2, beyond which they leave the real axis as a
@@ -179,9 +183,10 @@ def _pencil(M: int):
 
 def _eigvals(M: int, zetas, labels) -> dict:
     """{label: eigenvalues of that sector block for each zeta in zetas, one
-    list of complex values per coupling}.  The pencil matrices T(zeta^2) are
-    built in chunks of at most _STACK_ENTRIES matrix entries, and each
-    sector of a chunk is one stacked eigvals call."""
+    list of (E, is_real) pairs per coupling}.  The pencil matrices T(zeta^2)
+    are built in chunks of at most _STACK_ENTRIES matrix entries, and each
+    sector of a chunk is one stacked eigvals call.  Every level is
+    classified here, and only here."""
     C, S = _pencil(M)
     sizes = _sectors(M)
     zeta2 = np.square(np.asarray(zetas, dtype=float)).reshape(-1, 1, 1)  # as ModelParams.zeta2
@@ -191,22 +196,24 @@ def _eigvals(M: int, zetas, labels) -> dict:
         T = C + zeta2[i : i + per] * S
         for label, values in out.items():
             size = sizes[label]
-            values += np.linalg.eigvals(T[:, :size, :size]).astype(complex, copy=False).tolist()
+            for row in np.linalg.eigvals(T[:, :size, :size]).astype(complex, copy=False).tolist():
+                values.append([(E, is_real_value(E)) for E in row])
     return out
 
 
-def _level_key(tagged):
-    E, label = tagged
+def _level_key(row):
+    E, label, _ = row
     return E.real, E.imag, label
 
 
 def level_rows(M: int, zetas) -> list:
-    """For each zeta in zetas, the M solvable levels as (E, label) pairs,
-    ascending by (Re E, Im E, label).  Row i equals the levels of
+    """For each zeta in zetas, the M solvable levels as (E, label, is_real)
+    rows, ascending by (Re E, Im E, label); is_real is the flag _eigvals
+    gave the level.  Row i equals the levels of
     qes_spectrum(ModelParams(M, zetas[i])), bit for bit."""
     sectors = _eigvals(M, zetas, _sectors(M)).items()
     return [
-        sorted(((E, label) for label, values in sectors for E in values[i]), key=_level_key)
+        sorted(((E, label, real) for label, values in sectors for E, real in values[i]), key=_level_key)
         for i in range(len(zetas))
     ]
 
@@ -217,8 +224,7 @@ def qes_spectrum(params: ModelParams) -> QesSpectrum:
     Odd M: eigenvalues of the two sector blocks, labelled E_P / E_Q.
     Even M: eigenvalues of the whole Jacobi matrix, labelled E_R.
     """
-    tagged = level_rows(params.M, [params.zeta])[0]
-    levels = tuple(QesLevel(E=E, label=label, is_real=is_real_value(E)) for E, label in tagged)
+    levels = tuple(QesLevel(*row) for row in level_rows(params.M, [params.zeta])[0])
     return QesSpectrum(params=params, levels=levels)
 
 
@@ -227,7 +233,7 @@ def _p_levels(M: int, zeta2: float) -> list:
 
 
 def _has_complex_p_level(M: int, zeta2: float) -> bool:
-    return any(not is_real_value(z) for z in _p_levels(M, zeta2))
+    return not all(real for _, real in _p_levels(M, zeta2))
 
 
 def critical_coupling(M: int, tol: float = 1e-10) -> CriticalCoupling:
@@ -272,7 +278,7 @@ def critical_coupling(M: int, tol: float = 1e-10) -> CriticalCoupling:
             lo = mid
     zc2 = 0.5 * (lo + up)
 
-    rts = _p_levels(M, zc2)
+    rts = [E for E, _ in _p_levels(M, zc2)]
     pair = min(
         ((i, j) for i in range(len(rts)) for j in range(i + 1, len(rts))),
         key=lambda ij: abs(rts[ij[0]] - rts[ij[1]]),
@@ -360,10 +366,11 @@ def even_M_pairing(params: ModelParams) -> bool:
     zeta != 0, at least one level is genuinely complex."""
     if params.M % 2 != 0:
         raise ValueError(f"even_M_pairing needs even M, got {params.M}")
-    rts = qes_spectrum(params).energies
+    spec = qes_spectrum(params)
+    rts = spec.energies
     conj = [z.conjugate() for z in rts]
     if matching_distance(rts, conj) > _PAIRING_TOL:
         return False
-    if params.zeta != 0 and all(is_real_value(z) for z in rts):
+    if params.zeta != 0 and all(lvl.is_real for lvl in spec.levels):
         return False
     return True

@@ -1,8 +1,10 @@
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
+import resource
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 import ptqes.cli
 import ptqes.duality
+import ptqes.model
 import ptqes.norms
 import ptqes.oracle
 import ptqes.spectra
@@ -142,21 +145,93 @@ def test_sweep_point_cap():
     assert len(ptqes.cli._parse_range("0:0.999999:1e-6")) == ptqes.cli.MAX_SWEEP_POINTS
 
 
+def test_sweep_step_below_double_spacing_ends():
+    # 1e300 + 1 == 1e300: stepping from start once appended 1e300 without
+    # end while memory grew.  The address-space limit makes such a
+    # regression fail on its own memory, and the timeout on its time.
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    p = subprocess.run(
+        [sys.executable, "-m", "ptqes.cli", "sweep", "--M", "3", "--zeta2-range", "1e300:1e300:1", "--format", "csv"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=limit_memory,
+    )
+    assert p.returncode == 0, p.stderr
+    assert len(p.stdout.splitlines()) == 1 + 3
+
+
 def test_internal_value_error_exits_3(monkeypatch, capsys):
     # only argument validation maps to usage exit 2; a ValueError raised
     # inside the package is an internal failure
-    def broken(params):
+    def broken(M, zetas):
         raise ValueError("internal fault")
 
     # the parser is built once per process; a patch made after it was built
     # must still reach the command
     assert ptqes.cli.main(["spectrum", "--M", "3", "--zeta2", "0.01"]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(ptqes.cli, "qes_spectrum", broken)
+    monkeypatch.setattr(ptqes.cli, "level_rows", broken)
     assert ptqes.cli.main(["spectrum", "--M", "3", "--zeta2", "0.01"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "internal fault" in captured.err
+
+
+def test_memory_error_exits_3(monkeypatch, capsys):
+    # numpy raises MemoryError when a pencil stack does not fit; that is a
+    # numerical failure, not a traceback with the verification exit code
+    def exhausted(M, zetas):
+        raise MemoryError("cannot allocate the stacked pencil")
+
+    monkeypatch.setattr(ptqes.cli, "level_rows", exhausted)
+    assert ptqes.cli.main(["spectrum", "--M", "3", "--zeta2", "0.01"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical or internal failure: cannot allocate the stacked pencil\n"
+
+
+def test_overflow_exits_3():
+    # R_M's backward error overflows at zeta^2 = 1e100; the OverflowError
+    # once escaped as a traceback with exit 1, the code of a failed check.
+    # numpy's overflow RuntimeWarning from the R_M build precedes the line.
+    p = run("verify", "--suite", "oracle", "--zeta2", "1e100", timeout=60)
+    assert p.returncode == 3
+    assert p.stdout == ""
+    assert "Traceback" not in p.stderr
+    failures = [line for line in p.stderr.splitlines() if line.startswith("numerical or internal failure: ")]
+    assert failures == [p.stderr.splitlines()[-1]]
+
+
+@functools.cache
+def _critical_zeta2(M):
+    return ptqes.spectra.critical_coupling(M).zeta_c_squared
+
+
+@pytest.mark.parametrize(
+    "model, M", [(model, M) for model in ("dshg", "dsg") for M in range(1, 16) if model == "dshg" or M % 2]
+)
+def test_spectrum_command_matches_the_library(capsys, model, M):
+    # M = 1 and even M have no level merger of their own; they take the
+    # critical coupling of the next odd M
+    zc2 = _critical_zeta2(M if M % 2 and M > 1 else max(3, M + 1))
+    solve = ptqes.duality.dual_spectrum if model == "dsg" else ptqes.spectra.qes_spectrum
+    for z2 in (0.0, 0.9 * zc2, 1.1 * zc2):
+        assert ptqes.cli.main(["spectrum", "--M", str(M), "--zeta2", repr(z2), "--model", model]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        spec = solve(ptqes.model.ModelParams(M=M, zeta=math.sqrt(z2)))
+        got = [
+            (r["E_re"].hex(), r["E_im"].hex(), r["label"], r["is_real"], r.get("source_index"))
+            for r in payload["levels"]
+        ]
+        want = [
+            (E.real.hex(), E.imag.hex(), lvl.label, lvl.is_real, getattr(lvl, "source_index", None))
+            for E, lvl in zip(spec.energies, spec.levels)
+        ]
+        assert got == want
+        assert payload["degenerate_pairs"] == [list(p) for p in ptqes.spectra.degenerate_pairs(spec.energies)]
 
 
 @pytest.mark.parametrize("suite", ["oracle", "factorization", "norms", "duality"])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ptqes.duality import dual_spectrum
 from ptqes.model import ModelParams
-from ptqes.polyengine import evaluate
+from ptqes.polyengine import evaluate, is_real_value
 from ptqes.recursion import _step, build_P, build_Q, build_R, build_Rbar, family_values, recurrence_b
 from ptqes.spectra import level_rows, qes_spectrum
 
@@ -35,7 +35,7 @@ def test_level_sum_is_the_trace(M, z2):
 
 
 def _hex(tagged):
-    return [(E.real.hex(), E.imag.hex(), label) for E, label in tagged]
+    return [(E.real.hex(), E.imag.hex(), label, real) for E, label, real in tagged]
 
 
 @PROPERTY
@@ -48,9 +48,12 @@ def test_spectrum_depends_on_zeta_through_zeta2_only(M, z2, others):
     assert plus.degenerate_pairs == minus.degenerate_pairs
     # a batched solve gives each coupling the levels of its own solve, bit for bit
     zetas = [zeta, -zeta, *map(math.sqrt, others)]
-    for row, one in zip(level_rows(M, zetas), zetas):
+    rows = level_rows(M, zetas)
+    for row, one in zip(rows, zetas):
         assert _hex(row) == _hex(level_rows(M, [one])[0])
-    assert _hex(level_rows(M, [zeta])[0]) == _hex((lvl.E, lvl.label) for lvl in plus.levels)
+    assert _hex(level_rows(M, [zeta])[0]) == _hex((lvl.E, lvl.label, lvl.is_real) for lvl in plus.levels)
+    # each row carries the reality flag of its own level
+    assert all(real == is_real_value(E) for row in rows for E, _, real in row)
 
 
 @PROPERTY
