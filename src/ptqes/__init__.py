@@ -36,7 +36,6 @@ from .recursion import (
     recurrence_b,
 )
 from .spectra import (
-    BracketError,
     CriticalCoupling,
     NonRealCriticalPolynomialError,
     QesLevel,
@@ -99,7 +98,6 @@ __all__ = [
     "build_Rbar",
     "recurrence_a",
     "recurrence_b",
-    "BracketError",
     "CriticalCoupling",
     "NonRealCriticalPolynomialError",
     "QesLevel",

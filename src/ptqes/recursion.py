@@ -83,16 +83,19 @@ def _build(family: str, params: ModelParams, n_max: int):
         raise ValueError("n_max must be >= 0")
     step = _step(family, params)
     arrays = [np.ones(1, dtype=complex)]
-    for n in range(1, n_max + 1):
-        lin, tail = step(n)
-        prev = arrays[-1]
-        # ascending coefficients of (E + lin) * prev - tail * prev2
-        out = np.zeros(n + 1, dtype=complex)
-        out[1:] = prev
-        out[:n] += lin * prev
-        if n >= 2 and tail != 0:
-            out[: n - 1] -= tail * arrays[-2]
-        arrays.append(out)
+    with np.errstate(all="ignore"):
+        for n in range(1, n_max + 1):
+            lin, tail = step(n)
+            prev = arrays[-1]
+            # ascending coefficients of (E + lin) * prev - tail * prev2
+            out = np.zeros(n + 1, dtype=complex)
+            out[1:] = prev
+            out[:n] += lin * prev
+            if n >= 2 and tail != 0:
+                out[: n - 1] -= tail * arrays[-2]
+            if not np.isfinite(out).all():
+                raise ValueError(f"{family}_{n} has a non-finite coefficient at zeta^2={params.zeta2!r}")
+            arrays.append(out)
     return [
         EnergyPolynomial(tuple(arr), variable="E", family=family, index=n)
         for n, arr in enumerate(arrays)

@@ -15,15 +15,14 @@ and come in complex-conjugate pairs once zeta is nonzero.  Every matrix is
 real, so a real level comes back with imaginary part exactly 0 and complex
 levels come in exact conjugate pairs.
 
-Every entry is linear in zeta^2: b_n = c_n - zeta^2 with
-c_n = 4n(M-1-n) + 2M - 1, and a_n = -4n(M-n) zeta^2.  So each M has one
-pencil T(zeta^2) = C + zeta^2 S (_pencil, cached per M and read-only): for
-even M it is all of T, for odd M the E_P block, and E_Q is its leading
-k x k block.  level_rows solves a list of couplings at once.  For each
-sector it stacks the blocks of all the couplings and makes one eigvals call
-per chunk of at most _STACK_ENTRIES matrix entries, so a long sweep's extra
-memory stays bounded.  A coupling's levels are the same bits whether it is
-solved alone or in a stack.
+Every entry is linear in zeta^2 (recursion.recurrence_a, recurrence_b), so
+each M has one pencil T(zeta^2) = C + zeta^2 S (_pencil, cached per M and
+read-only): for even M it is all of T, for odd M the E_P block, and E_Q is
+its leading k x k block.  level_rows solves a list of couplings at once.
+For each sector it stacks the blocks of all the couplings and makes one
+eigvals call per chunk of at most _STACK_ENTRIES matrix entries, so a long
+sweep's extra memory stays bounded.  A coupling's levels are the same bits
+whether it is solved alone or in a stack.
 
 _eigvals is the one place that decides whether a level is real
 (polyengine.is_real_value): each level leaves it as (E, is_real), and the
@@ -33,8 +32,11 @@ probes all read the flag they were given.
 
 As zeta^2 grows, the two largest E_P levels approach each other and merge at
 a critical coupling zeta_c^2, beyond which they leave the real axis as a
-conjugate pair.  critical_coupling locates that point by bisection on the
-appearance of non-real E_P levels.
+conjugate pair.  critical_coupling brackets that point with one scan of
+(0, 1/2], which holds every merger (zeta_c^2 peaks at 1/4, M = 3), then
+bisects on the appearance of a non-real E_P level; the merged energy is the
+top E_P pair's mean.  The reality test limits the result to about 1e-13
+relative, so a smaller tol only stops the bisection at adjacent doubles.
 """
 
 import functools
@@ -45,7 +47,7 @@ import numpy as np
 
 from .model import ModelParams, _check, k_index
 from .polyengine import EnergyPolynomial, divide_exact, is_real_value, matching_distance, mul
-from .recursion import build_P, build_Q, build_R, build_Rbar
+from .recursion import build_P, build_Q, build_R, build_Rbar, recurrence_a, recurrence_b
 
 # Realization threshold for critical polynomials: imaginary parts must sit at
 # rounding level, anything bigger signals a broken recursion.
@@ -59,8 +61,6 @@ _PAIRING_TOL = 1e-8
 # Largest truncation-identity deviation verify_factorization accepts.
 _FACTORIZATION_TOL = 1e-9
 
-_NO_FINITE_CRITICAL = math.inf
-
 # Most matrix entries stacked into one eigvals call: it bounds the memory a
 # long sweep adds on top of its output rows.
 _STACK_ENTRIES = 1 << 16
@@ -68,10 +68,6 @@ _STACK_ENTRIES = 1 << 16
 
 class NonRealCriticalPolynomialError(RuntimeError):
     """A critical polynomial came out with non-negligible imaginary parts."""
-
-
-class BracketError(RuntimeError):
-    """No complexification point was found while scanning for zeta_c^2."""
 
 
 @dataclass(frozen=True)
@@ -165,20 +161,26 @@ def _sectors(M: int) -> dict:
 def _pencil(M: int):
     """(C, S), read-only, with the sector matrix T(zeta^2) = C + zeta^2 S.
 
-    C holds b_n + zeta^2 = 4 n (M - 1 - n) + 2M - 1 on the diagonal and 1 on
-    the super-diagonal; S holds -1 on the diagonal and a_n / zeta^2 =
-    -4 n (M - n) on the sub-diagonal.  For even M the pencil is all of T; for
-    odd M it is the E_P block, with the last sub-diagonal entry doubled.
+    C is T at zeta = 0: b_n on the diagonal and 1 on the super-diagonal.  S
+    holds -1 on the diagonal and a_n / zeta^2 on the sub-diagonal, both read
+    from the recursion.  For even M the pencil is all of T; for odd M it is
+    the E_P block, with the last sub-diagonal entry doubled.
     """
     size = max(_sectors(M).values())
-    n = np.arange(size, dtype=float)
-    C = np.diag(4.0 * n * (M - 1 - n) + 2.0 * M - 1.0) + np.eye(size, k=1)
-    S = np.diag(-4.0 * n[1:] * (M - n[1:]), -1) - np.eye(size)
+    free, unit = ModelParams(M, 0.0), ModelParams(M, 1.0)
+    C = np.diag([recurrence_b(n, free) for n in range(size)]) + np.eye(size, k=1)
+    S = np.diag([recurrence_a(n, unit) for n in range(1, size)], -1) - np.eye(size)
     if M % 2 and size > 1:
         S[-1, -2] *= 2.0
     C.flags.writeable = False
     S.flags.writeable = False
     return C, S
+
+
+@functools.lru_cache(maxsize=32)
+def _pencil_scale(M: int) -> float:
+    """Largest |entry| of S: zeta^2 S overflows exactly when zeta^2 times it does."""
+    return float(np.abs(_pencil(M)[1]).max())
 
 
 def _eigvals(M: int, zetas, labels) -> dict:
@@ -210,7 +212,11 @@ def level_rows(M: int, zetas) -> list:
     """For each zeta in zetas, the M solvable levels as (E, label, is_real)
     rows, ascending by (Re E, Im E, label); is_real is the flag _eigvals
     gave the level.  Row i equals the levels of
-    qes_spectrum(ModelParams(M, zetas[i])), bit for bit."""
+    qes_spectrum(ModelParams(M, zetas[i])), bit for bit.  ValueError when
+    some zeta^2 S overflows."""
+    z = float(max(map(abs, zetas), default=0.0))
+    if not math.isfinite(z * z * _pencil_scale(M)):
+        raise ValueError(f"zeta^2={z * z!r} overflows the M={M} sector matrix")
     sectors = _eigvals(M, zetas, _sectors(M)).items()
     return [
         sorted(((E, label, real) for label, values in sectors for E, real in values[i]), key=_level_key)
@@ -237,37 +243,29 @@ def _has_complex_p_level(M: int, zeta2: float) -> bool:
 
 
 def critical_coupling(M: int, tol: float = 1e-10) -> CriticalCoupling:
-    """Smallest zeta^2 > 0 at which two E_P levels merge, found by bisection.
-
-    The merger of the two largest real E_P levels is where a conjugate pair
-    first appears, so the bisection predicate is simply "the E_P block has a
-    non-real eigenvalue".  M = 1 has a single level and no finite critical
-    coupling.
-    """
+    """Smallest zeta^2 > 0 at which the top two E_P levels merge into a
+    conjugate pair, and their mean there.  One scan of zeta^2 = 0.5 i / 200
+    brackets it: zeta_c^2 peaks at exactly 1/4 (M = 3), and M zeta_c falls
+    toward the Mathieu double point 1.4688, so (0, 1/2] holds every merger.
+    Bisection on "an E_P level is non-real" then narrows the bracket.  That
+    test flips slightly past the merger, so the result is good to about
+    1e-13 relative; a smaller tol only stops at adjacent doubles.  M = 1 has
+    no finite critical coupling."""
     k_index(M)  # validates odd positive M
     if not (tol > 0):
         raise ValueError(f"tol must be positive, got {tol!r}")
     if M == 1:
-        return CriticalCoupling(M=M, zeta_c_squared=_NO_FINITE_CRITICAL)
+        return CriticalCoupling(M=M, zeta_c_squared=math.inf)
 
-    # Coarse scan to bracket the first complexification, then bisect.
-    hi = 0.5
-    steps = 200
-    bracket = None
-    while bracket is None and hi <= 64.0:
-        prev = 0.0
-        for i in range(1, steps + 1):
-            z2 = hi * i / steps
-            if _has_complex_p_level(M, z2):
-                bracket = (prev, z2)
-                break
-            prev = z2
-        if bracket is None:
-            hi *= 4.0
-    if bracket is None:
-        raise BracketError(f"no complex E_P level found for M={M} up to zeta^2={hi / 4.0}")
+    lo = 0.0
+    for i in range(1, 201):
+        up = 0.5 * i / 200
+        if _has_complex_p_level(M, up):
+            break
+        lo = up
+    else:
+        raise RuntimeError(f"no complex E_P level found for M={M} up to zeta^2=0.5")
 
-    lo, up = bracket
     while up - lo > tol:
         mid = 0.5 * (lo + up)
         if mid in (lo, up):  # lo and up are adjacent doubles; tol is below their spacing
@@ -278,13 +276,8 @@ def critical_coupling(M: int, tol: float = 1e-10) -> CriticalCoupling:
             lo = mid
     zc2 = 0.5 * (lo + up)
 
-    rts = [E for E, _ in _p_levels(M, zc2)]
-    pair = min(
-        ((i, j) for i in range(len(rts)) for j in range(i + 1, len(rts))),
-        key=lambda ij: abs(rts[ij[0]] - rts[ij[1]]),
-    )
-    merged = 0.5 * (rts[pair[0]] + rts[pair[1]]).real
-    return CriticalCoupling(M=M, zeta_c_squared=zc2, degenerate_energy=merged)
+    below, top = sorted(E.real for E, _ in _p_levels(M, zc2))[-2:]
+    return CriticalCoupling(M=M, zeta_c_squared=zc2, degenerate_energy=0.5 * (below + top))
 
 
 @dataclass(frozen=True)

@@ -193,16 +193,23 @@ def test_memory_error_exits_3(monkeypatch, capsys):
     assert captured.err == "numerical or internal failure: cannot allocate the stacked pencil\n"
 
 
-def test_overflow_exits_3():
-    # R_M's backward error overflows at zeta^2 = 1e100; the OverflowError
-    # once escaped as a traceback with exit 1, the code of a failed check.
-    # numpy's overflow RuntimeWarning from the R_M build precedes the line.
-    p = run("verify", "--suite", "oracle", "--zeta2", "1e100", timeout=60)
+def _assert_one_failure_line(p):
     assert p.returncode == 3
     assert p.stdout == ""
-    assert "Traceback" not in p.stderr
-    failures = [line for line in p.stderr.splitlines() if line.startswith("numerical or internal failure: ")]
-    assert failures == [p.stderr.splitlines()[-1]]
+    assert "Warning" not in p.stderr
+    assert p.stderr.startswith("numerical or internal failure: ")
+    assert len(p.stderr.splitlines()) == 1
+
+
+def test_overflow_exits_3():
+    # R_M's coefficients overflow at zeta^2 = 1e100; the build refuses them
+    # and the CLI prints one line, with the code of a numerical failure.
+    _assert_one_failure_line(run("verify", "--suite", "oracle", "--zeta2", "1e100", timeout=60))
+
+
+def test_pencil_overflow_exits_3():
+    # zeta^2 S overflows at zeta^2 = 1e308 for M = 3; level_rows refuses it.
+    _assert_one_failure_line(run("spectrum", "--M", "3", "--zeta2", "1e308", timeout=60))
 
 
 @functools.cache

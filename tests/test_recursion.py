@@ -64,6 +64,13 @@ def test_validation():
         build_Rbar(p, -1)
 
 
+def test_overflowing_coefficient_is_refused():
+    # R_4 overflows at zeta^2 = 1e100; the error names the member and zeta^2
+    with pytest.raises(ValueError, match=r"R_4 .*zeta\^2=1\.0+2e\+100"):
+        build_R(ModelParams(M=5, zeta=1e50), 5)
+    assert len(build_R(ModelParams(M=5, zeta=1e10), 5)) == 6
+
+
 def test_family_metadata():
     p = ModelParams(M=3, zeta=0.1)
     fam = build_R(p, 3)

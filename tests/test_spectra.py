@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import ptqes.spectra
 from ptqes.model import ModelParams
 from ptqes.polyengine import evaluate, matching_distance, to_variable
 from ptqes.recursion import recurrence_a, recurrence_b
@@ -122,6 +123,35 @@ def test_critical_coupling_validation():
         critical_coupling(4)
     with pytest.raises(ValueError):
         critical_coupling(3, tol=0.0)
+
+
+def test_critical_coupling_in_scan_window():
+    # zeta_c^2 peaks at exactly 1/4 (M = 3), inside the scan (0, 1/2], and
+    # the bisection stops within tol of it; the merged energy is the mean of
+    # the two largest E_P levels at zeta_c^2.
+    tol = 1e-10
+    for M in range(3, 102, 2):
+        cc = critical_coupling(M, tol)
+        assert 0.0 < cc.zeta_c_squared <= 0.25 + tol
+        p_levels = sorted(
+            lvl.E.real
+            for lvl in qes_spectrum(ModelParams(M=M, zeta=math.sqrt(cc.zeta_c_squared))).levels
+            if lvl.label == "E_P"
+        )
+        assert cc.degenerate_energy == 0.5 * (p_levels[-2] + p_levels[-1])
+
+
+def test_critical_coupling_never_unbracketed(monkeypatch):
+    monkeypatch.setattr(ptqes.spectra, "_has_complex_p_level", lambda M, zeta2: False)
+    with pytest.raises(RuntimeError, match="M=5"):
+        critical_coupling(5)
+
+
+def test_overflowing_coupling_is_refused():
+    with pytest.raises(ValueError, match="overflows"):
+        qes_spectrum(ModelParams(M=3, zeta=1e154))
+    # a coupling a decade below the overflow is still solved
+    assert len(qes_spectrum(ModelParams(M=3, zeta=1e153)).levels) == 3
 
 
 @pytest.mark.parametrize("M", [3, 5, 7, 9])
