@@ -21,7 +21,6 @@ from .model import (
 from .polyengine import (
     EnergyPolynomial,
     evaluate,
-    is_real_value,
     matching_distance,
     mul,
     taylor_shift,
@@ -87,7 +86,6 @@ __all__ = [
     "shift_to_physical",
     "EnergyPolynomial",
     "evaluate",
-    "is_real_value",
     "matching_distance",
     "mul",
     "taylor_shift",

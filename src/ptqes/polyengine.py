@@ -12,9 +12,6 @@ import numpy as np
 
 from .model import shift_to_physical
 
-# A computed level z is treated as real when |Im z| <= RTOL * (1 + |z|).
-REAL_CLASSIFICATION_RTOL = 1e-8
-
 
 @dataclass(frozen=True)
 class EnergyPolynomial:
@@ -94,11 +91,6 @@ def divide_exact(p: EnergyPolynomial, d: EnergyPolynomial):
     scale = max(abs(c) for c in p.coeffs)
     rem_norm = max((abs(c) for c in rem[:nd]), default=0.0) / scale
     return EnergyPolynomial(tuple(quot), variable=p.variable), rem_norm
-
-
-def is_real_value(z: complex) -> bool:
-    z = complex(z)
-    return abs(z.imag) <= REAL_CLASSIFICATION_RTOL * (1.0 + abs(z))
 
 
 def matching_distance(a, b) -> float:

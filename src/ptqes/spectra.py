@@ -10,33 +10,38 @@ odd M = 2k + 1 the index reflection splits T into two real blocks:
        doubled to 2 a_k; its characteristic polynomial is P_{k+1};
   E_Q: the leading k x k block; its characteristic polynomial is Q_k.
 
-For even M there is no split; the M levels are the eigenvalues of T itself
-and come in complex-conjugate pairs once zeta is nonzero.  Every matrix is
-real, so a real level comes back with imaginary part exactly 0 and complex
-levels come in exact conjugate pairs.
+For even M = 2k, T symmetrised (off-diagonal entries i sqrt(-a_n)) splits
+the same way into two k x k complex blocks that are conjugates of each
+other.  The E_R levels are the eigenvalues of the trailing half of T (rows
+and columns k..M-1) with i sqrt(-a_k) = 2i k |zeta| added to its first
+diagonal entry, and their conjugates.
 
-Every entry is linear in zeta^2 (recursion.recurrence_a, recurrence_b), so
-each M has one pencil T(zeta^2) = C + zeta^2 S (_pencil, cached per M and
-read-only): for even M it is all of T, for odd M the E_P block, and E_Q is
-its leading k x k block.  level_rows solves a list of couplings at once.
-For each sector it stacks the blocks of all the couplings and makes one
-eigvals call per chunk of at most _STACK_ENTRIES matrix entries, so a long
-sweep's extra memory stays bounded.  A coupling's levels are the same bits
-whether it is solved alone or in a stack.
+The real entries are linear in zeta^2, so each M has one pencil
+T(zeta^2) = C + zeta^2 S (_pencil, cached per M and read-only): the E_P
+block for odd M, its leading k x k block being E_Q, and the trailing half of
+T for even M.  level_rows solves a list of couplings with one stacked
+eigvals call per sector and chunk of at most _STACK_ENTRIES matrix entries,
+so a long sweep's extra memory stays bounded, and a coupling's levels are
+the same bits whether it is solved alone or in a stack.
 
-_eigvals is the one place that decides whether a level is real
-(polyengine.is_real_value): each level leaves it as (E, is_real), and the
-rows of level_rows carry that flag as (E, label, is_real).  qes_spectrum,
-duality, the CLI spectrum and sweep commands and the critical_coupling
-probes all read the flag they were given.
+_eigvals is the one place that decides whether a level is real, from the
+structure of the solve and with no tolerance.  LAPACK returns a real
+eigenvalue of a real matrix with imaginary part exactly 0, so an odd-M level
+is real when Im E == 0; at zeta != 0 every even-M level is one of a
+conjugate pair, so an even-M level is real when zeta == 0.  The rows of
+level_rows carry that flag as (E, label, is_real), and qes_spectrum,
+duality, the CLI and the critical_coupling probes read the flag they were
+given.
 
 As zeta^2 grows, the two largest E_P levels approach each other and merge at
 a critical coupling zeta_c^2, beyond which they leave the real axis as a
 conjugate pair.  critical_coupling brackets that point with one scan of
 (0, 1/2], which holds every merger (zeta_c^2 peaks at 1/4, M = 3), then
-bisects on the appearance of a non-real E_P level; the merged energy is the
-top E_P pair's mean.  The reality test limits the result to about 1e-13
-relative, so a smaller tol only stops the bisection at adjacent doubles.
+bisects on the appearance of an E_P level with Im E != 0; the merged energy
+is the top E_P pair's mean.  Near the merger the pair's imaginary part is
+rounding-sized, so the test flips a little off zeta_c^2: tol = 1e-300 ends
+4.4e-16 to 6.2e-14 relative from it for M = 3..15, and a tol below that
+only stops the bisection at adjacent doubles.
 """
 
 import functools
@@ -46,7 +51,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import ModelParams, _check, k_index
-from .polyengine import EnergyPolynomial, divide_exact, is_real_value, matching_distance, mul
+from .polyengine import EnergyPolynomial, divide_exact, matching_distance, mul
 from .recursion import build_P, build_Q, build_R, build_Rbar, recurrence_a, recurrence_b
 
 # Realization threshold for critical polynomials: imaginary parts must sit at
@@ -55,8 +60,6 @@ _REALIZE_RTOL = 1e-9
 
 # Two levels closer than this (relative) are reported as degenerate.
 DEGENERACY_RTOL = 1e-6
-
-_PAIRING_TOL = 1e-8
 
 # Largest truncation-identity deviation verify_factorization accepts.
 _FACTORIZATION_TOL = 1e-9
@@ -150,26 +153,25 @@ def degenerate_pairs(energies):
 def _sectors(M: int) -> dict:
     """{label: size} of the sector blocks, each the leading size x size block
     of the pencil: E_P (k + 1) and E_Q (k, when k > 0) for odd M = 2k + 1,
-    E_R (all of T) for even M."""
+    E_R (k) for even M = 2k."""
+    k = M // 2
     if M % 2 == 0:
-        return {"E_R": M}
-    k = k_index(M)
+        return {"E_R": k}
     return {"E_P": k + 1, "E_Q": k} if k else {"E_P": 1}
 
 
 @functools.lru_cache(maxsize=32)
 def _pencil(M: int):
-    """(C, S), read-only, with the sector matrix T(zeta^2) = C + zeta^2 S.
-
-    C is T at zeta = 0: b_n on the diagonal and 1 on the super-diagonal.  S
-    holds -1 on the diagonal and a_n / zeta^2 on the sub-diagonal, both read
-    from the recursion.  For even M the pencil is all of T; for odd M it is
-    the E_P block, with the last sub-diagonal entry doubled.
-    """
+    """(C, S), read-only, with the pencil matrix T(zeta^2) = C + zeta^2 S:
+    rows and columns 0..k of T with the last sub-diagonal entry doubled for
+    odd M = 2k + 1, rows and columns k..M-1 for even M = 2k.  C holds b_n at
+    zeta = 0 and 1 on the super-diagonal; S holds -1 on the diagonal and
+    a_n / zeta^2 on the sub-diagonal, all read from the recursion."""
     size = max(_sectors(M).values())
+    rows = range(size) if M % 2 else range(size, M)
     free, unit = ModelParams(M, 0.0), ModelParams(M, 1.0)
-    C = np.diag([recurrence_b(n, free) for n in range(size)]) + np.eye(size, k=1)
-    S = np.diag([recurrence_a(n, unit) for n in range(1, size)], -1) - np.eye(size)
+    C = np.diag([recurrence_b(n, free) for n in rows]) + np.eye(size, k=1)
+    S = np.diag([recurrence_a(n, unit) for n in rows[1:]], -1) - np.eye(size)
     if M % 2 and size > 1:
         S[-1, -2] *= 2.0
     C.flags.writeable = False
@@ -185,21 +187,31 @@ def _pencil_scale(M: int) -> float:
 
 def _eigvals(M: int, zetas, labels) -> dict:
     """{label: eigenvalues of that sector block for each zeta in zetas, one
-    list of (E, is_real) pairs per coupling}.  The pencil matrices T(zeta^2)
-    are built in chunks of at most _STACK_ENTRIES matrix entries, and each
-    sector of a chunk is one stacked eigvals call.  Every level is
-    classified here, and only here."""
+    list of (E, is_real) pairs per coupling}, each level classified here and
+    only here.  Each sector of a chunk of at most _STACK_ENTRIES matrix
+    entries is one stacked eigvals call.  An even-M level with Im E == 0
+    stands in for its own conjugate, so no -0 reaches the output."""
     C, S = _pencil(M)
     sizes = _sectors(M)
-    zeta2 = np.square(np.asarray(zetas, dtype=float)).reshape(-1, 1, 1)  # as ModelParams.zeta2
+    zeta = np.abs(np.asarray(zetas, dtype=float)).reshape(-1, 1, 1)
     out = {label: [] for label in labels}
     per = max(1, _STACK_ENTRIES // C.size)
-    for i in range(0, len(zeta2), per):
-        T = C + zeta2[i : i + per] * S
+    for i in range(0, len(zeta), per):
+        z = zeta[i : i + per]
+        T = C + np.square(z) * S  # np.square(z) as ModelParams.zeta2
+        if M % 2 == 0:
+            T = T.astype(complex)
+            T.imag[:, 0, 0] = 2 * len(C) * z[:, 0, 0]  # i sqrt(-a_k) = 2i k |zeta|
         for label, values in out.items():
             size = sizes[label]
-            for row in np.linalg.eigvals(T[:, :size, :size]).astype(complex, copy=False).tolist():
-                values.append([(E, is_real_value(E)) for E in row])
+            rows = np.linalg.eigvals(T[:, :size, :size]).astype(complex, copy=False).tolist()
+            if M % 2:
+                values.extend([(E, E.imag == 0.0) for E in row] for row in rows)
+            else:
+                values.extend(
+                    [(F, free) for E in row for F in (E, E.conjugate() if E.imag else E)]
+                    for row, free in zip(rows, (z[:, 0, 0] == 0.0).tolist())
+                )
     return out
 
 
@@ -228,7 +240,8 @@ def qes_spectrum(params: ModelParams) -> QesSpectrum:
     """All M solvable levels, ascending by (Re E, Im E).
 
     Odd M: eigenvalues of the two sector blocks, labelled E_P / E_Q.
-    Even M: eigenvalues of the whole Jacobi matrix, labelled E_R.
+    Even M: eigenvalues of the half-size complex block and their
+    conjugates, labelled E_R.
     """
     levels = tuple(QesLevel(*row) for row in level_rows(params.M, [params.zeta])[0])
     return QesSpectrum(params=params, levels=levels)
@@ -247,10 +260,10 @@ def critical_coupling(M: int, tol: float = 1e-10) -> CriticalCoupling:
     conjugate pair, and their mean there.  One scan of zeta^2 = 0.5 i / 200
     brackets it: zeta_c^2 peaks at exactly 1/4 (M = 3), and M zeta_c falls
     toward the Mathieu double point 1.4688, so (0, 1/2] holds every merger.
-    Bisection on "an E_P level is non-real" then narrows the bracket.  That
-    test flips slightly past the merger, so the result is good to about
-    1e-13 relative; a smaller tol only stops at adjacent doubles.  M = 1 has
-    no finite critical coupling."""
+    Bisection on "an E_P level has Im E != 0" then narrows the bracket.
+    That test flips slightly off the merger, so the result is good to
+    4.4e-16 to 6.2e-14 relative for M = 3..15; a smaller tol only stops at
+    adjacent doubles.  M = 1 has no finite critical coupling."""
     k_index(M)  # validates odd positive M
     if not (tol > 0):
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -355,15 +368,11 @@ def verify_factorization() -> list:
 
 
 def even_M_pairing(params: ModelParams) -> bool:
-    """True when the level multiset is conjugation-invariant and, for
-    zeta != 0, at least one level is genuinely complex."""
+    """True when the level multiset is exactly closed under conjugation and,
+    for zeta != 0, no level is real."""
     if params.M % 2 != 0:
         raise ValueError(f"even_M_pairing needs even M, got {params.M}")
     spec = qes_spectrum(params)
-    rts = spec.energies
-    conj = [z.conjugate() for z in rts]
-    if matching_distance(rts, conj) > _PAIRING_TOL:
+    if matching_distance(spec.energies, [z.conjugate() for z in spec.energies]) != 0.0:
         return False
-    if params.zeta != 0 and all(lvl.is_real for lvl in spec.levels):
-        return False
-    return True
+    return params.zeta == 0 or not any(lvl.is_real for lvl in spec.levels)

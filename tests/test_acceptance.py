@@ -217,14 +217,14 @@ def test_c08_duality(acceptance):
 
 
 def test_c09_even_m_conjugate_pairing(acceptance):
-    for M in (2, 4, 6):
-        for z2 in (0.02, 0.1):
-            assert even_M_pairing(ModelParams(M=M, zeta=math.sqrt(z2)))
+    grid = [(M, z2) for M in (2, 4, 6) for z2 in (0.02, 0.1)] + [(6, 1e-3)]
+    for M, z2 in grid:
+        assert even_M_pairing(ModelParams(M=M, zeta=math.sqrt(z2)))
     acceptance(
         9,
         "even-M conjugate pairing",
         True,
-        "root multisets conjugation-invariant with complex pairs, M in 2,4,6",
+        "level sets exactly conjugation-closed with no real level, M in 2,4,6 and M=6 at zeta^2=1e-3",
     )
 
 

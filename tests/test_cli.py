@@ -57,6 +57,14 @@ def test_spectrum_csv_header():
     assert float(rows[2]["E_re"]) == pytest.approx(8.949591794226542, abs=1e-9)
 
 
+def test_spectrum_huge_coupling_pair_prints_false():
+    # the E_P pair -1e18 +- 4e9 i is complex, however small Im is against |E|
+    p = run("spectrum", "--M", "3", "--zeta2", "1e18", "--format", "csv")
+    assert p.returncode == 0
+    rows = list(csv.DictReader(io.StringIO(p.stdout)))
+    assert [r["is_real"] for r in rows if r["label"] == "E_P"] == ["false", "false"]
+
+
 def test_spectrum_table_format():
     p = run("spectrum", "--M", "2", "--zeta2", "0.04", "--format", "table")
     assert p.returncode == 0

@@ -8,7 +8,6 @@ from ptqes.polyengine import (
     backward_error,
     evaluate,
     divide_exact,
-    is_real_value,
     matching_distance,
     mul,
     taylor_shift,
@@ -65,12 +64,6 @@ def test_matching_distance():
     assert matching_distance([0.0, 1.0], [0.0, 1.5]) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         matching_distance([1.0], [1.0, 2.0])
-
-
-def test_is_real_value():
-    assert is_real_value(1.0 + 1e-9j)
-    assert not is_real_value(1.0 + 1e-6j)
-    assert is_real_value(100.0 + 5e-7j)  # threshold scales with magnitude
 
 
 def test_taylor_shift_roundtrip():

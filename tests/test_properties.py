@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ptqes.duality import dual_spectrum
 from ptqes.model import ModelParams
-from ptqes.polyengine import evaluate, is_real_value
+from ptqes.polyengine import evaluate
 from ptqes.recursion import _step, build_P, build_Q, build_R, build_Rbar, family_values, recurrence_b
 from ptqes.spectra import level_rows, qes_spectrum
 
@@ -52,8 +52,10 @@ def test_spectrum_depends_on_zeta_through_zeta2_only(M, z2, others):
     for row, one in zip(rows, zetas):
         assert _hex(row) == _hex(level_rows(M, [one])[0])
     assert _hex(level_rows(M, [zeta])[0]) == _hex((lvl.E, lvl.label, lvl.is_real) for lvl in plus.levels)
-    # each row carries the reality flag of its own level
-    assert all(real == is_real_value(E) for row in rows for E, _, real in row)
+    # each row carries the structural reality flag: Im E exactly 0 for odd
+    # M, zeta = 0 for even M
+    for row, one in zip(rows, zetas):
+        assert all(real == (E.imag == 0.0 if M % 2 else one == 0.0) for E, _, real in row)
 
 
 @PROPERTY

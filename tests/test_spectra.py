@@ -229,12 +229,76 @@ M12_LEVELS = [
 ]
 
 
-def test_even_m_levels_match_reference_m12():
-    got = list(qes_spectrum(ModelParams(M=12, zeta=math.sqrt(0.01))).energies)
-    for want in M12_LEVELS:
+def _worst_relative_error(M, z2, reference):
+    got = list(qes_spectrum(ModelParams(M=M, zeta=math.sqrt(z2))).energies)
+    worst = 0.0
+    for want in reference:
         nearest = min(got, key=lambda E: abs(E - want))
         got.remove(nearest)
-        assert abs(nearest - want) <= 1e-12 * abs(want)
+        worst = max(worst, abs(nearest - want) / abs(want))
+    return worst
+
+
+def test_even_m_levels_match_reference_m12():
+    assert _worst_relative_error(12, 0.01, M12_LEVELS) <= 1e-12
+
+
+# 40-digit levels at M = 20 with Im >= 0, rounded to doubles; the other ten
+# are their conjugates.  Generated by
+#   python3 -c 'import sys; sys.path.insert(0, "bench"); import reference as r;
+#               print([complex(z) for z in r.levels(20, z2)["E_R"]][::2])'
+# with the sign of each imaginary part dropped.
+M20_UPPER_LEVELS = {
+    0.0625: [
+        39.00347203509591 + 8.245227171552303e-32j,
+        111.01215175341144 + 2.6016793425284736e-26j,
+        175.02455003747048 + 2.665946831214937e-21j,
+        231.0431433298661 + 1.1094982497649927e-16j,
+        279.0728774297379 + 1.9376745743475047e-12j,
+        319.12484248268976 + 1.3461433151532563e-08j,
+        351.22832126511236 + 3.260175688206416e-05j,
+        375.4816610126866 + 0.02167417632090119j,
+        391.3558814987182 + 1.765184981416767j,
+        397.02809915521135 + 6.743543393393252j,
+    ],
+    1.0: [
+        39.05550773762144 + 2.3010998595449954e-20j,
+        111.19418301753605 + 4.566539908817525e-16j,
+        175.39195755490596 + 2.9546513491589994e-12j,
+        231.68758148020933 + 7.823716702461306e-09j,
+        280.1568515253712 + 8.834698123568014e-06j,
+        320.9618391428068 + 0.004122951852863424j,
+        354.396610820036 + 0.7278706636824781j,
+        372.2956618097898 + 7.874436531525447j,
+        381.773672120413 + 20.696286035339067j,
+        393.0861347913103 + 33.545606042520596j,
+    ],
+}
+
+
+@pytest.mark.parametrize("z2, bound", [(0.0625, 1e-13), (1.0, 1e-10)])
+def test_even_m_levels_match_reference_m20(z2, bound):
+    # g = M zeta = 5 and 20; the half-size block keeps even M accurate there
+    upper = M20_UPPER_LEVELS[z2]
+    assert _worst_relative_error(20, z2, upper + [E.conjugate() for E in upper]) <= bound
+
+
+@pytest.mark.parametrize("M", [6, 8, 12, 20])
+@pytest.mark.parametrize("z2", [1e-3, 1e-2])
+def test_even_m_levels_never_flagged_real(M, z2):
+    # at zeta != 0 every even-M level is one of a conjugate pair from a
+    # complex block, however small its imaginary part
+    spec = qes_spectrum(ModelParams(M=M, zeta=math.sqrt(z2)))
+    assert not any(lvl.is_real for lvl in spec.levels)
+    assert even_M_pairing(spec.params)
+
+
+def test_huge_coupling_pair_is_not_real():
+    # the E_P pair is -1e18 +- 4e9 i: small against |E|, but not real
+    spec = qes_spectrum(ModelParams(M=3, zeta=1e9))
+    pair = [lvl for lvl in spec.levels if lvl.label == "E_P"]
+    assert [lvl.E for lvl in pair] == pytest.approx([-1e18 - 4e9j, -1e18 + 4e9j], rel=1e-12)
+    assert not any(lvl.is_real for lvl in pair)
 
 
 @pytest.mark.parametrize("M, zc2", [(17, 0.00747403225327626), (21, 0.00489582468825987)])
@@ -259,17 +323,18 @@ def test_spectrum_exactly_closed_under_conjugation(M):
 
 
 def _recursion_block(params):
-    """The sector matrix written out entry by entry from the recursion: all of
-    T for even M, the E_P block with its last sub-diagonal entry doubled for
-    odd M."""
+    """The pencil's matrix written out entry by entry from the recursion: rows
+    and columns 0..k of T with the last sub-diagonal entry doubled (the E_P
+    block) for odd M = 2k + 1, rows and columns k..M-1 of T for even M = 2k."""
     M = params.M
-    size = M if M % 2 == 0 else M // 2 + 1
+    k = M // 2
+    first, size = (0, k + 1) if M % 2 else (k, k)
     T = np.zeros((size, size))
-    for n in range(size):
-        T[n, n] = recurrence_b(n, params)
-        if n:
-            T[n - 1, n] = 1.0
-            T[n, n - 1] = recurrence_a(n, params)
+    for i in range(size):
+        T[i, i] = recurrence_b(first + i, params)
+        if i:
+            T[i - 1, i] = 1.0
+            T[i, i - 1] = recurrence_a(first + i, params)
     if M % 2 and size > 1:
         T[-1, -2] *= 2.0
     return T
