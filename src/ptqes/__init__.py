@@ -61,7 +61,6 @@ from .duality import (
     dual_spectrum,
 )
 from .oracle import (
-    ROOT_MATCH_TOL,
     dshg_closed_form,
     dshg_closed_form_levels,
     gauge_char_poly,
@@ -116,7 +115,6 @@ __all__ = [
     "DualSpectrum",
     "dual_closed_form_levels",
     "dual_spectrum",
-    "ROOT_MATCH_TOL",
     "dshg_closed_form",
     "dshg_closed_form_levels",
     "gauge_char_poly",

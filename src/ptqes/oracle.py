@@ -80,7 +80,7 @@ def gauge_char_poly(params: ModelParams) -> EnergyPolynomial:
 
 
 # Levels from qes_spectrum agree with the gauge eigenvalues to this distance.
-ROOT_MATCH_TOL = 1e-8
+_ROOT_MATCH_TOL = 1e-8
 
 # Backward error of R_M at the gauge eigenvalues, relative to its coefficients.
 _R_RESIDUAL_TOL = 1e-12
@@ -181,6 +181,10 @@ def ode_residual_dsg(params: ModelParams, Ehat: complex, tag: str, h: float = 1e
 # Stokes wedges (M = 1)
 
 
+# Ascending radii along each probed ray.
+_WEDGE_RADII = (0.5, 1.0, 1.5, 2.0, 2.5)
+
+
 @dataclass(frozen=True)
 class WedgeProbe:
     u_sign: int
@@ -195,8 +199,9 @@ class WedgeProbe:
         return self.decays == self.expected_decay
 
 
-def wedge_decay_probe(params: ModelParams, u_sign: int, v: float, radii=None) -> WedgeProbe:
-    """Sample |psi| for the M = 1 state along the ray u = u_sign * r + i*v.
+def wedge_decay_probe(params: ModelParams, u_sign: int, v: float) -> WedgeProbe:
+    """Sample |psi| for the M = 1 state along the ray u = u_sign * r + i*v,
+    r in _WEDGE_RADII.
 
     |psi| = exp(-(zeta/2) sinh(2u) sin(2v)), so with zeta > 0 the state
     decays exactly when u_sign * sin(2v) > 0; that reproduces the wedges
@@ -208,17 +213,14 @@ def wedge_decay_probe(params: ModelParams, u_sign: int, v: float, radii=None) ->
         raise ValueError("wedge probe needs zeta > 0")
     if u_sign not in (1, -1):
         raise ValueError(f"u_sign must be +1 or -1, got {u_sign!r}")
-    rr = tuple(sorted(float(r) for r in (radii if radii is not None else (0.5, 1.0, 1.5, 2.0, 2.5))))
-    if not rr or rr[0] <= 0:
-        raise ValueError("radii must be positive")
     psi = dshg_closed_form(params, "ground")
-    mags = tuple(abs(psi(u_sign * r + 1j * v)) for r in rr)
+    mags = tuple(abs(psi(u_sign * r + 1j * v)) for r in _WEDGE_RADII)
     decays = all(b < a for a, b in zip(mags, mags[1:]))
     expected = u_sign * math.sin(2.0 * v) > 0
     return WedgeProbe(
         u_sign=u_sign,
         v=float(v),
-        radii=rr,
+        radii=_WEDGE_RADII,
         magnitudes=mags,
         decays=decays,
         expected_decay=expected,
@@ -351,22 +353,20 @@ def verify_tables() -> list:
     return checks
 
 
-def verify_gauge(M: int = None, zeta2: float = None) -> list:
-    """verify --suite oracle on M = 1..9 x zeta^2 in {0, 0.005, 0.01, 0.02,
-    0.025}, or on the one M or zeta^2 given.
+def verify_gauge() -> list:
+    """verify --suite oracle on the fixed grid M = 1..9 x zeta^2 in {0,
+    0.005, 0.01, 0.02, 0.025}; the characteristic polynomial is compared on
+    its M <= 6 cells.
 
     The gauge matrix is complex and built from its own formula, so its
     eigenvalues are independent of the real sector blocks behind
     qes_spectrum and of the R_M coefficients.
     """
-    ms = [M] if M is not None else list(range(1, 10))
-    z2s = [zeta2] if zeta2 is not None else [0.0, 0.005, 0.01, 0.02, 0.025]
     worst_res = (0.0, "-")
     worst_spec = (0.0, "-")
     worst_char = (0.0, "-")
-    char_cells = 0
-    for m in ms:
-        for z2 in z2s:
+    for m in range(1, 10):
+        for z2 in (0.0, 0.005, 0.01, 0.02, 0.025):
             params = ModelParams(M=m, zeta=math.sqrt(z2))
             eigs = gauge_matrix_eigs(params)
             where = f"M={m} zeta2={z2:g}"
@@ -378,13 +378,12 @@ def verify_gauge(M: int = None, zeta2: float = None) -> list:
                 cp = gauge_char_poly(params)
                 scale = max(abs(c) for c in r_m.coeffs)
                 dc = max(abs(a - b) for a, b in zip(cp.coeffs, r_m.coeffs)) / scale
-                char_cells += 1
                 if dc > worst_char[0]:
                     worst_char = (dc, where)
             d = matching_distance(qes_spectrum(params).energies, eigs)
             if d > worst_spec[0]:
                 worst_spec = (d, where)
-    checks = [
+    return [
         _check(
             "oracle.R_residual",
             worst_res[0],
@@ -395,17 +394,13 @@ def verify_gauge(M: int = None, zeta2: float = None) -> list:
         _check(
             "oracle.spectrum_match",
             worst_spec[0],
-            ROOT_MATCH_TOL,
-            f"max_distance={worst_spec[0]:.3e} at {worst_spec[1]} (bound {ROOT_MATCH_TOL:.1e})",
+            _ROOT_MATCH_TOL,
+            f"max_distance={worst_spec[0]:.3e} at {worst_spec[1]} (bound {_ROOT_MATCH_TOL:.1e})",
+        ),
+        _check(
+            "oracle.char_poly",
+            worst_char[0],
+            _CHAR_POLY_RTOL,
+            f"max_rel_coeff_err={worst_char[0]:.3e} at {worst_char[1]}",
         ),
     ]
-    if char_cells:
-        checks.append(
-            _check(
-                "oracle.char_poly",
-                worst_char[0],
-                _CHAR_POLY_RTOL,
-                f"max_rel_coeff_err={worst_char[0]:.3e} at {worst_char[1]}",
-            )
-        )
-    return checks

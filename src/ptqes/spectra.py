@@ -39,9 +39,8 @@ conjugate pair.  critical_coupling brackets that point with one scan of
 (0, 1/2], which holds every merger (zeta_c^2 peaks at 1/4, M = 3), then
 bisects on the appearance of an E_P level with Im E != 0; the merged energy
 is the top E_P pair's mean.  Near the merger the pair's imaginary part is
-rounding-sized, so the test flips a little off zeta_c^2: tol = 1e-300 ends
-4.4e-16 to 6.2e-14 relative from it for M = 3..15, and a tol below that
-only stops the bisection at adjacent doubles.
+rounding-sized, so the test flips a little off zeta_c^2; critical_coupling
+gives the accuracy floor this sets.
 """
 
 import functools
@@ -63,6 +62,9 @@ DEGENERACY_RTOL = 1e-6
 
 # Largest truncation-identity deviation verify_factorization accepts.
 _FACTORIZATION_TOL = 1e-9
+
+# check_factorization checks each identity for n = 1.._N_EXTRA.
+_N_EXTRA = 4
 
 # Most matrix entries stacked into one eigvals call: it bounds the memory a
 # long sweep adds on top of its output rows.
@@ -225,7 +227,10 @@ def level_rows(M: int, zetas) -> list:
     rows, ascending by (Re E, Im E, label); is_real is the flag _eigvals
     gave the level.  Row i equals the levels of
     qes_spectrum(ModelParams(M, zetas[i])), bit for bit.  ValueError when
-    some zeta^2 S overflows."""
+    some zeta is not finite or some zeta^2 S overflows."""
+    if not all(map(math.isfinite, zetas)):
+        bad = next(z for z in zetas if not math.isfinite(z))
+        raise ValueError(f"non-finite coupling zeta={bad!r} for M={M}")
     z = float(max(map(abs, zetas), default=0.0))
     if not math.isfinite(z * z * _pencil_scale(M)):
         raise ValueError(f"zeta^2={z * z!r} overflows the M={M} sector matrix")
@@ -317,36 +322,34 @@ def _coeff_distance(p: EnergyPolynomial, q: EnergyPolynomial) -> float:
     return max(abs(a - b) for a, b in zip(p.coeffs, q.coeffs)) / scale
 
 
-def check_factorization(params: ModelParams, n_extra: int = 3) -> FactorizationReport:
+def check_factorization(params: ModelParams) -> FactorizationReport:
     """Deviations for the truncation identities of the three families.
 
-    Checked, with n running to n_extra where applicable:
+    Checked, with n running to _N_EXTRA where applicable:
       R_{2k+1} = P_{k+1} * Q_k          (odd M, coefficient distance)
       R_{M+n}  = R_M * Rbar_n           (any M, division remainder and the
                                          quotient against the Rbar recursion)
       P_{k+n+1} = P_{k+1} * Pbar_n      (odd M, division remainder)
       Q_{k+n}   = Q_k * Qbar_n          (odd M, division remainder)
     """
-    if n_extra < 1:
-        raise ValueError("n_extra must be >= 1")
     checks = []
     M = params.M
-    r_fam = build_R(params, M + n_extra)
-    rbar_fam = build_Rbar(params, n_extra)
+    r_fam = build_R(params, M + _N_EXTRA)
+    rbar_fam = build_Rbar(params, _N_EXTRA)
 
     if M % 2 == 1:
         k = k_index(M)
-        p_fam = build_P(params, k + 1 + n_extra)
-        q_fam = build_Q(params, k + n_extra)
+        p_fam = build_P(params, k + 1 + _N_EXTRA)
+        q_fam = build_Q(params, k + _N_EXTRA)
         prod = mul(p_fam[k + 1], q_fam[k])
         checks.append(FactorizationCheck("R = P*Q", M, _coeff_distance(r_fam[M], prod)))
-        for n in range(1, n_extra + 1):
+        for n in range(1, _N_EXTRA + 1):
             _, rem = divide_exact(p_fam[k + 1 + n], p_fam[k + 1])
             checks.append(FactorizationCheck("P = P_crit*Pbar", n, rem))
             _, rem = divide_exact(q_fam[k + n], q_fam[k])
             checks.append(FactorizationCheck("Q = Q_crit*Qbar", n, rem))
 
-    for n in range(1, n_extra + 1):
+    for n in range(1, _N_EXTRA + 1):
         quot, rem = divide_exact(r_fam[M + n], r_fam[M])
         checks.append(FactorizationCheck("R = R_M*Rbar", n, rem))
         checks.append(FactorizationCheck("Rbar quotient", n, _coeff_distance(rbar_fam[n], quot)))
@@ -356,12 +359,12 @@ def check_factorization(params: ModelParams, n_extra: int = 3) -> FactorizationR
 
 def verify_factorization() -> list:
     """verify --suite factorization: the largest check_factorization
-    deviation (n_extra = 4) over zeta^2 in {0.005, 0.02}, one check per M."""
+    deviation over zeta^2 in {0.005, 0.02}, one check per M."""
     checks = []
     for m in (1, 2, 3, 4, 5, 7):
         worst = 0.0
         for z2 in (0.005, 0.02):
-            report = check_factorization(ModelParams(M=m, zeta=math.sqrt(z2)), n_extra=4)
+            report = check_factorization(ModelParams(M=m, zeta=math.sqrt(z2)))
             worst = max(worst, report.max_deviation)
         checks.append(_check(f"factorization.M{m}", worst, _FACTORIZATION_TOL, f"max_deviation={worst:.3e}"))
     return checks

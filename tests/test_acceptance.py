@@ -182,7 +182,7 @@ def test_c06_truncation_factorizations(acceptance):
     got = _measured(verify_factorization(), [f"factorization.M{m}" for m in (1, 2, 3, 4, 5, 7)])
     for deviation in got.values():
         assert deviation <= 1e-9
-    acceptance(6, "truncation factorizations", True, f"max deviation {max(got.values()):.1e} with n_extra=4")
+    acceptance(6, "truncation factorizations", True, f"max deviation {max(got.values()):.1e} for n up to 4")
 
 
 def test_c07_weights_and_gram_identity(acceptance):

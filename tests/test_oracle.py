@@ -131,8 +131,6 @@ def test_wedge_probe_validation():
         wedge_decay_probe(ModelParams(M=1, zeta=0.0), 1, -0.5)
     with pytest.raises(ValueError):
         wedge_decay_probe(p, 2, -0.5)
-    with pytest.raises(ValueError):
-        wedge_decay_probe(p, 1, -0.5, radii=(0.0, 1.0))
 
 
 def test_wedge_probe_two_rays():

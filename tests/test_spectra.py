@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ptqes.spectra
+from ptqes.duality import dual_level_rows
 from ptqes.model import ModelParams
 from ptqes.polyengine import evaluate, matching_distance, to_variable
 from ptqes.recursion import recurrence_a, recurrence_b
@@ -14,6 +15,7 @@ from ptqes.spectra import (
     degenerate_pairs,
     _pencil,
     even_M_pairing,
+    level_rows,
     qes_spectrum,
 )
 
@@ -154,6 +156,15 @@ def test_overflowing_coupling_is_refused():
     assert len(qes_spectrum(ModelParams(M=3, zeta=1e153)).levels) == 3
 
 
+@pytest.mark.parametrize("rows", [level_rows, dual_level_rows])
+@pytest.mark.parametrize("zetas", [[math.nan, 1.0], [1.0, math.nan], [0.1, math.inf]])
+def test_non_finite_coupling_is_refused(rows, zetas):
+    # a NaN after the first coupling once slipped past the overflow guard
+    # into numpy, and a leading one was reported as an overflow
+    with pytest.raises(ValueError, match="non-finite coupling"):
+        rows(3, zetas)
+
+
 @pytest.mark.parametrize("M", [3, 5, 7, 9])
 def test_reality_switches_at_critical_coupling(M):
     below = qes_spectrum(ModelParams(M=M, zeta=math.sqrt(0.9 * ZC2[M])))
@@ -166,19 +177,17 @@ def test_reality_switches_at_critical_coupling(M):
 
 
 def test_factorization_m3():
-    report = check_factorization(ModelParams(M=3, zeta=math.sqrt(0.02)), n_extra=3)
+    report = check_factorization(ModelParams(M=3, zeta=math.sqrt(0.02)))
     assert report.max_deviation < 1e-12
     names = {c.identity for c in report.checks}
     assert names == {"R = P*Q", "P = P_crit*Pbar", "Q = Q_crit*Qbar", "R = R_M*Rbar", "Rbar quotient"}
 
 
 def test_factorization_even_m():
-    report = check_factorization(ModelParams(M=4, zeta=math.sqrt(0.02)), n_extra=2)
+    report = check_factorization(ModelParams(M=4, zeta=math.sqrt(0.02)))
     assert report.max_deviation < 1e-12
     names = {c.identity for c in report.checks}
     assert names == {"R = R_M*Rbar", "Rbar quotient"}
-    with pytest.raises(ValueError):
-        check_factorization(ModelParams(M=4, zeta=0.1), n_extra=0)
 
 
 def test_even_m_pairing_quick():
