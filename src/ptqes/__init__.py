@@ -36,7 +36,6 @@ from .recursion import (
 )
 from .spectra import (
     CriticalCoupling,
-    NonRealCriticalPolynomialError,
     QesLevel,
     QesSpectrum,
     check_factorization,
@@ -96,7 +95,6 @@ __all__ = [
     "recurrence_a",
     "recurrence_b",
     "CriticalCoupling",
-    "NonRealCriticalPolynomialError",
     "QesLevel",
     "QesSpectrum",
     "check_factorization",

@@ -6,7 +6,7 @@ unit leading coefficient.  Coefficients serve the paper's identities
 checks; levels are never taken from them (see spectra).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,16 +17,13 @@ from .model import shift_to_physical
 class EnergyPolynomial:
     """Monic polynomial with ascending complex coefficients.
 
-    variable is "E" (physical energy) or "calE" (shifted energy); family
-    tags which recursion produced the polynomial ("P", "Q", "R", "Rbar",
-    or "derived" for products, quotients and shifts); index is the position
-    in its family and defaults to the degree.
+    variable is "E" (physical energy) or "calE" (shifted energy).  Nothing
+    else is carried: the member F_n of a recursion family is the polynomial
+    of degree n.
     """
 
     coeffs: tuple
     variable: str = "E"
-    family: str = "derived"
-    index: int = None
 
     def __post_init__(self):
         coeffs = tuple(complex(c) for c in self.coeffs)
@@ -37,8 +34,6 @@ class EnergyPolynomial:
         if self.variable not in ("E", "calE"):
             raise ValueError(f"unknown variable {self.variable!r}")
         object.__setattr__(self, "coeffs", coeffs)
-        if self.index is None:
-            object.__setattr__(self, "index", len(coeffs) - 1)
 
     @property
     def degree(self) -> int:
@@ -128,7 +123,7 @@ def taylor_shift(p: EnergyPolynomial, delta: complex, variable: str = None) -> E
     for c in reversed(p.coeffs[:-1]):
         res = np.convolve(res, step)
         res[0] += c
-    return replace(p, coeffs=tuple(res), variable=variable if variable is not None else p.variable)
+    return EnergyPolynomial(tuple(res), variable=variable if variable is not None else p.variable)
 
 
 def to_variable(p: EnergyPolynomial, variable: str, params) -> EnergyPolynomial:

@@ -96,10 +96,7 @@ def _build(family: str, params: ModelParams, n_max: int):
             if not np.isfinite(out).all():
                 raise ValueError(f"{family}_{n} has a non-finite coefficient at zeta^2={params.zeta2!r}")
             arrays.append(out)
-    return [
-        EnergyPolynomial(tuple(arr), variable="E", family=family, index=n)
-        for n, arr in enumerate(arrays)
-    ]
+    return [EnergyPolynomial(tuple(arr)) for arr in arrays]
 
 
 def build_P(params: ModelParams, n_max: int):

@@ -10,6 +10,13 @@ odd M = 2k + 1 the index reflection splits T into two real blocks:
        doubled to 2 a_k; its characteristic polynomial is P_{k+1};
   E_Q: the leading k x k block; its characteristic polynomial is Q_k.
 
+Expanding those determinants along the last row gives the critical
+polynomials from the real R recursion: Q_k = R_k and
+P_{k+1} = (E - b_k) R_k - 2 a_k R_{k-1} = R_{k+1} - a_k R_{k-1}.
+critical_polynomials builds them that way, so their coefficients are real;
+the complex P and Q families serve the truncation identities
+(check_factorization) and the sector norms.
+
 For even M = 2k, T symmetrised (off-diagonal entries i sqrt(-a_n)) splits
 the same way into two k x k complex blocks that are conjugates of each
 other.  The E_R levels are the eigenvalues of the trailing half of T (rows
@@ -45,17 +52,13 @@ gives the accuracy floor this sets.
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ModelParams, _check, k_index
 from .polyengine import EnergyPolynomial, divide_exact, matching_distance, mul
 from .recursion import build_P, build_Q, build_R, build_Rbar, recurrence_a, recurrence_b
-
-# Realization threshold for critical polynomials: imaginary parts must sit at
-# rounding level, anything bigger signals a broken recursion.
-_REALIZE_RTOL = 1e-9
 
 # Two levels closer than this (relative) are reported as degenerate.
 DEGENERACY_RTOL = 1e-6
@@ -69,10 +72,6 @@ _N_EXTRA = 4
 # Most matrix entries stacked into one eigvals call: it bounds the memory a
 # long sweep adds on top of its output rows.
 _STACK_ENTRIES = 1 << 16
-
-
-class NonRealCriticalPolynomialError(RuntimeError):
-    """A critical polynomial came out with non-negligible imaginary parts."""
 
 
 @dataclass(frozen=True)
@@ -111,26 +110,20 @@ class CriticalCoupling:
         return math.isfinite(self.zeta_c_squared)
 
 
-def _realize_real(p: EnergyPolynomial) -> EnergyPolynomial:
-    scale = max(abs(c) for c in p.coeffs)
-    worst = max(abs(c.imag) for c in p.coeffs)
-    if worst > _REALIZE_RTOL * scale:
-        raise NonRealCriticalPolynomialError(
-            f"{p.family}_{p.index}: imaginary coefficient {worst:.3e} "
-            f"exceeds {_REALIZE_RTOL:.1e} of scale {scale:.3e}"
-        )
-    return replace(p, coeffs=tuple(complex(c.real, 0.0) for c in p.coeffs))
-
-
 def critical_polynomials(params: ModelParams):
-    """(P_{k+1}, Q_k) with realized real coefficients, for odd M = 2k + 1.
+    """(P_{k+1}, Q_k) for odd M = 2k + 1: the characteristic polynomials of
+    the E_P and E_Q blocks, taken from the R recursion, so their coefficients
+    are real.  Q_k = R_k and P_{k+1} = R_{k+1} - a_k R_{k-1}, one more R step
+    with the tail doubled.
 
     Q_0 is the constant 1 (no odd-sector level for M = 1).
     """
     k = k_index(params.M)
-    p_crit = build_P(params, k + 1)[k + 1]
-    q_crit = build_Q(params, k)[k]
-    return _realize_real(p_crit), _realize_real(q_crit)
+    R = [np.real(r.coeffs) for r in build_R(params, k + 1)]
+    p_crit = R[k + 1].copy()
+    if k:
+        p_crit[:k] -= recurrence_a(k, params) * R[k - 1]
+    return EnergyPolynomial(tuple(p_crit)), EnergyPolynomial(tuple(R[k]))
 
 
 def degenerate_pairs(energies):
@@ -162,16 +155,18 @@ def _sectors(M: int) -> dict:
     return {"E_P": k + 1, "E_Q": k} if k else {"E_P": 1}
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=32, typed=True)
 def _pencil(M: int):
     """(C, S), read-only, with the pencil matrix T(zeta^2) = C + zeta^2 S:
     rows and columns 0..k of T with the last sub-diagonal entry doubled for
     odd M = 2k + 1, rows and columns k..M-1 for even M = 2k.  C holds b_n at
     zeta = 0 and 1 on the super-diagonal; S holds -1 on the diagonal and
-    a_n / zeta^2 on the sub-diagonal, all read from the recursion."""
+    a_n / zeta^2 on the sub-diagonal, all read from the recursion.  M is
+    validated by ModelParams before it sizes anything, and the cache is
+    typed, so M = 3.0 is refused rather than served the entry of M = 3."""
+    free, unit = ModelParams(M, 0.0), ModelParams(M, 1.0)
     size = max(_sectors(M).values())
     rows = range(size) if M % 2 else range(size, M)
-    free, unit = ModelParams(M, 0.0), ModelParams(M, 1.0)
     C = np.diag([recurrence_b(n, free) for n in rows]) + np.eye(size, k=1)
     S = np.diag([recurrence_a(n, unit) for n in rows[1:]], -1) - np.eye(size)
     if M % 2 and size > 1:
@@ -181,7 +176,7 @@ def _pencil(M: int):
     return C, S
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=32, typed=True)
 def _pencil_scale(M: int) -> float:
     """Largest |entry| of S: zeta^2 S overflows exactly when zeta^2 times it does."""
     return float(np.abs(_pencil(M)[1]).max())

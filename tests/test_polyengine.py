@@ -24,8 +24,8 @@ def test_polynomial_validation():
         EnergyPolynomial((0.0, 1.0), variable="x")
     p = EnergyPolynomial((2.0, 3.0, 1.0))
     assert p.degree == 2
-    assert p.index == 2
     assert p.variable == "E"
+    assert p.coeffs == (2 + 0j, 3 + 0j, 1 + 0j)
 
 
 def test_evaluate_and_mul():

@@ -7,7 +7,7 @@ import ptqes.spectra
 from ptqes.duality import dual_level_rows
 from ptqes.model import ModelParams
 from ptqes.polyengine import evaluate, matching_distance, to_variable
-from ptqes.recursion import recurrence_a, recurrence_b
+from ptqes.recursion import build_P, build_Q, recurrence_a, recurrence_b
 from ptqes.spectra import (
     check_factorization,
     critical_coupling,
@@ -104,6 +104,30 @@ def test_critical_polynomials_match_printed_m3():
         assert abs(got.imag) < 1e-12
     for got, want in zip(q_cal.coeffs, (4.0, 1.0)):
         assert got.real == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("M", range(1, 22, 2))
+def test_critical_polynomials_match_complex_families(M):
+    # Taken from the real R recursion, P_{k+1} and Q_k are exactly real and
+    # agree with the paper's complex P and Q families to rounding.
+    k = (M - 1) // 2
+    for z2 in (0.001, 0.01, 0.1, 1.0, 100.0):
+        params = ModelParams(M=M, zeta=math.sqrt(z2))
+        got = critical_polynomials(params)
+        want = (build_P(params, k + 1)[k + 1], build_Q(params, k)[k])
+        for g, w in zip(got, want):
+            assert g.degree == w.degree
+            assert all(c.imag == 0.0 for c in g.coeffs)
+            scale = max(abs(c) for c in w.coeffs)
+            assert max(abs(a - b) for a, b in zip(g.coeffs, w.coeffs)) <= 1e-12 * scale
+
+
+def test_level_rows_refuses_non_integer_m():
+    # M is validated before it sizes the pencil, also once M = 3 is cached
+    level_rows(3, [0.1])
+    for M in (3.0, 2.0):
+        with pytest.raises(ValueError, match="plain integer"):
+            level_rows(M, [0.1])
 
 
 def test_critical_coupling_m1_infinite():
