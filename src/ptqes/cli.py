@@ -6,16 +6,15 @@ written), 3 numerical or internal failure.
 Output is byte-deterministic for fixed inputs and version: levels are
 sorted, floats in csv/table output carry 12 significant digits, json
 payloads always include "schema": 1, and json output is the bytes of
-json.dumps(payload, indent=2), rendered through json's C encoder.  The
-argument parser is built once per process, so main can be called
-repeatedly in one process.
+json.dumps(payload, indent=2), with each field and each row list written by
+one call of json's C encoder.  The argument parser is built once per
+process, so main can be called repeatedly in one process.
 """
 
 import argparse
 import csv
 import functools
 import io
-import itertools
 import json
 import math
 import sys
@@ -248,52 +247,31 @@ def _render_table(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-_CONTAINERS = (dict, list, tuple)
+# Between a row list's items: a new line at the depth of a row's fields.
+_ROW_SEP = ",\n      "
+_encode_rows = json.JSONEncoder(separators=(_ROW_SEP, ": ")).encode
 
 
-@functools.cache
-def _encode(level: int):
-    """json's encode for a container of scalars, its items on lines indented
-    to `level`; without indent, json takes its C encoder."""
-    return json.JSONEncoder(separators=(",\n" + "  " * level, ": ")).encode
-
-
-def _flat(x) -> bool:
-    """x is a non-empty container of scalars."""
-    if isinstance(x, dict):
-        x = x.values()
-    elif not isinstance(x, (list, tuple)):
-        return False
-    return bool(x) and not any(map(isinstance, x, itertools.repeat(_CONTAINERS)))
-
-
-def _json(x, depth: int = 0) -> str:
-    """json.dumps(x, indent=2) for x indented to `depth`.  A container of
-    scalars is one encode call, and so is a list of such containers (rows).
-    An encoded string holds no raw newline, so every ",\n" in the rows'
-    encoding is a separator, and only those between rows follow a closing
-    bracket; they are re-indented.  Other containers recurse."""
-    if not isinstance(x, _CONTAINERS) or not x:
-        return _encode(0)(x)
-    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-    if _flat(x):
-        s = _encode(depth + 1)(x)
-        return f"{s[0]}{inner}{s[1:-1]}{outer}{s[-1]}"
-    if not isinstance(x, dict) and all(map(_flat, x)):
-        row = inner + "  "
-        s = _encode(depth + 2)(x)
-        for end in "}]":
-            for start in "{[":
-                s = s.replace(f"{end},{row}{start}", f"{inner}{end},{inner}{start}{row}")
-        return f"{s[0]}{inner}{s[1]}{row}{s[2:-2]}{inner}{s[-2]}{outer}{s[-1]}"
-    if isinstance(x, dict):
-        # json's key text ("k": ) from a one-item dict, so non-str keys read as in json
-        items = (_encode(0)({k: 0})[1:-2] + _json(v, depth + 1) for k, v in x.items())
-        start, end = "{}"
-    else:
-        items = (_json(v, depth + 1) for v in x)
-        start, end = "[]"
-    return f"{start}{inner}{(',' + inner).join(items)}{outer}{end}"
+def _json(payload: dict) -> str:
+    """json.dumps(payload, indent=2) for a payload: a dict whose fields are
+    scalars or lists of non-empty flat rows of one kind (all dicts or all
+    lists of scalars).  A scalar or empty field is json.dumps(value).  A row
+    list is one C-encoder call, whose item separator already indents each
+    row's items; then one pass re-indents the row boundaries, each a closing
+    bracket, the separator and an opening bracket, and the list is wrapped.
+    Such a boundary can only fall between rows: an encoded string holds no
+    raw newline, and no scalar ends in a bracket."""
+    fields = []
+    for key, value in payload.items():
+        if isinstance(value, list) and value:
+            s = _encode_rows(value)
+            start, end = s[1], s[-2]
+            rows = s[2:-2].replace(f"{end}{_ROW_SEP}{start}", f"\n    {end},\n    {start}\n      ")
+            value = f"[\n    {start}\n      {rows}\n    {end}\n  ]"
+        else:
+            value = json.dumps(value)
+        fields.append(f"{json.dumps(key)}: {value}")
+    return "{\n  " + ",\n  ".join(fields) + "\n}"
 
 
 def _render(payload: dict, fmt: str) -> str:

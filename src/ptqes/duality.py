@@ -8,9 +8,10 @@ hyperbolic levels E_0 <= ... <= E_{M-1}, the dual levels are
 
 again ascending, and a hyperbolic eigenfunction psi(x) gives the dual one
 psi(i*theta).  This map is the only route to the periodic model: its levels
-and closed forms are those of the hyperbolic model, negated.  Applying the
-map twice is the identity on the level multiset, exactly, since negation of
-floats is exact.
+and closed forms are those of the hyperbolic model, negated.  A level is
+negated as 0j - E, exactly as -E but with a zero part +0, so a real level's
+Ehat has Im +0.  Applying the map twice is the identity on the level
+multiset, exactly, since float subtraction from zero is exact.
 """
 
 import math
@@ -48,9 +49,9 @@ def dual_level_rows(M: int, zetas) -> list:
     """For each zeta in zetas, the periodic-model levels as (Ehat, label,
     is_real) rows, Ehat_k = -E_{M-1-k} of spectra.level_rows; odd M only.
     Negation keeps a level's reality, so is_real is the flag of E_{M-1-k}
-    as spectra._eigvals decided it."""
+    as spectra._eigvals decided it.  0j - E keeps -0 out of a zero part."""
     k_index(M)
-    return [[(-E, label, real) for E, label, real in reversed(tagged)] for tagged in level_rows(M, zetas)]
+    return [[(0j - E, label, real) for E, label, real in reversed(tagged)] for tagged in level_rows(M, zetas)]
 
 
 def dual_spectrum(params: ModelParams) -> DualSpectrum:

@@ -86,6 +86,15 @@ def test_spectrum_dsg_model():
     assert dual == [-e for e in reversed(base)]
 
 
+def test_spectrum_dsg_real_levels_print_positive_zero(capsys):
+    # Ehat = -E once turned a real level's 0j into -0j, printed as -0
+    assert ptqes.cli.main(["spectrum", "--M", "3", "--zeta2", "0.01", "--model", "dsg", "--format", "csv"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [r["E_im"] for r in rows] == ["0", "0", "0"]
+    levels = ptqes.duality.dual_spectrum(ptqes.model.ModelParams(M=3, zeta=0.1)).levels
+    assert [math.copysign(1, lvl.Ehat.imag) for lvl in levels if lvl.is_real] == [1.0, 1.0, 1.0]
+
+
 def test_critical_zeta_json_and_csv():
     p = run("critical-zeta", "--M", "3")
     assert p.returncode == 0
@@ -490,18 +499,16 @@ _TRICKY = ["}", "]", "{", "[", ",", '": "', "\n", '"', "\\", "é", "\u2192", "\U
 _texts = st.text() | st.lists(st.sampled_from(_TRICKY), max_size=6).map("".join)
 _floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e308, 5e-324])
 _scalars = st.none() | st.booleans() | st.integers() | st.integers(min_value=-(10**40), max_value=10**40) | _floats | _texts
-_flat_containers = st.dictionaries(_texts, _scalars, max_size=4) | st.lists(_scalars, max_size=4)
-_json_values = st.recursive(
-    _scalars | _flat_containers | st.lists(_flat_containers, max_size=4),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(_texts, inner, max_size=4),
-    max_leaves=24,
-)
+# A payload: a dict of scalar fields and row lists, each list's rows all
+# dicts or all lists, flat and non-empty, as the commands build them.
+_dict_rows = st.dictionaries(_texts, _scalars, min_size=1, max_size=4)
+_list_rows = st.lists(_scalars, min_size=1, max_size=4)
+_fields = _scalars | st.lists(_dict_rows, max_size=4) | st.lists(_list_rows, max_size=4)
+_payloads = st.dictionaries(_texts, _fields, min_size=1, max_size=6)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(x=_json_values)
+@given(x=_payloads)
 def test_json_render_matches_stdlib(x):
     assert ptqes.cli._render(x, "json") == json.dumps(x, indent=2) + "\n"
 
@@ -515,6 +522,7 @@ def test_json_render_matches_stdlib(x):
         ("sweep", "--M", "5", "--zeta2-range", "0:0.1:0.01", "--model", "dsg"),
         ("critical-zeta", "--M", "5"),
         ("verify", "--suite", "all"),
+        ("spectrum", "--M", "5", "--zeta2", "0"),  # degenerate_pairs [[0, 1], [2, 3]]
     ],
 )
 def test_json_render_matches_stdlib_on_payloads(argv):
