@@ -6,9 +6,11 @@ written), 3 numerical or internal failure.
 Output is byte-deterministic for fixed inputs and version: levels are
 sorted, floats in csv/table output carry 12 significant digits, json
 payloads always include "schema": 1, and json output is the bytes of
-json.dumps(payload, indent=2), with each field and each row list written by
-one call of json's C encoder.  The argument parser is built once per
-process, so main can be called repeatedly in one process.
+json.dumps(payload, indent=2) with the level rows as dicts.  Level rows are
+built once per command as columns, and each format writes them with one
+%-template per row; every other field and row list is written by one call
+of json's C encoder.  The argument parser is built once per process, so
+main can be called repeatedly in one process.
 """
 
 import argparse
@@ -16,9 +18,9 @@ import csv
 import functools
 import io
 import json
+import itertools
 import math
 import sys
-from operator import itemgetter
 
 from .duality import dual_level_rows, verify_duality
 from .norms import verify_norms
@@ -46,40 +48,46 @@ class UsageError(ValueError):
     pass
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.12g}"
-
-
 def _bool(x) -> str:
     return "true" if x else "false"
 
 
 # ---------------------------------------------------------------------------
-# Output columns, one spec per command: (key, table header, table width as a
-# format spec, formatter).  The key names the json field and heads the csv
-# column; every csv and table cell is formatter(value).  The critical-zeta
-# table is key=value lines and the verify table PASS/FAIL lines, so their
-# headers and widths are unused.
+# Output columns, one spec per command: (key, table header, table width,
+# type).  The key names the json field and heads the csv column; the width
+# is a %-format field width, "-" padding on the right.  A cell is written by
+# its type's %-conversion in _CONVERSIONS, a bool as true or false.  A column
+# with no table header is written to json only.  The critical-zeta table is
+# key=value lines and the verify table PASS/FAIL lines, so their headers and
+# widths are unused.
 
 _LEVEL_COLUMNS = (
-    ("index", "index", ">5", str),
-    ("label", "label", "<5", str),
-    ("E_re", "E_re", ">18", _fmt),
-    ("E_im", "E_im", ">18", _fmt),
-    ("is_real", "real", "", _bool),
+    ("index", "index", "5", int),
+    ("label", "label", "-5", str),
+    ("E_re", "E_re", "18", float),
+    ("E_im", "E_im", "18", float),
+    ("is_real", "real", "", bool),
 )
 
 _COLUMNS = {
     "spectrum": _LEVEL_COLUMNS,
-    "sweep": (("zeta2", "zeta2", ">14", _fmt),) + _LEVEL_COLUMNS,
+    # --model dsg: Ehat_k = -E_{M-1-k}, and source_index is M - 1 - k
+    "spectrum-dsg": _LEVEL_COLUMNS + (("source_index", None, "", int),),
+    "sweep": (("zeta2", "zeta2", "14", float),) + _LEVEL_COLUMNS,
     "critical-zeta": (
-        ("M", "M", "", str),
-        ("zeta_c_squared", "zeta_c_squared", "", _fmt),
-        ("degenerate_energy", "degenerate_energy", "", _fmt),
-        ("tol", "tol", "", _fmt),
+        ("M", "M", "", int),
+        ("zeta_c_squared", "zeta_c_squared", "", float),
+        ("degenerate_energy", "degenerate_energy", "", float),
+        ("tol", "tol", "", float),
     ),
-    "verify": (("name", "name", "", str), ("passed", "passed", "", _bool), ("detail", "detail", "", str)),
+    "verify": (("name", "name", "", str), ("passed", "passed", "", bool), ("detail", "detail", "", str)),
 }
+
+# Each type's %-conversion in json, and in csv and table cells after the
+# width.  %r is float.__repr__, the text json writes for a finite float, and
+# %.12g is f"{x:.12g}".  A level label is E_P, E_Q or E_R, so it needs no
+# json escaping.
+_CONVERSIONS = {int: ("%d", "d"), str: ('"%s"', "s"), float: ("%r", ".12g"), bool: ("%s", "s")}
 
 _KEYS = {command: [key for key, *_ in columns] for command, columns in _COLUMNS.items()}
 
@@ -88,23 +96,64 @@ _KEYS = {command: [key for key, *_ in columns] for command, columns in _COLUMNS.
 _ROWS = {"spectrum": "levels", "sweep": "rows", "verify": "checks"}
 
 
-def _fields(command: str, values) -> dict:
-    """One output row of `command`: its column keys paired with `values`."""
-    return dict(zip(_KEYS[command], values))
-
-
-def _rows(payload: dict) -> list:
+def _rows(payload: dict):
     key = _ROWS.get(payload["command"])
     return payload[key] if key else [payload]
 
 
-def _cells(payload: dict):
-    """The csv and table cells of each row: its values through the column
-    formatters.  Formatting a column at a time keeps the per-row cost of a
-    long sweep at that of a hand-written row."""
-    command = payload["command"]
-    columns = zip(*map(itemgetter(*_KEYS[command]), _rows(payload)))
-    return zip(*(map(fmt, column) for (*_, fmt), column in zip(_COLUMNS[command], columns)))
+def _cell(kind, value) -> str:
+    """One csv or table cell."""
+    return _bool(value) if kind is bool else f"%{_CONVERSIONS[kind][1]}" % value
+
+
+def _cells(command: str, rows) -> list:
+    """The csv and table cells of a command's row dicts."""
+    return [[_cell(kind, row[key]) for key, _, _, kind in _COLUMNS[command]] for row in rows]
+
+
+def _fill(spec, columns, row: str, sep: str) -> str:
+    """One copy of the %-template row per level, joined by sep and filled
+    from one flat tuple of the columns read level by level."""
+    k, n = len(columns), len(columns[0])
+    flat = [None] * (k * n)
+    for i, ((*_, kind), column) in enumerate(zip(spec, columns)):
+        flat[i::k] = map(_bool, column) if kind is bool else column
+    return sep.join([row] * n) % tuple(flat)
+
+
+class _Levels:
+    """Level rows held as columns, built once per command: columns[i] holds
+    field spec[i] of every level.  Each format writes all rows with one
+    %-template derived from spec.  A template would print inf or nan as
+    bare words, so a non-finite float is refused with ValueError; each
+    value is tested, since a column's sum can overflow while every value is
+    finite."""
+
+    def __init__(self, spec, columns):
+        for (key, _, _, kind), column in zip(spec, columns):
+            if kind is float and not all(map(math.isfinite, column)):
+                raise ValueError(f"non-finite {key} in the level rows")
+        self.spec = spec
+        self.columns = columns
+
+    def json(self) -> str:
+        fields = ",\n".join(f'      "{key}": {_CONVERSIONS[kind][0]}' for key, _, _, kind in self.spec)
+        return "[\n" + _fill(self.spec, self.columns, "    {\n" + fields + "\n    }", ",\n") + "\n  ]"
+
+    def _shown(self):
+        """(spec, columns) of the columns with a table header."""
+        return zip(*[(c, column) for c, column in zip(self.spec, self.columns) if c[1]])
+
+    def csv(self) -> str:
+        spec, columns = self._shown()
+        row = ",".join(f"%{_CONVERSIONS[kind][1]}" for *_, kind in spec)
+        return ",".join(key for key, *_ in spec) + "\n" + _fill(spec, columns, row, "\n") + "\n"
+
+    def table(self) -> str:
+        spec, columns = self._shown()
+        head = "  ".join(f"%{width}s" for _, _, width, _ in spec) % tuple(h for _, h, _, _ in spec)
+        row = "  ".join(f"%{width}{_CONVERSIONS[kind][1]}" for _, _, width, kind in spec)
+        return head + "\n" + _fill(spec, columns, row, "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -123,9 +172,11 @@ def _solver(args):
     return dual_level_rows if args.model == "dsg" else level_rows
 
 
-def _level_values(tagged) -> list:
-    """Level rows in _LEVEL_COLUMNS order from (E, label, is_real) rows."""
-    return [(i, label, E.real, E.imag, real) for i, (E, label, real) in enumerate(tagged)]
+def _level_columns(M: int, tagged) -> list:
+    """The index, label, E_re, E_im and is_real columns of the
+    (E, label, is_real) rows of each coupling in tagged."""
+    E, labels, real = zip(*itertools.chain.from_iterable(tagged))
+    return [list(range(M)) * len(tagged), labels, [e.real for e in E], [e.imag for e in E], real]
 
 
 def _cmd_spectrum(args):
@@ -133,19 +184,20 @@ def _cmd_spectrum(args):
     if not (0 <= args.zeta2 < math.inf):
         raise UsageError(f"--zeta2 must be finite and >= 0, got {args.zeta2}")
     zeta2 = abs(args.zeta2)  # -0.0 -> 0.0, so the payload never shows -0.0
-    tagged = _solver(args)(args.M, [math.sqrt(zeta2)])[0]
-    levels = [_fields("spectrum", row) for row in _level_values(tagged)]
+    tagged = _solver(args)(args.M, [math.sqrt(zeta2)])
+    columns = _level_columns(args.M, tagged)
+    spec = _COLUMNS["spectrum"]
     if args.model == "dsg":
-        for k, row in enumerate(levels):
-            row["source_index"] = args.M - 1 - k  # Ehat_k = -E_{M-1-k}
+        spec = _COLUMNS["spectrum-dsg"]
+        columns.append(range(args.M - 1, -1, -1))
     payload = {
         "schema": 1,
         "command": "spectrum",
         "model": args.model,
         "M": args.M,
         "zeta2": zeta2,
-        "levels": levels,
-        "degenerate_pairs": [list(p) for p in degenerate_pairs([E for E, _, _ in tagged])],
+        "levels": _Levels(spec, columns),
+        "degenerate_pairs": [list(p) for p in degenerate_pairs([E for E, _, _ in tagged[0]])],
     }
     return payload, EXIT_OK
 
@@ -156,8 +208,8 @@ def _cmd_critical_zeta(args):
     if not (0 < args.tol < math.inf):
         raise UsageError(f"--tol must be positive and finite, got {args.tol}")
     cc = critical_coupling(args.M, tol=args.tol)
-    fields = _fields("critical-zeta", (args.M, cc.zeta_c_squared, cc.degenerate_energy, args.tol))
-    return {"schema": 1, "command": "critical-zeta", **fields}, EXIT_OK
+    values = (args.M, cc.zeta_c_squared, cc.degenerate_energy, args.tol)
+    return {"schema": 1, "command": "critical-zeta", **dict(zip(_KEYS["critical-zeta"], values))}, EXIT_OK
 
 
 def _cmd_verify(args):
@@ -197,16 +249,15 @@ def _parse_range(spec: str):
 def _cmd_sweep(args):
     _check_M(args)
     values = _parse_range(args.zeta2_range)
-    rows = []
-    for z2, tagged in zip(values, _solver(args)(args.M, [math.sqrt(z2) for z2 in values])):
-        rows.extend(_fields("sweep", (z2, *row)) for row in _level_values(tagged))
+    tagged = _solver(args)(args.M, [math.sqrt(z2) for z2 in values])
+    zeta2 = [z2 for z2 in values for _ in range(args.M)]
     payload = {
         "schema": 1,
         "command": "sweep",
         "model": args.model,
         "M": args.M,
         "zeta2_range": args.zeta2_range,
-        "rows": rows,
+        "rows": _Levels(_COLUMNS["sweep"], [zeta2, *_level_columns(args.M, tagged)]),
     }
     return payload, EXIT_OK
 
@@ -216,31 +267,30 @@ def _cmd_sweep(args):
 
 
 def _render_csv(payload: dict) -> str:
+    rows = _rows(payload)
+    if isinstance(rows, _Levels):
+        return rows.csv()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_KEYS[payload["command"]])
-    writer.writerows(_cells(payload))
+    writer.writerows(_cells(payload["command"], rows))
     return buf.getvalue()
 
 
 def _render_table(payload: dict) -> str:
     command = payload["command"]
     if command == "critical-zeta":
-        lines = [f"{key}={cell}" for key, cell in zip(_KEYS[command], *_cells(payload))]
+        lines = [f"{key}={cell}" for key, cell in zip(_KEYS[command], *_cells(command, [payload]))]
     elif command == "verify":
         verdict = {True: "PASS", False: "FAIL"}
         lines = [f"{verdict[c['passed']]}  {c['name']:<28}  {c['detail']}" for c in payload["checks"]]
         lines.append(f"OVERALL {verdict[payload['passed']]}")
     else:
-        columns = _COLUMNS[command]
-        line = "  ".join(f"{{:{width}}}" for _, _, width, _ in columns).format
         if command == "spectrum":
-            where = f"zeta2={_fmt(payload['zeta2'])}"
+            where = f"zeta2={_cell(float, payload['zeta2'])}"
         else:
             where = f"range={payload['zeta2_range']}"
-        lines = [f"model={payload['model']} M={payload['M']} {where}"]
-        lines.append(line(*(head for _, head, _, _ in columns)))
-        lines.extend(line(*cells) for cells in _cells(payload))
+        lines = [f"model={payload['model']} M={payload['M']} {where}", _rows(payload).table()]
         if command == "spectrum":
             pairs = payload["degenerate_pairs"]
             lines.append(f"degenerate_pairs={pairs if pairs else '[]'}")
@@ -253,17 +303,20 @@ _encode_rows = json.JSONEncoder(separators=(_ROW_SEP, ": ")).encode
 
 
 def _json(payload: dict) -> str:
-    """json.dumps(payload, indent=2) for a payload: a dict whose fields are
-    scalars or lists of non-empty flat rows of one kind (all dicts or all
-    lists of scalars).  A scalar or empty field is json.dumps(value).  A row
-    list is one C-encoder call, whose item separator already indents each
-    row's items; then one pass re-indents the row boundaries, each a closing
-    bracket, the separator and an opening bracket, and the list is wrapped.
-    Such a boundary can only fall between rows: an encoded string holds no
-    raw newline, and no scalar ends in a bracket."""
+    """json.dumps(payload, indent=2), level rows written as dicts, for a
+    payload: a dict whose fields are scalars, _Levels, or lists of
+    non-empty flat rows of one kind (all dicts or all lists of scalars).  A
+    scalar or empty field is json.dumps(value).  A row list is one
+    C-encoder call, whose item separator already indents each row's items;
+    then one pass re-indents the row boundaries, each a closing bracket, the
+    separator and an opening bracket, and the list is wrapped.  Such a
+    boundary can only fall between rows: an encoded string holds no raw
+    newline, and no scalar ends in a bracket."""
     fields = []
     for key, value in payload.items():
-        if isinstance(value, list) and value:
+        if isinstance(value, _Levels):
+            value = value.json()
+        elif isinstance(value, list) and value:
             s = _encode_rows(value)
             start, end = s[1], s[-2]
             rows = s[2:-2].replace(f"{end}{_ROW_SEP}{start}", f"\n    {end},\n    {start}\n      ")

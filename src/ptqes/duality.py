@@ -65,12 +65,13 @@ def dual_spectrum(params: ModelParams) -> DualSpectrum:
 
 
 def dual_closed_form_levels(params: ModelParams):
-    """Closed-form dual levels for M = 1 and M = 3: -E of
+    """Closed-form dual levels for M = 1 and M = 3: 0j - E of
     oracle.dshg_closed_form_levels in descending-E tag order, so ascending
-    while the M = 3 levels are real."""
+    while the M = 3 levels are real.  Each is complex, and a real one has
+    Im +0, as in dual_level_rows."""
     closed = dshg_closed_form_levels(params)
     tags = ("ground",) if params.M == 1 else ("even_plus", "odd", "even_minus")
-    return [-closed[tag] for tag in tags]
+    return [0j - closed[tag] for tag in tags]
 
 
 def verify_duality() -> list:

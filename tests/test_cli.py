@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -11,7 +12,7 @@ import sys
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ptqes.cli
@@ -455,6 +456,14 @@ def test_verify_checks_can_fail(monkeypatch, capsys, suite, name, module, attr, 
     assert payload["passed"] is False
 
 
+def _text(value) -> str:
+    """A csv or table cell as the CLI documents it: 12 significant digits
+    for a float, true or false for a bool."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -474,7 +483,7 @@ def test_formats_show_the_json_values(capsys, args):
     command = payload["command"]
     columns = ptqes.cli._COLUMNS[command]
     rows = ptqes.cli._rows(payload)
-    cells = [[fmt(row[key]) for key, _, _, fmt in columns] for row in rows]
+    cells = [[_text(row[key]) for key, *_ in columns] for row in rows]
 
     header, *csv_rows = csv.reader(io.StringIO(out["csv"]))
     assert header == [key for key, *_ in columns]
@@ -526,9 +535,16 @@ def test_json_render_matches_stdlib(x):
     ],
 )
 def test_json_render_matches_stdlib_on_payloads(argv):
+    # level rows are held as columns; json.dumps takes them as row dicts
     args = ptqes.cli._build_parser().parse_args(argv)
     payload, _ = args.func(args)
-    assert ptqes.cli._render(payload, "json") == json.dumps(payload, indent=2) + "\n"
+    as_dicts = {
+        key: [dict(zip([k for k, *_ in v.spec], row)) for row in zip(*v.columns)]
+        if isinstance(v, ptqes.cli._Levels)
+        else v
+        for key, v in payload.items()
+    }
+    assert ptqes.cli._render(payload, "json") == json.dumps(as_dicts, indent=2) + "\n"
 
 
 def test_json_render_stays_on_the_c_encoder(monkeypatch, capsys):
@@ -536,9 +552,122 @@ def test_json_render_stays_on_the_c_encoder(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("pure-Python json encoder used")
 
+    # verify checks and degenerate_pairs are the row lists json writes;
+    # level rows are filled into a template
     monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
-    assert ptqes.cli.main(["sweep", "--M", "9", "--zeta2-range", "0:0.05:0.002"]) == 0
-    assert len(json.loads(capsys.readouterr().out)["rows"]) == 9 * 26
+    assert ptqes.cli.main(["verify", "--suite", "all"]) == 1  # the golden-table defects
+    assert len(json.loads(capsys.readouterr().out)["checks"]) > len(ptqes.cli._SUITES)
+    assert ptqes.cli.main(["spectrum", "--M", "5", "--zeta2", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["degenerate_pairs"] == [[0, 1], [2, 3]]
+
+
+# ---------------------------------------------------------------------------
+# Level output against an independent reference: the rows rebuilt as dicts
+# from level_rows / dual_level_rows and written by json.dumps, csv.writer and
+# f"{x:.12g}" padded to the _COLUMNS widths.
+
+
+def _stdout(argv) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert ptqes.cli.main(argv) == 0
+    return buf.getvalue()
+
+
+def _reference(command, model, M, where, couplings, fmt) -> str:
+    """What `command` prints at these couplings; `where` is the --zeta2 value
+    of spectrum or the --zeta2-range of sweep."""
+    solve = ptqes.duality.dual_level_rows if model == "dsg" else ptqes.spectra.level_rows
+    rows = []
+    for z2, tagged in zip(couplings, solve(M, [math.sqrt(z2) for z2 in couplings])):
+        for k, (E, label, real) in enumerate(tagged):
+            row = {"zeta2": z2} if command == "sweep" else {}
+            row.update(index=k, label=label, E_re=E.real, E_im=E.imag, is_real=real)
+            if command == "spectrum" and model == "dsg":
+                row["source_index"] = M - 1 - k
+            rows.append(row)
+    energies = [complex(row["E_re"], row["E_im"]) for row in rows]
+    pairs = [list(p) for p in ptqes.spectra.degenerate_pairs(energies)]
+    columns = ptqes.cli._COLUMNS[command]
+    if fmt == "json":
+        payload = {"schema": 1, "command": command, "model": model, "M": M}
+        if command == "spectrum":
+            payload.update(zeta2=where, levels=rows, degenerate_pairs=pairs)
+        else:
+            payload.update(zeta2_range=where, rows=rows)
+        return json.dumps(payload, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow([key for key, *_ in columns])
+        writer.writerows([_text(row[key]) for key, *_ in columns] for row in rows)
+        return buf.getvalue()
+
+    def pad(text, width):
+        width = int(width or 0)
+        return text.rjust(width) if width > 0 else text.ljust(-width)
+
+    where = f"zeta2={_text(where)}" if command == "spectrum" else f"range={where}"
+    lines = [f"model={model} M={M} {where}"]
+    lines.append("  ".join(pad(head, width) for _, head, width, _ in columns))
+    lines.extend("  ".join(pad(_text(row[key]), width) for key, _, width, _ in columns) for row in rows)
+    if command == "spectrum":
+        lines.append(f"degenerate_pairs={pairs}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    model=st.sampled_from(["dshg", "dsg"]),
+    M=st.integers(1, 41),
+    start=st.sampled_from([0.0, 1e300]) | st.floats(0, 1e3),
+    step=st.floats(1e-6, 10.0),
+    count=st.integers(1, 5),
+)
+@example(model="dshg", M=4, start=0.3, step=0.1, count=1)
+@example(model="dsg", M=5, start=0.05, step=0.01, count=1)
+@example(model="dshg", M=3, start=0.0, step=0.01, count=31)
+@example(model="dsg", M=5, start=0.0, step=0.01, count=11)
+@example(model="dshg", M=5, start=0.0, step=0.01, count=3)  # degenerate_pairs [[0, 1], [2, 3]]
+@example(model="dshg", M=3, start=1e300, step=1.0, count=1)
+@example(model="dsg", M=41, start=1e300, step=1.0, count=1)
+def test_level_output_matches_an_independent_reference(model, M, start, step, count):
+    if model == "dsg":
+        M |= 1
+    spec = f"{start!r}:{start + (count - 1) * step!r}:{step!r}"
+    couplings = ptqes.cli._parse_range(spec)
+    common = ["--M", str(M), "--model", model, "--format"]
+    for fmt in ("json", "csv", "table"):
+        got = _stdout(["spectrum", "--zeta2", repr(start), *common, fmt])
+        assert got == _reference("spectrum", model, M, start, [start], fmt)
+        got = _stdout(["sweep", "--zeta2-range", spec, *common, fmt])
+        assert got == _reference("sweep", model, M, spec, couplings, fmt)
+
+
+def test_sweep_at_a_huge_coupling_is_strict_json(capsys):
+    def refuse(constant):
+        raise ValueError(f"json constant {constant}")
+
+    assert ptqes.cli.main(["sweep", "--M", "3", "--zeta2-range", "1e300:1e300:1"]) == 0
+    rows = json.loads(capsys.readouterr().out, parse_constant=refuse)["rows"]
+    assert [row["zeta2"] for row in rows] == [1e300] * 3
+    assert all(math.isfinite(row["E_re"]) for row in rows)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("args", [("spectrum", "--zeta2", "0.01"), ("sweep", "--zeta2-range", "0:0.02:0.01")])
+def test_non_finite_level_exits_3(monkeypatch, capsys, args, fmt):
+    # a template would print nan as a bare word, which is not json
+    solve = ptqes.spectra.level_rows
+
+    def nan_level(M, zetas):
+        return [[(complex(math.nan, 0.0), "E_P", True), *rows[1:]] for rows in solve(M, zetas)]
+
+    monkeypatch.setattr(ptqes.cli, "level_rows", nan_level)
+    assert ptqes.cli.main([args[0], "--M", "3", *args[1:], "--format", fmt]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numerical or internal failure: non-finite E_re in the level rows\n"
 
 
 def test_parser_is_built_once():

@@ -47,6 +47,14 @@ def test_closed_form_levels():
         dual_closed_form_levels(ModelParams(M=5, zeta=0.1))
 
 
+@pytest.mark.parametrize("M, z2", [(1, 0.0), (1, 0.04), (3, 0.0), (3, 0.01), (3, 0.24), (3, 0.3)])
+def test_closed_form_levels_are_complex_with_positive_zero(M, z2):
+    # -closed[tag] once gave floats beside complex values, with Im -0
+    for E in dual_closed_form_levels(ModelParams(M=M, zeta=math.sqrt(z2))):
+        assert type(E) is complex
+        assert E.imag != 0 or math.copysign(1.0, E.imag) == 1.0
+
+
 @pytest.mark.parametrize("z2", [0.0, 0.01, 0.1, 0.24])
 def test_closed_forms_match_computed_dual(z2):
     p = ModelParams(M=3, zeta=math.sqrt(z2))
