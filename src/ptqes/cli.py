@@ -6,11 +6,11 @@ written), 3 numerical or internal failure.
 Output is byte-deterministic for fixed inputs and version: levels are
 sorted, floats in csv/table output carry 12 significant digits, json
 payloads always include "schema": 1, and json output is the bytes of
-json.dumps(payload, indent=2) with the level rows as dicts.  Level rows are
-built once per command as columns, and each format writes them with one
-%-template per row; every other field and row list is written by one call
-of json's C encoder.  The argument parser is built once per process, so
-main can be called repeatedly in one process.
+json.dumps(payload, indent=2) with the level rows as dicts.  Two writers
+make it: level rows, built once per command as columns, are written with
+one %-template per row and format, and every other field by json.dumps or
+csv.writer.  The argument parser is built once per process, so main can be
+called repeatedly in one process.
 """
 
 import argparse
@@ -53,13 +53,11 @@ def _bool(x) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Output columns, one spec per command: (key, table header, table width,
-# type).  The key names the json field and heads the csv column; the width
-# is a %-format field width, "-" padding on the right.  A cell is written by
-# its type's %-conversion in _CONVERSIONS, a bool as true or false.  A column
-# with no table header is written to json only.  The critical-zeta table is
-# key=value lines and the verify table PASS/FAIL lines, so their headers and
-# widths are unused.
+# Level-row columns, one spec per level command: (key, table header, table
+# width, type).  The key names the json field and heads the csv column; the
+# width is a %-format field width, "-" padding on the right.  A cell is
+# written by its type's %-conversion in _CONVERSIONS, a bool as true or
+# false.  A column with no table header is written to json only.
 
 _LEVEL_COLUMNS = (
     ("index", "index", "5", int),
@@ -74,13 +72,6 @@ _COLUMNS = {
     # --model dsg: Ehat_k = -E_{M-1-k}, and source_index is M - 1 - k
     "spectrum-dsg": _LEVEL_COLUMNS + (("source_index", None, "", int),),
     "sweep": (("zeta2", "zeta2", "14", float),) + _LEVEL_COLUMNS,
-    "critical-zeta": (
-        ("M", "M", "", int),
-        ("zeta_c_squared", "zeta_c_squared", "", float),
-        ("degenerate_energy", "degenerate_energy", "", float),
-        ("tol", "tol", "", float),
-    ),
-    "verify": (("name", "name", "", str), ("passed", "passed", "", bool), ("detail", "detail", "", str)),
 }
 
 # Each type's %-conversion in json, and in csv and table cells after the
@@ -89,26 +80,19 @@ _COLUMNS = {
 # json escaping.
 _CONVERSIONS = {int: ("%d", "d"), str: ('"%s"', "s"), float: ("%r", ".12g"), bool: ("%s", "s")}
 
-_KEYS = {command: [key for key, *_ in columns] for command, columns in _COLUMNS.items()}
-
-# The payload field that holds a command's rows; critical-zeta's payload is
-# its one row.
-_ROWS = {"spectrum": "levels", "sweep": "rows", "verify": "checks"}
-
-
-def _rows(payload: dict):
-    key = _ROWS.get(payload["command"])
-    return payload[key] if key else [payload]
+# The fields of critical-zeta's one row and of each verify check, in order.
+_KEYS = {
+    "critical-zeta": ("M", "zeta_c_squared", "degenerate_energy", "tol"),
+    "verify": ("name", "passed", "detail"),
+}
 
 
-def _cell(kind, value) -> str:
-    """One csv or table cell."""
-    return _bool(value) if kind is bool else f"%{_CONVERSIONS[kind][1]}" % value
-
-
-def _cells(command: str, rows) -> list:
-    """The csv and table cells of a command's row dicts."""
-    return [[_cell(kind, row[key]) for key, _, _, kind in _COLUMNS[command]] for row in rows]
+def _cell(value) -> str:
+    """One csv or table cell outside the level rows: 12 significant digits
+    for a float, true or false for a bool, str otherwise."""
+    if isinstance(value, bool):
+        return _bool(value)
+    return "%.12g" % value if isinstance(value, float) else str(value)
 
 
 def _fill(spec, columns, row: str, sep: str) -> str:
@@ -267,62 +251,46 @@ def _cmd_sweep(args):
 
 
 def _render_csv(payload: dict) -> str:
-    rows = _rows(payload)
-    if isinstance(rows, _Levels):
-        return rows.csv()
+    command = payload["command"]
+    if command in ("spectrum", "sweep"):
+        return payload["levels" if command == "spectrum" else "rows"].csv()
+    keys = _KEYS[command]
+    rows = payload["checks"] if command == "verify" else [payload]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_KEYS[payload["command"]])
-    writer.writerows(_cells(payload["command"], rows))
+    writer.writerow(keys)
+    writer.writerows([_cell(row[key]) for key in keys] for row in rows)
     return buf.getvalue()
 
 
 def _render_table(payload: dict) -> str:
     command = payload["command"]
     if command == "critical-zeta":
-        lines = [f"{key}={cell}" for key, cell in zip(_KEYS[command], *_cells(command, [payload]))]
+        lines = [f"{key}={_cell(payload[key])}" for key in _KEYS[command]]
     elif command == "verify":
         verdict = {True: "PASS", False: "FAIL"}
         lines = [f"{verdict[c['passed']]}  {c['name']:<28}  {c['detail']}" for c in payload["checks"]]
         lines.append(f"OVERALL {verdict[payload['passed']]}")
+    elif command == "spectrum":
+        head = f"model={payload['model']} M={payload['M']} zeta2={_cell(payload['zeta2'])}"
+        lines = [head, payload["levels"].table(), f"degenerate_pairs={payload['degenerate_pairs']}"]
     else:
-        if command == "spectrum":
-            where = f"zeta2={_cell(float, payload['zeta2'])}"
-        else:
-            where = f"range={payload['zeta2_range']}"
-        lines = [f"model={payload['model']} M={payload['M']} {where}", _rows(payload).table()]
-        if command == "spectrum":
-            pairs = payload["degenerate_pairs"]
-            lines.append(f"degenerate_pairs={pairs if pairs else '[]'}")
+        head = f"model={payload['model']} M={payload['M']} range={payload['zeta2_range']}"
+        lines = [head, payload["rows"].table()]
     return "\n".join(lines) + "\n"
 
 
-# Between a row list's items: a new line at the depth of a row's fields.
-_ROW_SEP = ",\n      "
-_encode_rows = json.JSONEncoder(separators=(_ROW_SEP, ": ")).encode
-
-
 def _json(payload: dict) -> str:
-    """json.dumps(payload, indent=2), level rows written as dicts, for a
-    payload: a dict whose fields are scalars, _Levels, or lists of
-    non-empty flat rows of one kind (all dicts or all lists of scalars).  A
-    scalar or empty field is json.dumps(value).  A row list is one
-    C-encoder call, whose item separator already indents each row's items;
-    then one pass re-indents the row boundaries, each a closing bracket, the
-    separator and an opening bracket, and the list is wrapped.  Such a
-    boundary can only fall between rows: an encoded string holds no raw
-    newline, and no scalar ends in a bracket."""
+    """json.dumps(payload, indent=2), level rows written as dicts.  Every
+    other field is json.dumps(value, indent=2) moved one level in: json
+    escapes each newline inside a string, so every newline it writes starts
+    an indented line."""
     fields = []
     for key, value in payload.items():
         if isinstance(value, _Levels):
             value = value.json()
-        elif isinstance(value, list) and value:
-            s = _encode_rows(value)
-            start, end = s[1], s[-2]
-            rows = s[2:-2].replace(f"{end}{_ROW_SEP}{start}", f"\n    {end},\n    {start}\n      ")
-            value = f"[\n    {start}\n      {rows}\n    {end}\n  ]"
         else:
-            value = json.dumps(value)
+            value = json.dumps(value, indent=2).replace("\n", "\n  ")
         fields.append(f"{json.dumps(key)}: {value}")
     return "{\n  " + ",\n  ".join(fields) + "\n}"
 
@@ -397,7 +365,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, RuntimeError, ArithmeticError, MemoryError) as exc:
+    except Exception as exc:
         print(f"numerical or internal failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     if args.out:

@@ -299,20 +299,29 @@ def _parse_golden(fh):
 
 def reproduce_tables(table: str) -> TableReport:
     """Compare computed spectra against one golden table ("I", "II", "III")
-    of load_golden_levels."""
+    of load_golden_levels.  The rows may come from outside the package
+    (QES_GOLDEN_PATH), so a row of another M or naming a level the spectrum
+    lacks raises ValueError."""
     if table not in _TABLE_M:
         raise ValueError(f"unknown table {table!r}; expected one of {sorted(_TABLE_M)}")
+    M = _TABLE_M[table]
     rows = [g for g in load_golden_levels() if g.table == table]
     if not rows:
         raise ValueError(f"golden data has no rows for table {table}")
+    for g in rows:
+        if g.M != M:
+            raise ValueError(f"golden row {g} has M={g.M}, but table {table} is M={M}")
     cells = []
     for zeta2 in sorted({g.zeta2 for g in rows}):
-        spectrum = qes_spectrum(ModelParams(M=_TABLE_M[table], zeta=math.sqrt(zeta2)))
+        spectrum = qes_spectrum(ModelParams(M=M, zeta=math.sqrt(zeta2)))
         by_label = {}
         for lvl in spectrum.levels:
             by_label.setdefault(lvl.label, []).append(lvl.E)
         for g in (g for g in rows if g.zeta2 == zeta2):
-            computed = by_label[g.label][g.rank]
+            levels = by_label.get(g.label, [])
+            if not 0 <= g.rank < len(levels):
+                raise ValueError(f"golden row {g} names no level: M={M} has {len(levels)} {g.label} levels")
+            computed = levels[g.rank]
             err = abs(computed - g.energy)
             tol = _SHORT_CELL_TOL.get((g.table, g.zeta2, g.label, g.rank), _DEFAULT_CELL_TOL)
             cells.append(

@@ -1,9 +1,11 @@
 import math
 import os
+from importlib import resources
 
 import numpy as np
 import pytest
 
+import ptqes.cli
 from ptqes.model import ModelParams
 from ptqes.oracle import (
     default_sample_points,
@@ -168,6 +170,35 @@ def test_golden_loading(tmp_path, monkeypatch):
 def test_reproduce_table_validation():
     with pytest.raises(ValueError):
         reproduce_tables("IV")
+
+
+@pytest.mark.parametrize(
+    "table, row, message",
+    [
+        ("I", "I,5,0.01,E_P,7,9.0", "names no level: M=5 has 3 E_P levels"),
+        ("I", "I,5,0.01,E_R,0,9.0", "names no level: M=5 has 0 E_R levels"),
+        ("I", "I,5,0.01,E_P,-1,9.0", "names no level: M=5 has 3 E_P levels"),
+        ("II", "II,5,0.01,E_P,0,13.0", "has M=5, but table II is M=7"),
+    ],
+    ids=["rank", "label", "negative-rank", "M"],
+)
+def test_malformed_golden_row_is_refused(tmp_path, monkeypatch, capsys, table, row, message):
+    # QES_GOLDEN_PATH rows come from outside the package.  Such rows once
+    # raised IndexError or KeyError (verify exit 1, the code of a failed
+    # check), or were compared against the levels of another M.
+    bundled = resources.files("ptqes").joinpath("data/golden_tables.csv").read_text()
+    path = tmp_path / "golden.csv"
+    path.write_text(bundled + row + "\n")
+    monkeypatch.setenv("QES_GOLDEN_PATH", str(path))
+    bad = load_golden_levels()[-1]
+    with pytest.raises(ValueError) as exc:
+        reproduce_tables(table)
+    assert str(exc.value).startswith(f"golden row {bad} ")
+    assert message in str(exc.value)
+    assert ptqes.cli.main(["verify", "--suite", "tables"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"numerical or internal failure: {exc.value}\n"
 
 
 def test_reproduce_table_i_passes():
