@@ -31,6 +31,13 @@ eigvals call per sector and chunk of at most _STACK_ENTRIES matrix entries,
 so a long sweep's extra memory stays bounded, and a coupling's levels are
 the same bits whether it is solved alone or in a stack.
 
+That call is _geev, the LAPACK gufunc numpy.linalg._umath_linalg.eigvals
+that numpy.linalg.eigvals wraps, called directly under one np.errstate per
+_eigvals call that turns a non-convergence into LinAlgError, as the wrapper
+does; the levels are the bits numpy.linalg.eigvals gives.  oracle.verify_gauge
+stays on numpy.linalg.eigvals, so the verification route shares no code with
+this one.
+
 _eigvals is the one place that decides whether a level is real, from the
 structure of the solve and with no tolerance.  LAPACK returns a real
 eigenvalue of a real matrix with imaginary part exactly 0, so an odd-M level
@@ -55,6 +62,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .model import ModelParams, _check, k_index
 from .polyengine import EnergyPolynomial, divide_exact, matching_distance, mul
@@ -72,6 +80,18 @@ _N_EXTRA = 4
 # Most matrix entries stacked into one eigvals call: it bounds the memory a
 # long sweep adds on top of its output rows.
 _STACK_ENTRIES = 1 << 16
+
+# The LAPACK geev gufunc behind numpy.linalg.eigvals: at these block sizes
+# the wrapper's checks and casts cost several times the solve.  Signature
+# "d->D" (real odd-M blocks) or "D->D" (the complex even-M block); both
+# return complex eigenvalues.
+_geev = _umath_linalg.eigvals
+
+
+def _raise_nonconvergence(err, flag):
+    """errstate call handler: geev flags a block that did not converge as
+    invalid and returns NaN eigenvalues for it."""
+    raise LinAlgError("Eigenvalues did not converge")
 
 
 @dataclass(frozen=True)
@@ -186,29 +206,40 @@ def _eigvals(M: int, zetas, labels) -> dict:
     """{label: eigenvalues of that sector block for each zeta in zetas, one
     list of (E, is_real) pairs per coupling}, each level classified here and
     only here.  Each sector of a chunk of at most _STACK_ENTRIES matrix
-    entries is one stacked eigvals call.  An even-M level with Im E == 0
-    stands in for its own conjugate, so no -0 reaches the output."""
+    entries is one stacked _geev call.  An even-M level with Im E == 0
+    stands in for its own conjugate, so no -0 reaches the output.
+
+    _geev skips numpy.linalg.eigvals' finiteness check: every caller hands it
+    finite blocks, since level_rows refuses non-finite and overflowing
+    couplings before any solve and critical_coupling probes only
+    zeta^2 in (0, 1/2].  The errstate keeps the wrapper's other guarantee:
+    a block that does not converge raises LinAlgError, never a warning or a
+    NaN level."""
     C, S = _pencil(M)
     sizes = _sectors(M)
+    signature = "d->D" if M % 2 else "D->D"
     zeta = np.abs(np.asarray(zetas, dtype=float)).reshape(-1, 1, 1)
     out = {label: [] for label in labels}
     per = max(1, _STACK_ENTRIES // C.size)
-    for i in range(0, len(zeta), per):
-        z = zeta[i : i + per]
-        T = C + np.square(z) * S  # np.square(z) as ModelParams.zeta2
-        if M % 2 == 0:
-            T = T.astype(complex)
-            T.imag[:, 0, 0] = 2 * len(C) * z[:, 0, 0]  # i sqrt(-a_k) = 2i k |zeta|
-        for label, values in out.items():
-            size = sizes[label]
-            rows = np.linalg.eigvals(T[:, :size, :size]).astype(complex, copy=False).tolist()
-            if M % 2:
-                values.extend([(E, E.imag == 0.0) for E in row] for row in rows)
-            else:
-                values.extend(
-                    [(F, free) for E in row for F in (E, E.conjugate() if E.imag else E)]
-                    for row, free in zip(rows, (z[:, 0, 0] == 0.0).tolist())
-                )
+    # the wrapper's settings: geev may leave the other flags raised next to
+    # invalid, and a warning for them would come before the LinAlgError
+    with np.errstate(call=_raise_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        for i in range(0, len(zeta), per):
+            z = zeta[i : i + per]
+            T = C + np.square(z) * S  # np.square(z) as ModelParams.zeta2
+            if M % 2 == 0:
+                T = T.astype(complex)
+                T.imag[:, 0, 0] = 2 * len(C) * z[:, 0, 0]  # i sqrt(-a_k) = 2i k |zeta|
+            for label, values in out.items():
+                size = sizes[label]
+                rows = _geev(T[:, :size, :size], signature=signature).tolist()
+                if M % 2:
+                    values.extend([(E, E.imag == 0.0) for E in row] for row in rows)
+                else:
+                    values.extend(
+                        [(F, free) for E in row for F in (E, E.conjugate() if E.imag else E)]
+                        for row, free in zip(rows, (z[:, 0, 0] == 0.0).tolist())
+                    )
     return out
 
 
@@ -263,10 +294,11 @@ def critical_coupling(M: int, tol: float = 1e-10) -> CriticalCoupling:
     Bisection on "an E_P level has Im E != 0" then narrows the bracket.
     That test flips slightly off the merger, so the result is good to
     4.4e-16 to 6.2e-14 relative for M = 3..15; a smaller tol only stops at
-    adjacent doubles.  M = 1 has no finite critical coupling."""
+    adjacent doubles.  tol must be positive and finite.  M = 1 has no
+    finite critical coupling."""
     k_index(M)  # validates odd positive M
-    if not (tol > 0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not (0 < tol < math.inf):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if M == 1:
         return CriticalCoupling(M=M, zeta_c_squared=math.inf)
 

@@ -1,14 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import ptqes.cli
 import ptqes.spectra
 from ptqes.duality import dual_level_rows
 from ptqes.model import ModelParams
 from ptqes.polyengine import evaluate, matching_distance, to_variable
 from ptqes.recursion import build_P, build_Q, recurrence_a, recurrence_b
 from ptqes.spectra import (
+    _STACK_ENTRIES,
+    _eigvals,
+    _sectors,
     check_factorization,
     critical_coupling,
     critical_polynomials,
@@ -149,6 +154,14 @@ def test_critical_coupling_validation():
         critical_coupling(4)
     with pytest.raises(ValueError):
         critical_coupling(3, tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -math.inf])
+def test_critical_coupling_refuses_non_finite_tol(tol):
+    # tol=inf once skipped the bisection and returned the scan bracket's
+    # midpoint, 0.25125 at M = 3
+    with pytest.raises(ValueError, match="positive and finite"):
+        critical_coupling(3, tol=tol)
 
 
 def test_critical_coupling_in_scan_window():
@@ -383,3 +396,81 @@ def test_pencil_is_the_recursion_block():
         C[0, 0] = 0.0
     with pytest.raises(ValueError):
         S[0, 0] = 0.0
+
+
+def _public_eigvals(M, zeta, label):
+    """np.linalg.eigvals of one sector block at one coupling, the block built
+    as _eigvals builds it."""
+    C, S = _pencil(M)
+    T = C + np.square(abs(zeta)) * S
+    if M % 2 == 0:
+        T = T.astype(complex)
+        T.imag[0, 0] = 2 * len(C) * abs(zeta)
+    size = _sectors(M)[label]
+    return np.linalg.eigvals(T[:size, :size]).astype(complex)
+
+
+def _assert_kernel_matches_public(M, zetas):
+    for label, values in _eigvals(M, zetas, _sectors(M)).items():
+        assert len(values) == len(zetas)
+        for zeta, row in zip(zetas, values):
+            # an even-M row interleaves each eigenvalue with its conjugate
+            ours = np.array([E for E, _ in (row if M % 2 else row[0::2])], dtype=complex)
+            public = _public_eigvals(M, zeta, label)
+            assert np.array_equal(ours.view(np.uint64), public.view(np.uint64)), (M, zeta, label)
+
+
+@pytest.mark.parametrize("M", range(1, 42))
+def test_kernel_matches_public_eigvals_bit_for_bit(M):
+    # _eigvals calls the private gufunc behind np.linalg.eigvals; a numpy
+    # release that changes it fails here rather than shifting levels
+    zc2 = critical_coupling(max(3, M | 1)).zeta_c_squared
+    z2s = (0.0, 1e-12, zc2 * (1 - 1e-6), zc2 * (1 + 1e-6), 1e6)
+    _assert_kernel_matches_public(M, [math.sqrt(z2) for z2 in z2s])
+
+
+@pytest.mark.parametrize("M", [40, 41])
+def test_kernel_matches_public_eigvals_across_stack_chunks(M):
+    zetas = [math.sqrt(z2) for z2 in np.linspace(0.0, 0.05, 2 * (_STACK_ENTRIES // _pencil(M)[0].size) + 3)]
+    _assert_kernel_matches_public(M, zetas)
+
+
+def _unconverged(a, signature):
+    """Stands in for geev on blocks that do not converge: NaN eigenvalues and
+    numpy's invalid flag, as the real kernel reports it."""
+    return np.multiply(np.full(a.shape[:-1], np.inf), 0.0).astype(complex)
+
+
+def test_unconverged_stand_in_raises_the_invalid_flag():
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        _unconverged(np.eye(2)[None], "d->D")
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: level_rows(3, [0.1, 0.2]),
+        lambda: level_rows(4, [0.1]),
+        lambda: qes_spectrum(ModelParams(M=5, zeta=0.1)),
+        lambda: critical_coupling(5),
+    ],
+    ids=["level_rows-odd", "level_rows-even", "qes_spectrum", "critical_coupling"],
+)
+def test_non_convergence_raises_linalgerror(monkeypatch, solve):
+    monkeypatch.setattr(ptqes.spectra, "_geev", _unconverged)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            solve()
+    assert caught == []
+
+
+def test_non_convergence_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(ptqes.spectra, "_geev", _unconverged)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert ptqes.cli.main(["spectrum", "--M", "3", "--zeta2", "0.01"]) == ptqes.cli.EXIT_NUMERICAL == 3
+    assert caught == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "did not converge" in err
