@@ -31,6 +31,7 @@ from .recursion import (
     build_Q,
     build_R,
     build_Rbar,
+    build_bar,
     recurrence_a,
     recurrence_b,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "build_Q",
     "build_R",
     "build_Rbar",
+    "build_bar",
     "recurrence_a",
     "recurrence_b",
     "CriticalCoupling",

@@ -32,6 +32,7 @@ recursion tails (pq_norms); those are genuinely complex and are exposed for
 inspection only.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -87,6 +88,7 @@ def weights(params: ModelParams) -> WeightTable:
     A support point off by eps(1 + |E_k|) moves omega_k by about
     |omega_k| times that over the gap delta_k to its nearest neighbour, so
     the weights are refused when that exceeds WEIGHT_RTOL of the largest.
+    ValueError, naming zeta^2, when a weight or a Gram norm is not finite.
     """
     M = params.M
     support = qes_spectrum(params).energies
@@ -100,9 +102,11 @@ def weights(params: ModelParams) -> WeightTable:
     if min(gaps) == 0.0:
         raise DegenerateSpectrumError("two support points coincide")
     omega = [1.0 / sum(v * v / h for v, h in zip(family_values("R", params, E, M), gamma)) for E in support]
+    if not all(map(cmath.isfinite, omega)):
+        raise ValueError(f"a weight is not finite at zeta^2={params.zeta2!r}: the Christoffel sum overflows")
     scale = max(abs(w) for w in omega)
     for E, w, gap in zip(support, omega, gaps):
-        if _EPS * (1.0 + abs(E)) * abs(w) / (gap * scale) > WEIGHT_RTOL:
+        if not _EPS * (1.0 + abs(E)) * abs(w) / (gap * scale) <= WEIGHT_RTOL:  # NaN fails too
             raise DegenerateSpectrumError(
                 f"support point {E:.12g} is {gap:.1e} from its neighbour: its weight "
                 f"cannot be resolved to {WEIGHT_RTOL:.0e} of the largest"

@@ -34,9 +34,6 @@ from .spectra import qes_spectrum
 GOLDEN_PATH_ENV = "QES_GOLDEN_PATH"
 
 _DEFAULT_CELL_TOL = 1e-6
-# One golden cell is printed with fewer digits than the rest and carries its
-# own tolerance.
-_SHORT_CELL_TOL = {("III", 0.025, "E_Q", 3): 5e-7}
 
 _TABLE_M = {"I": 5, "II": 7, "III": 9}
 
@@ -323,7 +320,6 @@ def reproduce_tables(table: str) -> TableReport:
                 raise ValueError(f"golden row {g} names no level: M={M} has {len(levels)} {g.label} levels")
             computed = levels[g.rank]
             err = abs(computed - g.energy)
-            tol = _SHORT_CELL_TOL.get((g.table, g.zeta2, g.label, g.rank), _DEFAULT_CELL_TOL)
             cells.append(
                 CellComparison(
                     M=g.M,
@@ -333,8 +329,8 @@ def reproduce_tables(table: str) -> TableReport:
                     expected=g.energy,
                     computed=computed.real,
                     abs_err=err,
-                    tol=tol,
-                    passed=err <= tol,
+                    tol=_DEFAULT_CELL_TOL,
+                    passed=err <= _DEFAULT_CELL_TOL,
                 )
             )
     return TableReport(table=table, cells=tuple(cells))

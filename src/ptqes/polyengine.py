@@ -62,32 +62,6 @@ def mul(p: EnergyPolynomial, q: EnergyPolynomial) -> EnergyPolynomial:
     return EnergyPolynomial(tuple(out), variable=p.variable)
 
 
-def divide_exact(p: EnergyPolynomial, d: EnergyPolynomial):
-    """Synthetic division p = q*d + r for monic d.
-
-    Returns (q, remainder_norm) with remainder_norm the max remainder
-    coefficient modulus relative to the max coefficient modulus of p.  The
-    caller decides whether the remainder is small enough to call the
-    division exact.
-    """
-    if p.variable != d.variable:
-        raise ValueError(f"variable mismatch: {p.variable!r} / {d.variable!r}")
-    nd = d.degree
-    if nd > p.degree:
-        raise ValueError("divisor degree exceeds dividend degree")
-    rem = [complex(c) for c in p.coeffs]
-    quot = [0j] * (p.degree - nd + 1)
-    for i in range(p.degree - nd, -1, -1):
-        c = rem[i + nd]
-        quot[i] = c
-        for j in range(nd):
-            rem[i + j] -= c * d.coeffs[j]
-        rem[i + nd] = 0j
-    scale = max(abs(c) for c in p.coeffs)
-    rem_norm = max((abs(c) for c in rem[:nd]), default=0.0) / scale
-    return EnergyPolynomial(tuple(quot), variable=p.variable), rem_norm
-
-
 def matching_distance(a, b) -> float:
     """Max pair distance of a greedy closest-first matching of two multisets.
 

@@ -20,17 +20,20 @@ R, with lin_n = -b_{n-1} and tail_n = a_{n-1}, that is
   a_n = -4 n (M - n) zeta^2,
   b_n = 4 n (M - 1 - n) + 2M - 1 - zeta^2.
 
-a_M vanishes identically, so R_{M+n} = R_M * Rbar_n with the tail family
-Rbar taking R's step at index M + n.
+Each tail vanishes at n = b + 1, b the truncation index: M for R (a_M = 0)
+and, for odd M = 2k + 1, k + 1 for P and k for Q.  So F_{b+n} = F_b * Fbar_n,
+the cofactor family Fbar (Pbar, Qbar, Rbar) being F's step read at b + n.
 
 Each step table is read by three routines: the coefficient builders
-(build_P, build_Q, build_R, build_Rbar), family_values (the recursion run at
+(build_P, build_Q, build_R, build_bar), family_values (the recursion run at
 one point E) and family_norms (the Gram diagonals h_n = tail_2 ... tail_{n+1}).
 """
 
+import cmath
+
 import numpy as np
 
-from .model import ModelParams
+from .model import ModelParams, k_index
 from .polyengine import EnergyPolynomial
 
 
@@ -45,7 +48,7 @@ def recurrence_b(n: int, params: ModelParams) -> float:
 
 def _p_step(params: ModelParams):
     M, zeta = params.M, params.zeta
-    sq = (M - 1j * zeta) ** 2
+    sq = (M - 1j * zeta) * (M - 1j * zeta)  # a product overflows to inf; ** raises
     return lambda n: (
         4 * (n - 1) ** 2 - 8j * n * zeta + 6j * zeta - sq,
         8j * zeta * (n - 1) * (2 * n - 3) * (M + 3 - 2 * n),
@@ -54,28 +57,30 @@ def _p_step(params: ModelParams):
 
 def _q_step(params: ModelParams):
     M, zeta = params.M, params.zeta
-    sq = (M - 1j * zeta) ** 2
+    sq = (M - 1j * zeta) * (M - 1j * zeta)
     return lambda n: (
         4 * n * n - 8j * n * zeta + 2j * zeta - sq,
         8j * zeta * (n - 1) * (2 * n - 1) * (M + 1 - 2 * n),
     )
 
 
-def _r_step(params: ModelParams, shift: int = 0):
-    return lambda n: (-recurrence_b(shift + n - 1, params), recurrence_a(shift + n - 1, params))
+def _r_step(params: ModelParams):
+    return lambda n: (-recurrence_b(n - 1, params), recurrence_a(n - 1, params))
 
 
-def _rbar_step(params: ModelParams):
-    return _r_step(params, shift=params.M)
-
-
-_STEPS = {"P": _p_step, "Q": _q_step, "R": _r_step, "Rbar": _rbar_step}
+_STEPS = {"P": _p_step, "Q": _q_step, "R": _r_step}
 
 
 def _step(family: str, params: ModelParams):
-    if family not in _STEPS:
-        raise ValueError(f"family must be one of {', '.join(_STEPS)}, got {family!r}")
-    return _STEPS[family](params)
+    """n -> (lin_n, tail_n); Fbar reads F's step at b + n (odd M for P, Q)."""
+    base = family.removesuffix("bar")
+    if base not in _STEPS:
+        raise ValueError(f"family must be P, Q, R, Pbar, Qbar or Rbar, got {family!r}")
+    step = _STEPS[base](params)
+    if base == family:
+        return step
+    b = params.M if base == "R" else k_index(params.M) + (base == "P")
+    return lambda n: step(b + n)
 
 
 def _build(family: str, params: ModelParams, n_max: int):
@@ -114,9 +119,15 @@ def build_R(params: ModelParams, n_max: int):
     return _build("R", params, n_max)
 
 
+def build_bar(family: str, params: ModelParams, n_max: int):
+    """Cofactor Fbar_0 .. Fbar_{n_max} of F = "P", "Q" or "R" (P and Q need
+    odd M): F_{b+n} = F_b * Fbar_n at the truncation index b."""
+    return _build(f"{family}bar", params, n_max)
+
+
 def build_Rbar(params: ModelParams, n_max: int):
-    """Tail family Rbar_0 .. Rbar_{n_max} from the index-shifted recursion."""
-    return _build("Rbar", params, n_max)
+    """Rbar_0 .. Rbar_{n_max}, the cofactor of R_M: build_bar("R", ...)."""
+    return build_bar("R", params, n_max)
 
 
 def family_values(family: str, params: ModelParams, E: complex, count: int) -> list:
@@ -134,11 +145,13 @@ def family_values(family: str, params: ModelParams, E: complex, count: int) -> l
 def family_norms(family: str, params: ModelParams, count: int) -> list:
     """Gram diagonals h_0 .. h_{count-1}, h_n = tail_2 ... tail_{n+1}.
 
-    h_0 = 1 is always returned, also for count < 1.  For R these are
-    gamma_n = a_1 ... a_n, exactly 0 from n = M on.
+    h_0 = 1 is always returned, also for count < 1; an h_n that overflows
+    raises ValueError.  For R, h_n = gamma_n = a_1 ... a_n, 0 from n = M on.
     """
     step = _step(family, params)
     out = [1.0]
     for n in range(1, count):
         out.append(out[-1] * step(n + 1)[1])
+        if not cmath.isfinite(out[-1]):
+            raise ValueError(f"{family} Gram norm h_{n} is not finite at zeta^2={params.zeta2!r}")
     return out

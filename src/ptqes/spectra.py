@@ -65,14 +65,14 @@ import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .model import ModelParams, _check, k_index
-from .polyengine import EnergyPolynomial, divide_exact, matching_distance, mul
-from .recursion import build_P, build_Q, build_R, build_Rbar, recurrence_a, recurrence_b
+from .polyengine import EnergyPolynomial, matching_distance, mul
+from .recursion import build_bar, build_P, build_Q, build_R, recurrence_a, recurrence_b
 
 # Two levels closer than this (relative) are reported as degenerate.
 DEGENERACY_RTOL = 1e-6
 
 # Largest truncation-identity deviation verify_factorization accepts.
-_FACTORIZATION_TOL = 1e-9
+_FACTORIZATION_TOL = 1e-12
 
 # check_factorization checks each identity for n = 1.._N_EXTRA.
 _N_EXTRA = 4
@@ -350,37 +350,28 @@ def _coeff_distance(p: EnergyPolynomial, q: EnergyPolynomial) -> float:
 
 
 def check_factorization(params: ModelParams) -> FactorizationReport:
-    """Deviations for the truncation identities of the three families.
+    """Coefficient distances of the truncation identities, each checked as
+    a product, for n = 1.._N_EXTRA with the cofactors from build_bar:
 
-    Checked, with n running to _N_EXTRA where applicable:
-      R_{2k+1} = P_{k+1} * Q_k          (odd M, coefficient distance)
-      R_{M+n}  = R_M * Rbar_n           (any M, division remainder and the
-                                         quotient against the Rbar recursion)
-      P_{k+n+1} = P_{k+1} * Pbar_n      (odd M, division remainder)
-      Q_{k+n}   = Q_k * Qbar_n          (odd M, division remainder)
+      R_{2k+1}  = P_{k+1} * Q_k        (odd M)
+      R_{M+n}   = R_M * Rbar_n
+      P_{k+1+n} = P_{k+1} * Pbar_n     (odd M)
+      Q_{k+n}   = Q_k * Qbar_n         (odd M)
     """
-    checks = []
     M = params.M
     r_fam = build_R(params, M + _N_EXTRA)
-    rbar_fam = build_Rbar(params, _N_EXTRA)
-
+    identities = [("R = R_M*Rbar", "R", r_fam, M)]
+    checks = []
     if M % 2 == 1:
         k = k_index(M)
         p_fam = build_P(params, k + 1 + _N_EXTRA)
         q_fam = build_Q(params, k + _N_EXTRA)
-        prod = mul(p_fam[k + 1], q_fam[k])
-        checks.append(FactorizationCheck("R = P*Q", M, _coeff_distance(r_fam[M], prod)))
+        checks.append(FactorizationCheck("R = P*Q", M, _coeff_distance(r_fam[M], mul(p_fam[k + 1], q_fam[k]))))
+        identities += [("P = P_crit*Pbar", "P", p_fam, k + 1), ("Q = Q_crit*Qbar", "Q", q_fam, k)]
+    for identity, family, fam, b in identities:
+        bar = build_bar(family, params, _N_EXTRA)
         for n in range(1, _N_EXTRA + 1):
-            _, rem = divide_exact(p_fam[k + 1 + n], p_fam[k + 1])
-            checks.append(FactorizationCheck("P = P_crit*Pbar", n, rem))
-            _, rem = divide_exact(q_fam[k + n], q_fam[k])
-            checks.append(FactorizationCheck("Q = Q_crit*Qbar", n, rem))
-
-    for n in range(1, _N_EXTRA + 1):
-        quot, rem = divide_exact(r_fam[M + n], r_fam[M])
-        checks.append(FactorizationCheck("R = R_M*Rbar", n, rem))
-        checks.append(FactorizationCheck("Rbar quotient", n, _coeff_distance(rbar_fam[n], quot)))
-
+            checks.append(FactorizationCheck(identity, n, _coeff_distance(fam[b + n], mul(fam[b], bar[n]))))
     return FactorizationReport(params=params, checks=tuple(checks))
 
 
@@ -388,7 +379,7 @@ def verify_factorization() -> list:
     """verify --suite factorization: the largest check_factorization
     deviation over zeta^2 in {0.005, 0.02}, one check per M."""
     checks = []
-    for m in (1, 2, 3, 4, 5, 7):
+    for m in (1, 2, 3, 4, 5, 7, 21, 41):
         worst = 0.0
         for z2 in (0.005, 0.02):
             report = check_factorization(ModelParams(M=m, zeta=math.sqrt(z2)))

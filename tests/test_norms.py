@@ -115,3 +115,28 @@ def test_pq_norms_m5():
     assert got_q == pytest.approx([1.0, 4.8j], rel=1e-13)
     with pytest.raises(ValueError):
         pq_norms(p, "R")
+
+
+@pytest.mark.parametrize("M, zeta", [(21, 1e6), (15, 1e8)])
+def test_overflowing_weights_are_refused(M, zeta):
+    # gamma is finite here, but R_n(E_k)^2 overflows and every weight is
+    # nan+nanj, which a guard written as "> WEIGHT_RTOL" would not catch
+    params = ModelParams(M=M, zeta=zeta)
+    assert all(math.isfinite(norm(n, params)) for n in range(M + 1))
+    with pytest.raises(ValueError, match=r"weight is not finite at zeta\^2="):
+        weights(params)
+
+
+@pytest.mark.parametrize(
+    "call, member",
+    [
+        (lambda: norm(1, ModelParams(M=3, zeta=1e200)), "R Gram norm h_1"),
+        (lambda: norm(40, ModelParams(M=41, zeta=1e40)), "R Gram norm h_4"),
+        (lambda: weights(ModelParams(M=3, zeta=1e100)), "R Gram norm h_2"),
+        (lambda: pq_norms(ModelParams(M=41, zeta=1e155), "P"), "P Gram norm h_2"),
+        (lambda: pq_norms(ModelParams(M=41, zeta=1e155), "Q"), "Q Gram norm h_2"),
+    ],
+)
+def test_overflowing_gram_norms_are_refused(call, member):
+    with pytest.raises(ValueError, match=rf"{member} is not finite at zeta\^2="):
+        call()

@@ -7,7 +7,6 @@ from ptqes.polyengine import (
     EnergyPolynomial,
     backward_error,
     evaluate,
-    divide_exact,
     matching_distance,
     mul,
     taylor_shift,
@@ -37,18 +36,6 @@ def test_evaluate_and_mul():
     assert mul(a, b).coeffs == p.coeffs
     with pytest.raises(ValueError):
         mul(a, EnergyPolynomial((2.0, 1.0), variable="calE"))
-
-
-def test_divide_exact():
-    p = mul(EnergyPolynomial((1.0, 1.0)), EnergyPolynomial((2.0, 1.0)))
-    q, rem = divide_exact(p, EnergyPolynomial((1.0, 1.0)))
-    assert rem == 0.0
-    assert q.coeffs == (2.0, 1.0)
-    # E^2 + 1 does not factor through E + 1; remainder is |p(-1)| = 2
-    _, rem = divide_exact(EnergyPolynomial((1.0, 0.0, 1.0)), EnergyPolynomial((1.0, 1.0)))
-    assert rem > 0.5
-    with pytest.raises(ValueError):
-        divide_exact(EnergyPolynomial((1.0, 1.0)), p)
 
 
 def test_backward_error():

@@ -4,7 +4,9 @@ import pytest
 
 from ptqes.model import ModelParams
 from ptqes.polyengine import evaluate
+from ptqes.polyengine import mul
 from ptqes.recursion import (
+    build_bar,
     build_P,
     build_Q,
     build_R,
@@ -69,6 +71,30 @@ def test_overflowing_coefficient_is_refused():
     with pytest.raises(ValueError, match=r"R_4 .*zeta\^2=1\.0+2e\+100"):
         build_R(ModelParams(M=5, zeta=1e50), 5)
     assert len(build_R(ModelParams(M=5, zeta=1e10), 5)) == 6
+
+
+@pytest.mark.parametrize("build", [build_P, build_Q])
+@pytest.mark.parametrize("zeta", [1.3e154, 1e155, -1e200])
+def test_overflowing_sector_constant_is_refused(build, zeta):
+    # (M - i zeta)^2 overflows: the error names the member and zeta^2
+    with pytest.raises(ValueError, match=r"[PQ]_[12] has a non-finite coefficient at zeta\^2="):
+        build(ModelParams(M=3, zeta=zeta), 2)
+
+
+def test_build_bar_is_the_cofactor_of_the_truncating_member():
+    # F_{b+n} = F_b * Fbar_n with b = k + 1 (P), k (Q), M (R); M = 5, k = 2
+    p = ModelParams(M=5, zeta=0.3)
+    for build, family, b in [(build_P, "P", 3), (build_Q, "Q", 2), (build_R, "R", 5)]:
+        fam, bar = build(p, b + 3), build_bar(family, p, 3)
+        for n in range(4):
+            got, want = mul(fam[b], bar[n]).coeffs, fam[b + n].coeffs
+            assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-13 * max(map(abs, want))
+    assert build_bar("R", p, 4) == build_Rbar(p, 4)
+    for family in ("Pbar", "S"):
+        with pytest.raises(ValueError, match="family must be"):
+            build_bar(family, p, 2)
+    with pytest.raises(ValueError, match="odd positive M"):
+        build_bar("P", ModelParams(M=4, zeta=0.3), 2)
 
 
 def test_family_metadata():

@@ -1,10 +1,12 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 import ptqes.cli
+import ptqes.recursion
 import ptqes.spectra
 from ptqes.duality import dual_level_rows
 from ptqes.model import ModelParams
@@ -217,14 +219,75 @@ def test_factorization_m3():
     report = check_factorization(ModelParams(M=3, zeta=math.sqrt(0.02)))
     assert report.max_deviation < 1e-12
     names = {c.identity for c in report.checks}
-    assert names == {"R = P*Q", "P = P_crit*Pbar", "Q = Q_crit*Qbar", "R = R_M*Rbar", "Rbar quotient"}
+    assert names == {"R = P*Q", "P = P_crit*Pbar", "Q = Q_crit*Qbar", "R = R_M*Rbar"}
 
 
 def test_factorization_even_m():
     report = check_factorization(ModelParams(M=4, zeta=math.sqrt(0.02)))
     assert report.max_deviation < 1e-12
     names = {c.identity for c in report.checks}
-    assert names == {"R = R_M*Rbar", "Rbar quotient"}
+    assert names == {"R = R_M*Rbar"}
+
+
+@pytest.mark.parametrize("M", range(1, 62))
+def test_factorization_holds_to_rounding_up_to_m61(M):
+    # Each identity is checked as a product, so the check reads only the
+    # rounding of the builders and of one convolution.
+    for z2 in (1e-4, 1e-3, 0.005, 0.02, 0.1, 1, 10, 100):
+        assert check_factorization(ModelParams(M=M, zeta=math.sqrt(z2))).max_deviation <= 1e-12
+
+
+@pytest.mark.parametrize("M", [3, 7, 21])
+def test_factorization_sees_a_perturbed_truncating_tail(M, monkeypatch):
+    # P's tail vanishes at n = k + 2 through the factor M + 3 - 2n; offset
+    # that factor by 1e-6 there, so P_{k+1} no longer divides P_{k+1+n}.
+    exact = ptqes.recursion._p_step
+
+    def perturbed(params):
+        step = exact(params)
+
+        def at(n):
+            lin, tail = step(n)
+            if n == M // 2 + 2:
+                tail = 8j * params.zeta * (n - 1) * (2 * n - 3) * 1e-6
+            return lin, tail
+
+        return at
+
+    monkeypatch.setitem(ptqes.recursion._STEPS, "P", perturbed)
+    report = check_factorization(ModelParams(M=M, zeta=math.sqrt(0.02)))
+    p_checks = [c.deviation for c in report.checks if c.identity == "P = P_crit*Pbar"]
+    others = [c.deviation for c in report.checks if c.identity != "P = P_crit*Pbar"]
+    assert max(p_checks) >= 1e-8
+    assert max(others) <= 1e-12
+
+
+def test_even_m_imaginary_parts_are_absolute_not_relative():
+    # README, Accuracy notes.  The reference is a 100-digit mpmath eig of the
+    # same E_R block: rows and columns k..M-1 of T, with 2i k zeta added to
+    # its first diagonal entry, from the same double zeta.  At M = 24, g = 10
+    # the smallest true |Im E| is 1.8e-35, far below eps |E|, and the library
+    # prints rounding there (-7.7e-23), yet every level, its imaginary part
+    # included, is within 1e-12 |E| (measured 1.1e-13) and none is real.
+    M, k = 24, 12
+    zeta = 10 / M
+    with mpmath.workdps(100):
+        z = mpmath.mpf(zeta)
+        block = mpmath.matrix(k, k)
+        for i, n in enumerate(range(k, M)):
+            block[i, i] = 4 * n * (M - 1 - n) + 2 * M - 1 - z * z
+            if i:
+                block[i, i - 1], block[i - 1, i] = -4 * n * (M - n) * z * z, 1
+        block[0, 0] += 2j * k * z
+        half = mpmath.eig(block, left=False, right=False)
+        ref = [complex(e) for e in half] + [complex(mpmath.conj(e)) for e in half]
+        tiny = min(abs(mpmath.im(e)) for e in half)
+    spec = qes_spectrum(ModelParams(M=M, zeta=zeta))
+    assert not any(lvl.is_real for lvl in spec.levels)
+    for E in spec.energies:
+        nearest = min(ref, key=lambda R: abs(R - E))
+        assert abs(nearest - E) <= 1e-12 * abs(E)
+    assert tiny < 1e-30
 
 
 def test_even_m_pairing_quick():
