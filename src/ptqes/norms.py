@@ -22,10 +22,14 @@ closed-form solution (Christoffel numbers; Golub & Welsch, Math. Comp. 1969)
 
     omega_k = 1 / sum_{n<M} R_n(E_k)^2 / gamma_n,
 
-with R_n(E_k) run by the recursion at E_k (recursion.family_values, never
-through expanded coefficients) and E_k the levels of spectra.qes_spectrum.
-For odd M below the critical coupling the levels are exactly real, and so
-are the weights.
+with E_k the levels of spectra.level_rows and R_n(E_k) run by the
+recursion at E_k, never through expanded coefficients.  weights reads one R
+step table (recursion.step_table) for both the gamma_n and the R_n(E_k),
+runs the recursion once per support point, and carries the M x M values
+R_n(E_k) on the WeightTable, so gram_matrix is one matrix product over
+them.  The j = 0 row, sum_k omega_k = 1, is checked on every table.  For
+odd M below the critical coupling the levels are exactly real, and so are
+the weights.
 
 The complex P and Q families have as norms the products of their own
 recursion tails (pq_norms); those are genuinely complex and are exposed for
@@ -34,16 +38,17 @@ inspection only.
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import ModelParams, _check, k_index
-from .recursion import family_norms, family_values
-from .spectra import qes_spectrum
+from .recursion import _diagonals, _values, family_norms, step_table
+from .spectra import level_rows
 
 # Weights are refused when the rounding of their support points can move
-# them by more than this fraction of the largest weight.
+# them by more than this fraction of the largest weight, or when their sum
+# is further than this from 1.
 WEIGHT_RTOL = 1e-8
 
 _EPS = float(np.finfo(float).eps)
@@ -69,12 +74,14 @@ def norm(n: int, params: ModelParams) -> float:
 
 @dataclass(frozen=True)
 class WeightTable:
-    """Support points, weights and norms of the discrete R functional."""
+    """Support points, weights and norms of the discrete R functional, and
+    the read-only values[k, n] = R_n(E_k), n < M, that weights computed."""
 
     params: ModelParams
     energies: tuple
     weights: tuple
     gamma: tuple  # gamma_0 .. gamma_M
+    values: np.ndarray = field(repr=False, compare=False)
 
     @property
     def max_weight_imag(self) -> float:
@@ -88,11 +95,14 @@ def weights(params: ModelParams) -> WeightTable:
     A support point off by eps(1 + |E_k|) moves omega_k by about
     |omega_k| times that over the gap delta_k to its nearest neighbour, so
     the weights are refused when that exceeds WEIGHT_RTOL of the largest.
-    ValueError, naming zeta^2, when a weight or a Gram norm is not finite.
+    ValueError, naming zeta^2, when a weight or a Gram norm is not finite,
+    or when the weights miss their own j = 0 equation, sum_k omega_k = 1,
+    by more than WEIGHT_RTOL.
     """
     M = params.M
-    support = qes_spectrum(params).energies
-    gamma = tuple(family_norms("R", params, M + 1))
+    support = tuple(E for E, _, _ in level_rows(M, [params.zeta])[0])
+    steps = step_table("R", params, M + 2)  # tail_{M+1} = a_M closes gamma
+    gamma = tuple(_diagonals("R", params, steps))
     if not all(gamma[:M]):
         raise DegenerateSpectrumError("a Gram diagonal entry vanishes (zeta = 0)")
     gaps = [
@@ -101,7 +111,9 @@ def weights(params: ModelParams) -> WeightTable:
     ]
     if min(gaps) == 0.0:
         raise DegenerateSpectrumError("two support points coincide")
-    omega = [1.0 / sum(v * v / h for v, h in zip(family_values("R", params, E, M), gamma)) for E in support]
+    head = steps[: M - 1]
+    values = [_values(head, E) for E in support]
+    omega = [1.0 / sum(v * v / h for v, h in zip(row, gamma)) for row in values]
     if not all(map(cmath.isfinite, omega)):
         raise ValueError(f"a weight is not finite at zeta^2={params.zeta2!r}: the Christoffel sum overflows")
     scale = max(abs(w) for w in omega)
@@ -111,18 +123,21 @@ def weights(params: ModelParams) -> WeightTable:
                 f"support point {E:.12g} is {gap:.1e} from its neighbour: its weight "
                 f"cannot be resolved to {WEIGHT_RTOL:.0e} of the largest"
             )
-    return WeightTable(params=params, energies=support, weights=tuple(omega), gamma=gamma)
+    total = sum(omega)
+    if not abs(total - 1.0) <= WEIGHT_RTOL:
+        raise ValueError(
+            f"the weights sum to {total:.10g}, not 1 within {WEIGHT_RTOL:.0e}, at zeta^2={params.zeta2!r}"
+        )
+    vals = np.array(values, dtype=complex)
+    vals.flags.writeable = False
+    return WeightTable(params=params, energies=support, weights=tuple(omega), gamma=gamma, values=vals)
 
 
 def gram_matrix(table: WeightTable) -> np.ndarray:
-    """G[i, j] = sum_k omega_k R_i(E_k) R_j(E_k) for i, j < M."""
-    # vals[k, j] = R_j(E_k)
-    vals = np.array(
-        [family_values("R", table.params, E, table.params.M) for E in table.energies],
-        dtype=complex,
-    )
+    """G[i, j] = sum_k omega_k R_i(E_k) R_j(E_k) for i, j < M, over the
+    values weights computed."""
     w = np.array(table.weights, dtype=complex)
-    return vals.T @ (w[:, None] * vals)
+    return table.values.T @ (w[:, None] * table.values)
 
 
 def pq_norms(params: ModelParams, family: str):

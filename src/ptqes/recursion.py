@@ -24,9 +24,14 @@ Each tail vanishes at n = b + 1, b the truncation index: M for R (a_M = 0)
 and, for odd M = 2k + 1, k + 1 for P and k for Q.  So F_{b+n} = F_b * Fbar_n,
 the cofactor family Fbar (Pbar, Qbar, Rbar) being F's step read at b + n.
 
-Each step table is read by three routines: the coefficient builders
-(build_P, build_Q, build_R, build_bar), family_values (the recursion run at
-one point E) and family_norms (the Gram diagonals h_n = tail_2 ... tail_{n+1}).
+The steps exist only as a table, step_table(family, params, count) =
+[(lin_n, tail_n), n = 1 .. count - 1], built once per call (Fbar's table is
+F's from n = b + 1 on; R's entries are the a_n, b_n expressions above, with
+the bits of recurrence_a and recurrence_b).  Every routine reads a table:
+the coefficient builders (build_P, build_Q, build_R, build_bar),
+family_values (the recursion run at one point E) and family_norms (the Gram
+diagonals h_n = tail_2 ... tail_{n+1}); norms.weights reads one R table for
+both its norms and its values at every support point.
 """
 
 import cmath
@@ -46,51 +51,55 @@ def recurrence_b(n: int, params: ModelParams) -> float:
     return 4.0 * n * (params.M - 1 - n) + 2.0 * params.M - 1.0 - params.zeta2
 
 
-def _p_step(params: ModelParams):
+def _p_table(params: ModelParams, ns) -> list:
     M, zeta = params.M, params.zeta
     sq = (M - 1j * zeta) * (M - 1j * zeta)  # a product overflows to inf; ** raises
-    return lambda n: (
-        4 * (n - 1) ** 2 - 8j * n * zeta + 6j * zeta - sq,
-        8j * zeta * (n - 1) * (2 * n - 3) * (M + 3 - 2 * n),
-    )
+    return [
+        (4 * (n - 1) ** 2 - 8j * n * zeta + 6j * zeta - sq, 8j * zeta * (n - 1) * (2 * n - 3) * (M + 3 - 2 * n))
+        for n in ns
+    ]
 
 
-def _q_step(params: ModelParams):
+def _q_table(params: ModelParams, ns) -> list:
     M, zeta = params.M, params.zeta
     sq = (M - 1j * zeta) * (M - 1j * zeta)
-    return lambda n: (
-        4 * n * n - 8j * n * zeta + 2j * zeta - sq,
-        8j * zeta * (n - 1) * (2 * n - 1) * (M + 1 - 2 * n),
-    )
+    return [
+        (4 * n * n - 8j * n * zeta + 2j * zeta - sq, 8j * zeta * (n - 1) * (2 * n - 1) * (M + 1 - 2 * n))
+        for n in ns
+    ]
 
 
-def _r_step(params: ModelParams):
-    return lambda n: (-recurrence_b(n - 1, params), recurrence_a(n - 1, params))
+def _r_table(params: ModelParams, ns) -> list:
+    # (-b_{n-1}, a_{n-1}) in the operations of recurrence_b and
+    # recurrence_a, so every entry has their bits
+    M, zeta2 = params.M, params.zeta2
+    return [
+        (-(4.0 * m * (M - 1 - m) + 2.0 * M - 1.0 - zeta2), -4.0 * m * (M - m) * zeta2)
+        for m in (n - 1 for n in ns)
+    ]
 
 
-_STEPS = {"P": _p_step, "Q": _q_step, "R": _r_step}
+_TABLES = {"P": _p_table, "Q": _q_table, "R": _r_table}
 
 
-def _step(family: str, params: ModelParams):
-    """n -> (lin_n, tail_n); Fbar reads F's step at b + n (odd M for P, Q)."""
+def step_table(family: str, params: ModelParams, count: int) -> list:
+    """[(lin_n, tail_n) for n = 1 .. count - 1]; Fbar reads F's steps at
+    b + n (P and Q need odd M)."""
     base = family.removesuffix("bar")
-    if base not in _STEPS:
+    if base not in _TABLES:
         raise ValueError(f"family must be P, Q, R, Pbar, Qbar or Rbar, got {family!r}")
-    step = _STEPS[base](params)
-    if base == family:
-        return step
-    b = params.M if base == "R" else k_index(params.M) + (base == "P")
-    return lambda n: step(b + n)
+    b = 0
+    if base != family:
+        b = params.M if base == "R" else k_index(params.M) + (base == "P")
+    return _TABLES[base](params, range(b + 1, b + count))
 
 
 def _build(family: str, params: ModelParams, n_max: int):
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    step = _step(family, params)
     arrays = [np.ones(1, dtype=complex)]
     with np.errstate(all="ignore"):
-        for n in range(1, n_max + 1):
-            lin, tail = step(n)
+        for n, (lin, tail) in enumerate(step_table(family, params, n_max + 1), 1):
             prev = arrays[-1]
             # ascending coefficients of (E + lin) * prev - tail * prev2
             out = np.zeros(n + 1, dtype=complex)
@@ -130,16 +139,30 @@ def build_Rbar(params: ModelParams, n_max: int):
     return build_bar("R", params, n_max)
 
 
-def family_values(family: str, params: ModelParams, E: complex, count: int) -> list:
-    """F_0(E) .. F_{count-1}(E), run by the recursion at E."""
-    step = _step(family, params)
+def _values(steps: list, E: complex) -> list:
+    """F_0(E) .. F_{len(steps)}(E), the recursion over a step table run at E."""
     cur, prev = 1.0 + 0j, 0j
     out = [cur]
-    for n in range(1, count):
-        lin, tail = step(n)
+    for lin, tail in steps:
         cur, prev = (E + lin) * cur - tail * prev, cur
         out.append(cur)
-    return out[:count]
+    return out
+
+
+def _diagonals(family: str, params: ModelParams, steps: list) -> list:
+    """h_0 .. h_{len(steps)-1} of F's step table, h_n = tail_2 ... tail_{n+1};
+    an h_n that overflows raises ValueError."""
+    out = [1.0]
+    for n, (_, tail) in enumerate(steps[1:], 1):
+        out.append(out[-1] * tail)
+        if not cmath.isfinite(out[-1]):
+            raise ValueError(f"{family} Gram norm h_{n} is not finite at zeta^2={params.zeta2!r}")
+    return out
+
+
+def family_values(family: str, params: ModelParams, E: complex, count: int) -> list:
+    """F_0(E) .. F_{count-1}(E), run by the recursion at E."""
+    return _values(step_table(family, params, count), E)[:count]
 
 
 def family_norms(family: str, params: ModelParams, count: int) -> list:
@@ -148,10 +171,4 @@ def family_norms(family: str, params: ModelParams, count: int) -> list:
     h_0 = 1 is always returned, also for count < 1; an h_n that overflows
     raises ValueError.  For R, h_n = gamma_n = a_1 ... a_n, 0 from n = M on.
     """
-    step = _step(family, params)
-    out = [1.0]
-    for n in range(1, count):
-        out.append(out[-1] * step(n + 1)[1])
-        if not cmath.isfinite(out[-1]):
-            raise ValueError(f"{family} Gram norm h_{n} is not finite at zeta^2={params.zeta2!r}")
-    return out
+    return _diagonals(family, params, step_table(family, params, count + 1))

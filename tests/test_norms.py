@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -12,7 +13,7 @@ from ptqes.norms import (
     pq_norms,
     weights,
 )
-from ptqes.recursion import build_R
+from ptqes.recursion import build_R, family_values
 from ptqes.polyengine import evaluate
 
 
@@ -140,3 +141,39 @@ def test_overflowing_weights_are_refused(M, zeta):
 def test_overflowing_gram_norms_are_refused(call, member):
     with pytest.raises(ValueError, match=rf"{member} is not finite at zeta\^2="):
         call()
+
+
+@pytest.mark.parametrize("M", range(1, 10))
+def test_gram_matrix_is_the_sum_over_support_points(M):
+    # G[i, j] = sum_k omega_k R_i(E_k) R_j(E_k), built here by rerunning
+    # family_values at each support point and taking the same matrix
+    # product: the values weights carries, and gram_matrix over them, match
+    # it bit for bit wherever the guards accept the weights.
+    accepted = 0
+    for z2 in (1e-3, 0.005, 0.01, 0.02, 0.05, 0.1, 0.3, 1.0, 3.0, 10.0):
+        params = ModelParams(M=M, zeta=math.sqrt(z2))
+        try:
+            t = weights(params)
+        except (DegenerateSpectrumError, ValueError):
+            continue
+        accepted += 1
+        vals = np.array([family_values("R", params, E, M) for E in t.energies], dtype=complex)
+        w = np.array(t.weights, dtype=complex)
+        assert t.values.tobytes() == vals.tobytes() and not t.values.flags.writeable
+        assert gram_matrix(t).tobytes() == (vals.T @ (w[:, None] * vals)).tobytes()
+    assert accepted
+
+
+def test_weight_table_repr_and_equality_ignore_values():
+    t = weights(ModelParams(M=3, zeta=0.1))
+    other = dataclasses.replace(t, values=np.zeros((3, 3), dtype=complex))
+    assert other == t and hash(other) == hash(t)
+    assert repr(other) == repr(t) and "values" not in repr(t)
+
+
+# Finite weights that missed sum_k omega_k = 1 by 0.4997, 0.4998 and 0.0023
+# were returned without an error.
+@pytest.mark.parametrize("M, zeta", [(5, 1e6), (9, 1e4), (21, 100)])
+def test_weights_that_miss_their_zeroth_moment_are_refused(M, zeta):
+    with pytest.raises(ValueError, match=r"weights sum to .*zeta\^2="):
+        weights(ModelParams(M=M, zeta=zeta))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ptqes.duality import dual_spectrum
 from ptqes.model import ModelParams
 from ptqes.polyengine import evaluate
-from ptqes.recursion import _step, build_P, build_Q, build_R, build_Rbar, family_values, recurrence_b
+from ptqes.recursion import build_P, build_Q, build_R, build_Rbar, family_values, recurrence_b, step_table
 from ptqes.spectra import level_rows, qes_spectrum
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
@@ -80,11 +80,9 @@ def _absolute_values(family, params, r, count):
     """The recursion with every term made positive, run at |E| = r: it bounds
     the sum of |c_i| r^i over every intermediate coefficient of the build,
     and so the rounding error of both routes, by about 3 n eps times it."""
-    step = _step(family, params)
     cur, prev = 1.0, 0.0
     out = [cur]
-    for n in range(1, count):
-        lin, tail = step(n)
+    for lin, tail in step_table(family, params, count):
         cur, prev = (r + abs(lin)) * cur + abs(tail) * prev, cur
         out.append(cur)
     return out

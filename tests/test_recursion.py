@@ -1,8 +1,9 @@
+import cmath
 import math
 
 import pytest
 
-from ptqes.model import ModelParams
+from ptqes.model import ModelParams, k_index
 from ptqes.polyengine import evaluate
 from ptqes.polyengine import mul
 from ptqes.recursion import (
@@ -11,9 +12,51 @@ from ptqes.recursion import (
     build_Q,
     build_R,
     build_Rbar,
+    family_norms,
+    family_values,
     recurrence_a,
     recurrence_b,
+    step_table,
 )
+
+TABLE_ZETAS = [0.0, 0.01, 0.3, 1.7, 1e5]
+
+
+def _docstring_step(family, params, n):
+    """(lin_n, tail_n) as the module docstring writes them."""
+    M, zeta = params.M, params.zeta
+    sq = (M - 1j * zeta) * (M - 1j * zeta)
+    if family == "P":
+        return 4 * (n - 1) ** 2 - 8j * zeta * n + 6j * zeta - sq, 8j * zeta * (n - 1) * (2 * n - 3) * (M + 3 - 2 * n)
+    if family == "Q":
+        return 4 * n**2 - 8j * zeta * n + 2j * zeta - sq, 8j * zeta * (n - 1) * (2 * n - 1) * (M + 1 - 2 * n)
+    return -recurrence_b(n - 1, params), recurrence_a(n - 1, params)
+
+
+def _plain_step(family, params):
+    """n -> F's docstring step; Fbar reads F's at b + n."""
+    base = family.removesuffix("bar")
+    b = 0
+    if base != family:
+        b = params.M if base == "R" else k_index(params.M) + (base == "P")
+    return lambda n: _docstring_step(base, params, b + n)
+
+
+def _plain_values(step, E, count):
+    cur, prev = 1.0 + 0j, 0j
+    out = [cur]
+    for n in range(1, count):
+        lin, tail = step(n)
+        cur, prev = (E + lin) * cur - tail * prev, cur
+        out.append(cur)
+    return out[:count]
+
+
+def _plain_norms(step, count):
+    out = [1.0]
+    for n in range(1, count):
+        out.append(out[-1] * step(n + 1)[1])
+    return out
 
 
 def test_recurrence_coefficients():
@@ -128,3 +171,37 @@ def test_zero_coupling_factorizes_completely():
     assert [recurrence_b(n, p) for n in range(5)] == [9.0, 21.0, 25.0, 21.0, 9.0]
     for n in range(5):
         assert evaluate(r5, recurrence_b(n, p)) == 0
+
+
+@pytest.mark.parametrize("zeta", TABLE_ZETAS)
+@pytest.mark.parametrize("M", range(1, 42))
+def test_step_tables_are_the_docstring_steps(M, zeta):
+    # Exact equality: R's table has the bits of recurrence_a/recurrence_b,
+    # and Fbar's is F's read from n = b + 1.
+    p = ModelParams(M=M, zeta=zeta)
+    count = M + 3
+    for family in ("P", "Q", "R", "Pbar", "Qbar", "Rbar"):
+        if family in ("Pbar", "Qbar") and M % 2 == 0:
+            with pytest.raises(ValueError, match="odd positive M"):
+                step_table(family, p, count)
+            continue
+        step = _plain_step(family, p)
+        assert repr(step_table(family, p, count)) == repr([step(n) for n in range(1, count)])
+        assert step_table(family, p, 1) == step_table(family, p, -2) == []
+
+
+@pytest.mark.parametrize("zeta", TABLE_ZETAS)
+@pytest.mark.parametrize("M", range(1, 42))
+def test_family_values_and_norms_are_the_plain_recursion(M, zeta):
+    p = ModelParams(M=M, zeta=zeta)
+    for family in ("P", "Q", "R", "Pbar", "Qbar", "Rbar") if M % 2 else ("P", "Q", "R", "Rbar"):
+        step = _plain_step(family, p)
+        for count in (0, 1, 2, M, M + 3):
+            for E in (0.0, 2.5 + 0j, complex(M * M, 0.5 * M)):
+                assert repr(family_values(family, p, E, count)) == repr(_plain_values(step, E, count))
+            want = _plain_norms(step, count)
+            if all(map(cmath.isfinite, want)):
+                assert repr(family_norms(family, p, count)) == repr(want)
+            else:
+                with pytest.raises(ValueError, match=f"{family} Gram norm h_"):
+                    family_norms(family, p, count)
