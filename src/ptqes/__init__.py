@@ -15,8 +15,6 @@ from .model import (
     periodic_potential,
     potential,
     pt_reflection,
-    shift_from_physical,
-    shift_to_physical,
 )
 from .polyengine import (
     EnergyPolynomial,
@@ -24,13 +22,11 @@ from .polyengine import (
     matching_distance,
     mul,
     taylor_shift,
-    to_variable,
 )
 from .recursion import (
     build_P,
     build_Q,
     build_R,
-    build_Rbar,
     build_bar,
     recurrence_a,
     recurrence_b,
@@ -81,18 +77,14 @@ __all__ = [
     "periodic_potential",
     "potential",
     "pt_reflection",
-    "shift_from_physical",
-    "shift_to_physical",
     "EnergyPolynomial",
     "evaluate",
     "matching_distance",
     "mul",
     "taylor_shift",
-    "to_variable",
     "build_P",
     "build_Q",
     "build_R",
-    "build_Rbar",
     "build_bar",
     "recurrence_a",
     "recurrence_b",

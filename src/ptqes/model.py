@@ -15,9 +15,11 @@ ModelParams describes both: the periodic problem is the image of the
 hyperbolic one under x -> i*theta (duality.py).  periodic_potential is written
 out on its own so that checks of the periodic equation do not use that map.
 
-Spectra are often written in the shifted variable calE = E - M**2 + zeta**2.
-The conversion lives here so that every module shares a single definition,
-as does the record each module's verify suite returns (_check).
+Every energy and polynomial is in the physical energy E.  The paper prints
+its critical polynomials in calE = E - M**2 + zeta**2; the printed form of a
+polynomial p is polyengine.taylor_shift(p, M**2 - params.zeta2).  The record
+each module's verify suite returns (_check) lives here so that every module
+shares a single definition.
 """
 
 import cmath
@@ -50,16 +52,6 @@ class ModelParams:
     @property
     def zeta2(self) -> float:
         return self.zeta * self.zeta
-
-
-def shift_to_physical(calE: complex, params: ModelParams) -> complex:
-    """Physical energy E = calE + M**2 - zeta**2."""
-    return calE + params.M**2 - params.zeta2
-
-
-def shift_from_physical(E: complex, params: ModelParams) -> complex:
-    """Shifted energy calE = E - M**2 + zeta**2 (inverse of shift_to_physical)."""
-    return E - params.M**2 + params.zeta2
 
 
 def k_index(M: int) -> int:

@@ -73,7 +73,7 @@ def gauge_matrix_eigs(params: ModelParams) -> list:
 def gauge_char_poly(params: ModelParams) -> EnergyPolynomial:
     """Characteristic polynomial of the gauge matrix, monic in E."""
     desc = np.poly(gauge_matrix(params))
-    return EnergyPolynomial(tuple(desc[::-1]), variable="E")
+    return EnergyPolynomial(tuple(desc[::-1]))
 
 
 # Levels from qes_spectrum agree with the gauge eigenvalues to this distance.
@@ -91,14 +91,17 @@ _CHAR_POLY_RTOL = 1e-8
 # Direct ODE residuals
 
 
-def ode_residual(psi, pot, E: complex, points, h: float = 1e-4) -> float:
+# Step of the central difference in ode_residual.
+_FD_STEP = 1e-4
+
+
+def ode_residual(psi, pot, E: complex, points) -> float:
     """max |-psi'' + V*psi - E*psi| / max |psi| over the sample points.
 
-    psi'' comes from a central difference with step h along the real
+    psi'' comes from a central difference with step _FD_STEP along the real
     direction, deliberately independent of any analytic derivative.
     """
-    if h <= 0:
-        raise ValueError(f"h must be positive, got {h!r}")
+    h = _FD_STEP
     pts = [complex(x) for x in points]
     if not pts:
         raise ValueError("need at least one sample point")
@@ -159,19 +162,19 @@ def default_sample_points():
     return [t - 0.25j * math.pi for t in np.linspace(-1.0, 1.0, 21)]
 
 
-def ode_residual_dshg(params: ModelParams, E: complex, tag: str, h: float = 1e-4) -> float:
+def ode_residual_dshg(params: ModelParams, E: complex, tag: str) -> float:
     """Residual of the hyperbolic equation for the closed form `tag` at E."""
     psi = dshg_closed_form(params, tag)
-    return ode_residual(psi, lambda x: potential(x, params), E, default_sample_points(), h=h)
+    return ode_residual(psi, lambda x: potential(x, params), E, default_sample_points())
 
 
-def ode_residual_dsg(params: ModelParams, Ehat: complex, tag: str, h: float = 1e-4) -> float:
+def ode_residual_dsg(params: ModelParams, Ehat: complex, tag: str) -> float:
     """Residual of the periodic equation for the hyperbolic closed form `tag`
     taken at x = i*theta, against periodic_potential and the dual level Ehat,
     on 50 points of theta in [0, pi]."""
     psi = dshg_closed_form(params, tag)
     pts = np.linspace(0.0, math.pi, 50)
-    return ode_residual(lambda t: psi(1j * t), lambda t: periodic_potential(t, params), Ehat, pts, h=h)
+    return ode_residual(lambda t: psi(1j * t), lambda t: periodic_potential(t, params), Ehat, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +268,9 @@ class TableReport:
         return max(c.abs_err for c in self.cells)
 
 
-def load_golden_levels(path: str = None):
-    """Golden rows from an explicit path, QES_GOLDEN_PATH, or package data."""
-    if path is None:
-        path = os.environ.get(GOLDEN_PATH_ENV)
+def load_golden_levels():
+    """Golden rows from the file QES_GOLDEN_PATH names, else from package data."""
+    path = os.environ.get(GOLDEN_PATH_ENV)
     if path is not None:
         with open(path, newline="") as fh:
             return _parse_golden(fh)

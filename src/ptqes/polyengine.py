@@ -1,29 +1,26 @@
-"""Monic polynomials in the energy variable: arithmetic and evaluation.
+"""Monic polynomials in the physical energy E: arithmetic and evaluation.
 
 Coefficients are complex doubles stored in ascending order with an exactly
 unit leading coefficient.  Coefficients serve the paper's identities
 (factorization, the printed critical polynomials) and the independent
-checks; levels are never taken from them (see spectra).
+checks; levels are never taken from them (see spectra).  taylor_shift
+gives the paper's printed form in the shifted energy calE.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import shift_to_physical
-
 
 @dataclass(frozen=True)
 class EnergyPolynomial:
-    """Monic polynomial with ascending complex coefficients.
+    """Monic polynomial in E with ascending complex coefficients.
 
-    variable is "E" (physical energy) or "calE" (shifted energy).  Nothing
-    else is carried: the member F_n of a recursion family is the polynomial
-    of degree n.
+    Nothing else is carried: the member F_n of a recursion family is the
+    polynomial of degree n.
     """
 
     coeffs: tuple
-    variable: str = "E"
 
     def __post_init__(self):
         coeffs = tuple(complex(c) for c in self.coeffs)
@@ -31,8 +28,6 @@ class EnergyPolynomial:
             raise ValueError("polynomial needs at least one coefficient")
         if coeffs[-1] != 1:
             raise ValueError(f"leading coefficient must be exactly 1, got {coeffs[-1]!r}")
-        if self.variable not in ("E", "calE"):
-            raise ValueError(f"unknown variable {self.variable!r}")
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -55,11 +50,9 @@ def backward_error(p: EnergyPolynomial, z: complex) -> float:
 
 
 def mul(p: EnergyPolynomial, q: EnergyPolynomial) -> EnergyPolynomial:
-    """Product of two polynomials in the same variable."""
-    if p.variable != q.variable:
-        raise ValueError(f"variable mismatch: {p.variable!r} * {q.variable!r}")
+    """Product of two polynomials."""
     out = np.convolve(np.asarray(p.coeffs, dtype=complex), np.asarray(q.coeffs, dtype=complex))
-    return EnergyPolynomial(tuple(out), variable=p.variable)
+    return EnergyPolynomial(tuple(out))
 
 
 def matching_distance(a, b) -> float:
@@ -90,24 +83,15 @@ def matching_distance(a, b) -> float:
     return worst
 
 
-def taylor_shift(p: EnergyPolynomial, delta: complex, variable: str = None) -> EnergyPolynomial:
-    """Coefficients of p(x + delta), optionally retagging the variable."""
+def taylor_shift(p: EnergyPolynomial, delta: complex) -> EnergyPolynomial:
+    """Coefficients of p(x + delta).
+
+    The paper prints its critical polynomials in calE = E - M**2 + zeta**2;
+    that form of p is taylor_shift(p, M**2 - params.zeta2).
+    """
     res = np.array([p.coeffs[-1]], dtype=complex)
     step = np.array([complex(delta), 1.0 + 0j])
     for c in reversed(p.coeffs[:-1]):
         res = np.convolve(res, step)
         res[0] += c
-    return EnergyPolynomial(tuple(res), variable=variable if variable is not None else p.variable)
-
-
-def to_variable(p: EnergyPolynomial, variable: str, params) -> EnergyPolynomial:
-    """Rewrite p in the other energy variable, E = calE + M**2 - zeta**2."""
-    if variable not in ("E", "calE"):
-        raise ValueError(f"unknown variable {variable!r}")
-    if p.variable == variable:
-        return p
-    offset = shift_to_physical(0.0, params)
-    if variable == "calE":
-        # q(calE) = p(calE + offset)
-        return taylor_shift(p, offset, variable="calE")
-    return taylor_shift(p, -offset, variable="E")
+    return EnergyPolynomial(tuple(res))

@@ -134,11 +134,6 @@ def build_bar(family: str, params: ModelParams, n_max: int):
     return _build(f"{family}bar", params, n_max)
 
 
-def build_Rbar(params: ModelParams, n_max: int):
-    """Rbar_0 .. Rbar_{n_max}, the cofactor of R_M: build_bar("R", ...)."""
-    return build_bar("R", params, n_max)
-
-
 def _values(steps: list, E: complex) -> list:
     """F_0(E) .. F_{len(steps)}(E), the recursion over a step table run at E."""
     cur, prev = 1.0 + 0j, 0j

@@ -451,6 +451,16 @@ def _gamma0_doubled(weights):
     return corrupted
 
 
+def _one_weight_imaginary(weights):
+    # below the critical coupling every weight is exactly real, so the
+    # smallest imaginary part is already a failure
+    def corrupted(params):
+        table = weights(params)
+        return dataclasses.replace(table, weights=(table.weights[0] + 1e-300j, *table.weights[1:]))
+
+    return corrupted
+
+
 def _first_level_nudged(dual_spectrum):
     # one ulp off: every tolerance-based check still passes
     def corrupted(params):
@@ -471,6 +481,7 @@ def _shifted(qes_spectrum):
     [
         ("norms", "norms.sign_pattern", ptqes.norms, "gram_matrix", _negated),
         ("norms", "norms.gamma_endpoints", ptqes.norms, "weights", _gamma0_doubled),
+        ("norms", "norms.weight_reality", ptqes.norms, "weights", _one_weight_imaginary),
         ("duality", "duality.negation_reversal", ptqes.duality, "dual_spectrum", _first_level_nudged),
         ("oracle", "oracle.spectrum_match", ptqes.oracle, "qes_spectrum", _shifted),
     ],

@@ -9,8 +9,6 @@ from ptqes.model import (
     periodic_potential,
     potential,
     pt_reflection,
-    shift_from_physical,
-    shift_to_physical,
 )
 
 
@@ -39,14 +37,6 @@ def test_params_have_no_model_selector():
     # selector that qes_spectrum ignored gave the hyperbolic levels silently
     with pytest.raises(TypeError):
         ModelParams(M=3, zeta=0.1, model="dsg")
-
-
-def test_shift_conventions():
-    p = ModelParams(M=3, zeta=0.2)
-    assert shift_to_physical(-4.0, p) == pytest.approx(4.96, abs=1e-15)
-    # round trip only up to float non-associativity in the offset
-    for cal in (-4.0, 0.0, 2.5 + 1.5j):
-        assert shift_from_physical(shift_to_physical(cal, p), p) == pytest.approx(cal, abs=1e-12)
 
 
 def test_k_index():

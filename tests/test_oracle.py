@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ptqes.cli
+import ptqes.oracle
 from ptqes.model import ModelParams
 from ptqes.oracle import (
     default_sample_points,
@@ -72,8 +73,6 @@ def test_ode_residual_validation():
     psi = lambda x: 1.0
     pot = lambda x: 0.0
     with pytest.raises(ValueError):
-        ode_residual(psi, pot, 0.0, [0.0], h=0.0)
-    with pytest.raises(ValueError):
         ode_residual(psi, pot, 0.0, [])
     with pytest.raises(ValueError):
         ode_residual(lambda x: 0.0, pot, 0.0, [0.0])
@@ -111,11 +110,13 @@ def test_ode_residual_dsg_takes_the_negated_level():
             assert ode_residual_dsg(p, E, tag) > 1.0
 
 
-def test_ode_residual_fd_order():
-    # central difference: halving h cuts the defect by about 4
+def test_ode_residual_fd_order(monkeypatch):
+    # central difference: halving the step cuts the defect by about 4
     p1 = ModelParams(M=1, zeta=0.2)
-    r1 = ode_residual_dshg(p1, 0.96, "ground", h=2e-3)
-    r2 = ode_residual_dshg(p1, 0.96, "ground", h=1e-3)
+    monkeypatch.setattr(ptqes.oracle, "_FD_STEP", 2e-3)
+    r1 = ode_residual_dshg(p1, 0.96, "ground")
+    monkeypatch.setattr(ptqes.oracle, "_FD_STEP", 1e-3)
+    r2 = ode_residual_dshg(p1, 0.96, "ground")
     assert 3.5 < r1 / r2 < 4.5
 
 
@@ -156,15 +157,22 @@ def test_golden_loading(tmp_path, monkeypatch):
     got = load_golden_levels()
     assert len(got) == 1
     assert got[0].energy == 9.0
-    # an explicit path wins over the environment
-    other = tmp_path / "two.csv"
-    other.write_text("table,M,zeta2,label,rank,energy\nII,7,0.02,E_Q,1,33.0\n")
-    got = load_golden_levels(path=str(other))
-    assert got[0].table == "II"
     empty = tmp_path / "empty.csv"
     empty.write_text("table,M,zeta2,label,rank,energy\n")
+    monkeypatch.setenv("QES_GOLDEN_PATH", str(empty))
     with pytest.raises(ValueError):
-        load_golden_levels(path=str(empty))
+        load_golden_levels()
+
+
+def test_missing_golden_file_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    # QES_GOLDEN_PATH names a file that is not there: exit 3, the path on
+    # stderr, nothing on stdout
+    missing = tmp_path / "missing.csv"
+    monkeypatch.setenv("QES_GOLDEN_PATH", str(missing))
+    assert ptqes.cli.main(["verify", "--suite", "tables"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(missing) in captured.err
 
 
 def test_reproduce_table_validation():

@@ -1,8 +1,5 @@
-import math
-
 import pytest
 
-from ptqes.model import ModelParams
 from ptqes.polyengine import (
     EnergyPolynomial,
     backward_error,
@@ -10,7 +7,6 @@ from ptqes.polyengine import (
     matching_distance,
     mul,
     taylor_shift,
-    to_variable,
 )
 
 
@@ -19,11 +15,8 @@ def test_polynomial_validation():
         EnergyPolynomial(())
     with pytest.raises(ValueError):
         EnergyPolynomial((1.0, 2.0))  # not monic
-    with pytest.raises(ValueError):
-        EnergyPolynomial((0.0, 1.0), variable="x")
     p = EnergyPolynomial((2.0, 3.0, 1.0))
     assert p.degree == 2
-    assert p.variable == "E"
     assert p.coeffs == (2 + 0j, 3 + 0j, 1 + 0j)
 
 
@@ -34,8 +27,6 @@ def test_evaluate_and_mul():
     a = EnergyPolynomial((1.0, 1.0))
     b = EnergyPolynomial((2.0, 1.0))
     assert mul(a, b).coeffs == p.coeffs
-    with pytest.raises(ValueError):
-        mul(a, EnergyPolynomial((2.0, 1.0), variable="calE"))
 
 
 def test_backward_error():
@@ -60,18 +51,3 @@ def test_taylor_shift_roundtrip():
     back = taylor_shift(q, -1.5)
     for a, b in zip(back.coeffs, p.coeffs):
         assert a == pytest.approx(b, abs=1e-13)
-
-
-def test_to_variable_shift():
-    params = ModelParams(M=3, zeta=math.sqrt(0.01))
-    p = EnergyPolynomial((2.0, 1.0), variable="E")
-    q = to_variable(p, "calE", params)
-    assert q.variable == "calE"
-    offset = 9 - 0.01
-    assert evaluate(q, -4.0) == pytest.approx(evaluate(p, -4.0 + offset), rel=1e-14)
-    back = to_variable(q, "E", params)
-    for a, b in zip(back.coeffs, p.coeffs):
-        assert a == pytest.approx(b, abs=1e-13)
-    assert to_variable(p, "E", params) is p
-    with pytest.raises(ValueError):
-        to_variable(p, "x", params)

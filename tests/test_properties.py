@@ -4,6 +4,7 @@ Hypothesis runs derandomized with a bounded example count, so the suite
 draws the same cases on every run.
 """
 
+import functools
 import math
 
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from ptqes.duality import dual_spectrum
 from ptqes.model import ModelParams
 from ptqes.polyengine import evaluate
-from ptqes.recursion import build_P, build_Q, build_R, build_Rbar, family_values, recurrence_b, step_table
+from ptqes.recursion import build_bar, build_P, build_Q, build_R, family_values, recurrence_b, step_table
 from ptqes.spectra import level_rows, qes_spectrum
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
@@ -73,7 +74,7 @@ def test_dual_spectrum_is_the_negated_reversed_spectrum(M, z2):
     assert tuple(-Ehat for Ehat in reversed(dual.energies)) == base.energies
 
 
-BUILDERS = {"P": build_P, "Q": build_Q, "R": build_R, "Rbar": build_Rbar}
+BUILDERS = {"P": build_P, "Q": build_Q, "R": build_R, "Rbar": functools.partial(build_bar, "R")}
 
 
 def _absolute_values(family, params, r, count):

@@ -10,7 +10,7 @@ import ptqes.recursion
 import ptqes.spectra
 from ptqes.duality import dual_level_rows
 from ptqes.model import ModelParams
-from ptqes.polyengine import evaluate, matching_distance, to_variable
+from ptqes.polyengine import evaluate, matching_distance, taylor_shift
 from ptqes.recursion import build_P, build_Q, recurrence_a, recurrence_b
 from ptqes.spectra import (
     _STACK_ENTRIES,
@@ -104,8 +104,8 @@ def test_critical_polynomials_m1():
 def test_critical_polynomials_match_printed_m3():
     params = ModelParams(M=3, zeta=math.sqrt(0.01))
     p2, q1 = critical_polynomials(params)
-    p_cal = to_variable(p2, "calE", params)
-    q_cal = to_variable(q1, "calE", params)
+    p_cal = taylor_shift(p2, params.M**2 - params.zeta2)
+    q_cal = taylor_shift(q1, params.M**2 - params.zeta2)
     for got, want in zip(p_cal.coeffs, (16 * 0.01, 4.0, 1.0)):
         assert got.real == pytest.approx(want, abs=1e-12)
         assert abs(got.imag) < 1e-12
