@@ -17,26 +17,24 @@ alternate: gamma_n has the sign (-1)^n, positive at even index and negative
 at odd index.  verify_norms checks that sign on the Gram diagonal built
 from the weights.
 
-Because the support points are the zeros of R_M, that system has the
-closed-form solution (Christoffel numbers; Golub & Welsch, Math. Comp. 1969)
-
-    omega_k = 1 / sum_{n<M} R_n(E_k)^2 / gamma_n,
-
-with E_k the levels of spectra.level_rows and R_n(E_k) run by the
-recursion at E_k, never through expanded coefficients.  weights reads one R
-step table (recursion.step_table) for both the gamma_n and the R_n(E_k),
-runs the recursion once per support point, and carries the M x M values
-R_n(E_k) on the WeightTable, so gram_matrix is one matrix product over
-them.  The j = 0 row, sum_k omega_k = 1, is checked on every table.  For
-odd M below the critical coupling the levels are exactly real, and so are
-the weights.
+The support points are the zeros of R_M, the eigenvalues of its Jacobi
+matrix, so the weights come from eigenvectors (Golub & Welsch, Math. Comp.
+23 (1969) 221).  spectra's balanced blocks B satisfy B^T = S B S,
+S = diag((-1)^n), so a block eigenvector x gives
+omega = x_0^2 / (2 sum_n (-1)^n x_n^2) for odd M (omega = 1 at M = 1), and
+(-1)^(k-1) x_{k-1}^2 / (2 sum_n (-1)^n x_n^2) on the trailing half block of
+even M = 2k, with the conjugate weight at the conjugate level.  Each sector
+is its own block, so an E_P level 1e-36 from an E_Q level disturbs neither
+weight.  Below the critical coupling the odd-M weights are exactly real.
+The values R_n(E_k) come from one R step table (recursion.step_table) and
+stay on the WeightTable for gram_matrix, so the Gram identity checks the
+eigenvector weights against the recursion.
 
 The complex P and Q families have as norms the products of their own
 recursion tails (pq_norms); those are genuinely complex and are exposed for
 inspection only.
 """
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -44,11 +42,11 @@ import numpy as np
 
 from .model import ModelParams, _check, k_index
 from .recursion import _diagonals, _values, family_norms, step_table
-from .spectra import level_rows
+from .spectra import _eig, _level_key
 
-# Weights are refused when the rounding of their support points can move
-# them by more than this fraction of the largest weight, or when their sum
-# is further than this from 1.
+# Weights are refused when rounding can move them by more than this
+# fraction of the largest weight, or when their sum is further than this
+# from 1.
 WEIGHT_RTOL = 1e-8
 
 _EPS = float(np.finfo(float).eps)
@@ -59,8 +57,8 @@ _GRAM_TOL = 1e-9
 
 
 class DegenerateSpectrumError(RuntimeError):
-    """Weights refused: support points too close to resolve them to
-    WEIGHT_RTOL of the largest weight."""
+    """Weights refused: a level too ill-conditioned to resolve its weight to
+    WEIGHT_RTOL of the largest weight, or a vanishing Gram norm."""
 
 
 def norm(n: int, params: ModelParams) -> float:
@@ -88,47 +86,45 @@ class WeightTable:
 
 
 def weights(params: ModelParams) -> WeightTable:
-    """Christoffel weights of the R functional on the M levels.
-
-    A support point off by eps(1 + |E_k|) moves omega_k by about
-    |omega_k| times that over the gap delta_k to its nearest neighbour, so
-    the weights are refused when that exceeds WEIGHT_RTOL of the largest.
-    ValueError, naming zeta^2, when a weight or a Gram norm is not finite,
-    or when the weights miss their own j = 0 equation, sum_k omega_k = 1,
-    by more than WEIGHT_RTOL.
-    """
+    """Golub-Welsch weights of the R functional on the M levels, from the
+    eigenvectors x of the sector blocks.  DegenerateSpectrumError when a Gram
+    norm vanishes (zeta = 0), or when eps kappa^2 > WEIGHT_RTOL for the
+    condition number kappa = ||x||^2 / |sum_n (-1)^n x_n^2| of some level, as
+    at a merger.  ValueError, naming zeta^2, when the weights miss their own
+    j = 0 equation, sum_k omega_k = 1, by more than WEIGHT_RTOL."""
     M = params.M
-    support = tuple(E for E, _, _ in level_rows(M, [params.zeta])[0])
     steps = step_table("R", params, M + 2)  # tail_{M+1} = a_M closes gamma
     gamma = tuple(_diagonals("R", params, steps))
     if not all(gamma[:M]):
         raise DegenerateSpectrumError("a Gram diagonal entry vanishes (zeta = 0)")
-    gaps = [
-        min((abs(E - F) for j, F in enumerate(support) if j != k), default=math.inf)
-        for k, E in enumerate(support)
-    ]
-    if min(gaps) == 0.0:
-        raise DegenerateSpectrumError("two support points coincide")
-    head = steps[: M - 1]
-    values = [_values(head, E) for E in support]
-    omega = [1.0 / sum(v * v / h for v, h in zip(row, gamma)) for row in values]
-    if not all(map(cmath.isfinite, omega)):
-        raise ValueError(f"a weight is not finite at zeta^2={params.zeta2!r}: the Christoffel sum overflows")
-    scale = max(abs(w) for w in omega)
-    for E, w, gap in zip(support, omega, gaps):
-        if not _EPS * (1.0 + abs(E)) * abs(w) / (gap * scale) <= WEIGHT_RTOL:  # NaN fails too
-            raise DegenerateSpectrumError(
-                f"support point {E:.12g} is {gap:.1e} from its neighbour: its weight "
-                f"cannot be resolved to {WEIGHT_RTOL:.0e} of the largest"
-            )
+    rows = []
+    for label, (levels, X) in _eig(M, params.zeta).items():
+        # row 0 of T; for even M = 2k the block's last row, row M - 1 of T,
+        # reflected onto it; M = 1 has no fold
+        lead = 0 if M % 2 else len(X) - 1
+        fold = 0.5 * (-1) ** lead if M > 1 else 1.0
+        for E, x in zip(levels.tolist(), X.T.tolist()):
+            den = sum(v * v for v in x[::2]) - sum(v * v for v in x[1::2])
+            sq_norm = sum(abs(v) ** 2 for v in x)
+            if not _EPS * sq_norm * sq_norm <= WEIGHT_RTOL * abs(den) ** 2:  # NaN fails too
+                kappa = sq_norm / abs(den) if den else math.inf
+                raise DegenerateSpectrumError(
+                    f"an {label} level has condition number {kappa:.1e} at zeta^2={params.zeta2!r}: "
+                    f"its weight cannot be resolved to {WEIGHT_RTOL:.0e} of the largest"
+                )
+            w = fold * x[lead] * x[lead] / den
+            E -= params.zeta2
+            rows.append((E, label, w))
+            if M % 2 == 0:
+                rows.append((E.conjugate() if E.imag else E, label, w.conjugate()))
+    support, _, omega = zip(*sorted(rows, key=_level_key))
     total = sum(omega)
     if not abs(total - 1.0) <= WEIGHT_RTOL:
-        raise ValueError(
-            f"the weights sum to {total:.10g}, not 1 within {WEIGHT_RTOL:.0e}, at zeta^2={params.zeta2!r}"
-        )
-    vals = np.array(values, dtype=complex)
+        raise ValueError(f"the weights sum to {total:.10g}, not 1 within {WEIGHT_RTOL:.0e}, at zeta^2={params.zeta2!r}")
+    head = steps[: M - 1]
+    vals = np.array([_values(head, E) for E in support], dtype=complex)
     vals.flags.writeable = False
-    return WeightTable(params=params, energies=support, weights=tuple(omega), gamma=gamma, values=vals)
+    return WeightTable(params=params, energies=support, weights=omega, gamma=gamma, values=vals)
 
 
 def gram_matrix(table: WeightTable) -> np.ndarray:
@@ -148,27 +144,26 @@ def pq_norms(params: ModelParams, family: str):
 
 
 def verify_norms() -> list:
-    """verify --suite norms on M in {3, 5} x zeta^2 in {0.005, 0.01, 0.02}.
-
-    The grid lies below every critical coupling, where the odd-M levels and
-    R's steps are real, so each weight's imaginary part is exactly 0 and
-    norms.weight_reality has bound 0.
-    """
+    """verify --suite norms on M in {3, 5} x zeta^2 in {0.005, 0.01, 0.02},
+    and for weight reality and gamma also on M in {7, 9, 21, 41} x M zeta in
+    {0.5, 1, 1.4}.  Both grids lie below every critical coupling
+    (M zeta_c > 1.4688), where each weight's imaginary part is exactly 0."""
+    gram_grid = [(m, math.sqrt(z2)) for m in (3, 5) for z2 in (0.005, 0.01, 0.02)]
+    wide_grid = [(m, g / m) for m in (7, 9, 21, 41) for g in (0.5, 1.0, 1.4)]
     wrong_ends = 0
     wrong_signs = 0
     worst_gram = 0.0
     worst_imag = 0.0
-    for m in (3, 5):
-        for z2 in (0.005, 0.01, 0.02):
-            params = ModelParams(M=m, zeta=math.sqrt(z2))
-            table = weights(params)
-            wrong_ends += (table.gamma[0] != 1.0) + (table.gamma[m] != 0.0)
+    for m, zeta in gram_grid + wide_grid:
+        table = weights(ModelParams(M=m, zeta=zeta))
+        wrong_ends += (table.gamma[0] != 1.0) + (table.gamma[m] != 0.0)
+        worst_imag = max(worst_imag, table.max_weight_imag)
+        if (m, zeta) in gram_grid:
             G = gram_matrix(table)
             wrong_signs += sum(int((-1) ** n * G[n, n].real <= 0.0) for n in range(1, m))
             target = np.diag(table.gamma[:m]).astype(complex)
             scale = 1.0 + max(abs(g) for g in table.gamma)
             worst_gram = max(worst_gram, float(np.max(np.abs(G - target))) / scale)
-            worst_imag = max(worst_imag, table.max_weight_imag)
     return [
         _check("norms.gamma_endpoints", wrong_ends, 0, "gamma_0 == 1 and gamma_M == 0 exactly"),
         _check(
@@ -177,7 +172,7 @@ def verify_norms() -> list:
             _GRAM_TOL,
             f"max_error={worst_gram:.3e} (M in 3,5; zeta^2 in 0.005,0.01,0.02)",
         ),
-        _check("norms.weight_reality", worst_imag, 0, f"max_rel_imag={worst_imag:.3e}"),
+        _check("norms.weight_reality", worst_imag, 0, f"max_rel_imag={worst_imag:.3e} (M in 3,5,7,9,21,41)"),
         _check(
             "norms.sign_pattern",
             wrong_signs,

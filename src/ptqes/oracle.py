@@ -269,9 +269,9 @@ class TableReport:
 
 
 def load_golden_levels():
-    """Golden rows from the file QES_GOLDEN_PATH names, else from package data."""
+    """Golden rows from the file a non-empty QES_GOLDEN_PATH names, else from package data."""
     path = os.environ.get(GOLDEN_PATH_ENV)
-    if path is not None:
+    if path:
         with open(path, newline="") as fh:
             return _parse_golden(fh)
     text = resources.files("ptqes").joinpath("data/golden_tables.csv").read_text()

@@ -23,20 +23,18 @@ other.  The E_R levels are the eigenvalues of the trailing half of T (rows
 and columns k..M-1) with i sqrt(-a_k) = 2i k |zeta| added to its first
 diagonal entry, and their conjugates.
 
-The real entries are linear in zeta^2, so each M has one pencil
-T(zeta^2) = C + zeta^2 S (_pencil, cached per M and read-only): the E_P
-block for odd M, its leading k x k block being E_Q, and the trailing half of
-T for even M.  level_rows solves a list of couplings with one stacked
-eigvals call per sector and chunk of at most _STACK_ENTRIES matrix entries,
-so a long sweep's extra memory stays bounded, and a coupling's levels are
-the same bits whether it is solved alone or in a stack.
-
-That call is _geev, the LAPACK gufunc numpy.linalg._umath_linalg.eigvals
-that numpy.linalg.eigvals wraps, called directly under one np.errstate per
-_eigvals call that turns a non-convergence into LinAlgError, as the wrapper
-does; the levels are the bits numpy.linalg.eigvals gives.  oracle.verify_gauge
-stays on numpy.linalg.eigvals, so the verification route shares no code with
-this one.
+Each block is solved in its balanced form B = D^-1 T D, D diagonal, with
+-sqrt(-a_n) above the diagonal and +sqrt(-a_n) below it: T is far from
+normal at large g = M zeta and lost up to 1.9e-2 there, B keeps about
+1e-14.  Each M has one pencil B(zeta) = C + |zeta| S (_pencil), and a level
+is an eigenvalue of B(zeta) minus zeta^2.  level_rows solves a list of
+couplings with one stacked _geev call per sector and chunk of at most
+_STACK_ENTRIES matrix entries, so a long sweep's extra memory stays bounded
+and a coupling's levels are the same bits alone or in a stack.  _geev and
+_geev_vectors (for norms.weights) are the LAPACK gufuncs behind
+numpy.linalg.eigvals and eig, called under the wrappers' np.errstate, so a
+non-convergence raises LinAlgError.  oracle.verify_gauge stays on
+numpy.linalg.eigvals and shares no code with this route.
 
 _eigvals is the one place that decides whether a level is real, from the
 structure of the solve and with no tolerance.  LAPACK returns a real
@@ -47,14 +45,9 @@ level_rows carry that flag as (E, label, is_real), and qes_spectrum,
 duality, the CLI and the critical_coupling probes read the flag they were
 given.
 
-As zeta^2 grows, the two largest E_P levels approach each other and merge at
-a critical coupling zeta_c^2, beyond which they leave the real axis as a
-conjugate pair.  critical_coupling brackets that point with one scan of
-(0, 1/2], which holds every merger (zeta_c^2 peaks at 1/4, M = 3), then
-bisects on the appearance of an E_P level with Im E != 0; the merged energy
-is the top E_P pair's mean.  Near the merger the pair's imaginary part is
-rounding-sized, so the test flips a little off zeta_c^2; critical_coupling
-gives the accuracy floor this sets.
+As zeta^2 grows, the two largest E_P levels merge at a critical coupling
+zeta_c^2, beyond which they leave the real axis as a conjugate pair;
+critical_coupling locates it by a scan and a bisection on that flag.
 """
 
 import functools
@@ -81,17 +74,23 @@ _N_EXTRA = 4
 # long sweep adds on top of its output rows.
 _STACK_ENTRIES = 1 << 16
 
-# The LAPACK geev gufunc behind numpy.linalg.eigvals: at these block sizes
-# the wrapper's checks and casts cost several times the solve.  Signature
-# "d->D" (real odd-M blocks) or "D->D" (the complex even-M block); both
-# return complex eigenvalues.
+# The LAPACK geev gufuncs behind numpy.linalg.eigvals and numpy.linalg.eig:
+# at these block sizes the wrappers' checks and casts cost several times the
+# solve.  Signatures "d->D" and "d->DD" for the real odd-M blocks, "D->D"
+# and "D->DD" for the complex even-M block.
 _geev = _umath_linalg.eigvals
+_geev_vectors = _umath_linalg.eig
 
 
 def _raise_nonconvergence(err, flag):
     """errstate call handler: geev flags a block that did not converge as
     invalid and returns NaN eigenvalues for it."""
     raise LinAlgError("Eigenvalues did not converge")
+
+
+# numpy.linalg's errstate for geev, which may raise other flags next to
+# invalid: their warnings would come before the LinAlgError.
+_GEEV_ERRSTATE = dict(call=_raise_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore")
 
 
 @dataclass(frozen=True)
@@ -177,70 +176,75 @@ def _sectors(M: int) -> dict:
 
 @functools.lru_cache(maxsize=32, typed=True)
 def _pencil(M: int):
-    """(C, S), read-only, with the pencil matrix T(zeta^2) = C + zeta^2 S:
-    rows and columns 0..k of T with the last sub-diagonal entry doubled for
-    odd M = 2k + 1, rows and columns k..M-1 for even M = 2k.  C holds b_n at
-    zeta = 0 and 1 on the super-diagonal; S holds -1 on the diagonal and
-    a_n / zeta^2 on the sub-diagonal, all read from the recursion.  M is
-    validated by ModelParams before it sizes anything, and the cache is
-    typed, so M = 3.0 is refused rather than served the entry of M = 3."""
+    """(C, S), read-only, of the balanced sector block B(zeta) = C + |zeta| S:
+    rows 0..k of T with E_P's a_k doubled for odd M = 2k + 1, rows k..M-1
+    for even M = 2k.  C = diag(b_n at zeta = 0); S has -sqrt(-a_n / zeta^2)
+    above the diagonal, +sqrt(-a_n / zeta^2) below it, and for even M
+    i sqrt(-a_k) / |zeta| = 2ik at [0, 0].  In the other sign order geev
+    splits the exact double level of M = 3, zeta^2 = 1/4 by 1.2e-7.  The
+    typed cache refuses M = 3.0 rather than serve the entry of M = 3."""
     free, unit = ModelParams(M, 0.0), ModelParams(M, 1.0)
     size = max(_sectors(M).values())
     rows = range(size) if M % 2 else range(size, M)
-    C = np.diag([recurrence_b(n, free) for n in rows]) + np.eye(size, k=1)
-    S = np.diag([recurrence_a(n, unit) for n in rows[1:]], -1) - np.eye(size)
+    off = np.sqrt([-recurrence_a(n, unit) for n in rows[1:]])
     if M % 2 and size > 1:
-        S[-1, -2] *= 2.0
+        off[-1] *= math.sqrt(2.0)  # E_P's doubled a_k
+    C = np.diag([recurrence_b(n, free) for n in rows])
+    S = np.diag(off, -1) - np.diag(off, 1)
+    if M % 2 == 0:
+        S = S + np.diag([2j * size] + [0] * (size - 1))
     C.flags.writeable = False
     S.flags.writeable = False
     return C, S
 
 
-@functools.lru_cache(maxsize=32, typed=True)
-def _pencil_scale(M: int) -> float:
-    """Largest |entry| of S: zeta^2 S overflows exactly when zeta^2 times it does."""
-    return float(np.abs(_pencil(M)[1]).max())
-
-
 def _eigvals(M: int, zetas, labels) -> dict:
-    """{label: eigenvalues of that sector block for each zeta in zetas, one
-    list of (E, is_real) pairs per coupling}, each level classified here and
-    only here.  Each sector of a chunk of at most _STACK_ENTRIES matrix
-    entries is one stacked _geev call.  An even-M level with Im E == 0
-    stands in for its own conjugate, so no -0 reaches the output.
+    """{label: levels of that sector for each zeta in zetas, one list of
+    (E, is_real) pairs per coupling}, each level classified here and only
+    here: eigenvalues of B(zeta) minus |zeta| * |zeta|, ModelParams.zeta2's
+    bits.  An even-M level with Im E == 0 stands in for its own conjugate,
+    so no -0 reaches the output.
 
     _geev skips numpy.linalg.eigvals' finiteness check: every caller hands it
     finite blocks, since level_rows refuses non-finite and overflowing
     couplings before any solve and critical_coupling probes only
-    zeta^2 in (0, 1/2].  The errstate keeps the wrapper's other guarantee:
-    a block that does not converge raises LinAlgError, never a warning or a
-    NaN level."""
+    zeta^2 in (0, 1/2].  _GEEV_ERRSTATE keeps the wrapper's other
+    guarantee: a block that does not converge raises LinAlgError, never a
+    warning or a NaN level."""
     C, S = _pencil(M)
     sizes = _sectors(M)
     signature = "d->D" if M % 2 else "D->D"
-    zeta = np.abs(np.asarray(zetas, dtype=float)).reshape(-1, 1, 1)
+    zeta = np.abs(np.asarray(zetas, dtype=float))
+    flat = zeta.tolist()
+    shifts = [z * z for z in flat]
+    zeta = zeta.reshape(-1, 1, 1)
     out = {label: [] for label in labels}
     per = max(1, _STACK_ENTRIES // C.size)
-    # the wrapper's settings: geev may leave the other flags raised next to
-    # invalid, and a warning for them would come before the LinAlgError
-    with np.errstate(call=_raise_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore"):
+    with np.errstate(**_GEEV_ERRSTATE):
         for i in range(0, len(zeta), per):
-            z = zeta[i : i + per]
-            T = C + np.square(z) * S  # np.square(z) as ModelParams.zeta2
-            if M % 2 == 0:
-                T = T.astype(complex)
-                T.imag[:, 0, 0] = 2 * len(C) * z[:, 0, 0]  # i sqrt(-a_k) = 2i k |zeta|
+            B = C + zeta[i : i + per] * S
             for label, values in out.items():
                 size = sizes[label]
-                rows = _geev(T[:, :size, :size], signature=signature).tolist()
+                solved = _geev(B[:, :size, :size], signature=signature).tolist()
+                rows = zip(solved, shifts[i : i + per], flat[i : i + per])
                 if M % 2:
-                    values.extend([(E, E.imag == 0.0) for E in row] for row in rows)
+                    values.extend([(E - s, E.imag == 0.0) for E in row] for row, s, _ in rows)
                 else:
                     values.extend(
-                        [(F, free) for E in row for F in (E, E.conjugate() if E.imag else E)]
-                        for row, free in zip(rows, (z[:, 0, 0] == 0.0).tolist())
+                        [(F, z == 0.0) for E in row for F in (E - s, (E - s).conjugate() if E.imag else E - s)]
+                        for row, s, z in rows
                     )
     return out
+
+
+def _eig(M: int, zeta: float) -> dict:
+    """{label: (eigenvalues, X)} of each sector block B(zeta): _eigvals'
+    eigenvalues before the zeta^2 shift, eigenvector j as column j of X."""
+    C, S = _pencil(M)
+    B = C + abs(zeta) * S
+    signature = "d->DD" if M % 2 else "D->DD"
+    with np.errstate(**_GEEV_ERRSTATE):
+        return {label: _geev_vectors(B[:size, :size], signature=signature) for label, size in _sectors(M).items()}
 
 
 def _level_key(row):
@@ -253,13 +257,13 @@ def level_rows(M: int, zetas) -> list:
     rows, ascending by (Re E, Im E, label); is_real is the flag _eigvals
     gave the level.  Row i equals the levels of
     qes_spectrum(ModelParams(M, zetas[i])), bit for bit.  ValueError when
-    some zeta is not finite or some zeta^2 S overflows."""
+    some zeta is not finite or M^2 zeta^2 (>= every |a_n|) overflows."""
     if not all(map(math.isfinite, zetas)):
         bad = next(z for z in zetas if not math.isfinite(z))
         raise ValueError(f"non-finite coupling zeta={bad!r} for M={M}")
     z = float(max(map(abs, zetas), default=0.0))
-    if not math.isfinite(z * z * _pencil_scale(M)):
-        raise ValueError(f"zeta^2={z * z!r} overflows the M={M} sector matrix")
+    if not math.isfinite(z * z * M * M):
+        raise ValueError(f"zeta^2={z * z!r} overflows the M={M} recursion coefficients")
     sectors = _eigvals(M, zetas, _sectors(M)).items()
     return [
         sorted(((E, label, real) for label, values in sectors for E, real in values[i]), key=_level_key)
@@ -292,10 +296,10 @@ def critical_coupling(M: int, tol: float = 1e-10) -> CriticalCoupling:
     brackets it: zeta_c^2 peaks at exactly 1/4 (M = 3), and M zeta_c falls
     toward the Mathieu double point 1.4688, so (0, 1/2] holds every merger.
     Bisection on "an E_P level has Im E != 0" then narrows the bracket.
-    That test flips slightly off the merger, so the result is good to
-    4.4e-16 to 6.2e-14 relative for M = 3..15; a smaller tol only stops at
-    adjacent doubles.  tol must be positive and finite.  M = 1 has no
-    finite critical coupling."""
+    That test flips slightly off the merger, so at tol=1e-300 the result is
+    good to 8.9e-16 to 1.9e-14 relative for M = 3..15; a smaller tol only
+    stops at adjacent doubles.  tol must be positive and finite.  M = 1 has
+    no finite critical coupling."""
     k_index(M)  # validates odd positive M
     if not (0 < tol < math.inf):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")

@@ -175,6 +175,17 @@ def test_missing_golden_file_is_a_numerical_failure(tmp_path, monkeypatch, capsy
     assert str(missing) in captured.err
 
 
+def test_empty_golden_path_reads_the_bundled_table(monkeypatch, capsys):
+    # a shell user who cleared the variable (QES_GOLDEN_PATH=) gets the
+    # checks of the unset variable, not "No such file or directory: ''"
+    monkeypatch.delenv("QES_GOLDEN_PATH", raising=False)
+    unset = ptqes.cli.main(["verify", "--suite", "tables", "--format", "json"]), capsys.readouterr()
+    monkeypatch.setenv("QES_GOLDEN_PATH", "")
+    empty = ptqes.cli.main(["verify", "--suite", "tables", "--format", "json"]), capsys.readouterr()
+    assert empty == unset
+    assert unset[0] == 1 and unset[1].err == ""
+
+
 def test_reproduce_table_validation():
     with pytest.raises(ValueError):
         reproduce_tables("IV")

@@ -1,5 +1,7 @@
+import json
 import math
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -262,8 +264,8 @@ def test_even_m_imaginary_parts_are_absolute_not_relative():
     # same E_R block: rows and columns k..M-1 of T, with 2i k zeta added to
     # its first diagonal entry, from the same double zeta.  At M = 24, g = 10
     # the smallest true |Im E| is 1.8e-35, far below eps |E|, and the library
-    # prints rounding there (-7.7e-23), yet every level, its imaginary part
-    # included, is within 1e-12 |E| (measured 1.1e-13) and none is real.
+    # prints rounding there (-7.8e-23), yet every level, its imaginary part
+    # included, is within 1e-12 |E| (measured 3.0e-15) and none is real.
     M, k = 24, 12
     zeta = 10 / M
     with mpmath.workdps(100):
@@ -333,8 +335,10 @@ M12_LEVELS = [
 ]
 
 
-def _worst_relative_error(M, z2, reference):
-    got = list(qes_spectrum(ModelParams(M=M, zeta=math.sqrt(z2))).energies)
+def _worst_relative_error(M, zeta, reference):
+    """Largest |E - E_ref| / |E_ref|, each reference level matched greedily
+    to the nearest unmatched level at (M, zeta)."""
+    got = [E for E, _, _ in level_rows(M, [zeta])[0]]
     worst = 0.0
     for want in reference:
         nearest = min(got, key=lambda E: abs(E - want))
@@ -344,7 +348,7 @@ def _worst_relative_error(M, z2, reference):
 
 
 def test_even_m_levels_match_reference_m12():
-    assert _worst_relative_error(12, 0.01, M12_LEVELS) <= 1e-12
+    assert _worst_relative_error(12, math.sqrt(0.01), M12_LEVELS) <= 1e-12
 
 
 # 40-digit levels at M = 20 with Im >= 0, rounded to doubles; the other ten
@@ -384,7 +388,24 @@ M20_UPPER_LEVELS = {
 def test_even_m_levels_match_reference_m20(z2, bound):
     # g = M zeta = 5 and 20; the half-size block keeps even M accurate there
     upper = M20_UPPER_LEVELS[z2]
-    assert _worst_relative_error(20, z2, upper + [E.conjugate() for E in upper]) <= bound
+    assert _worst_relative_error(20, math.sqrt(z2), upper + [E.conjugate() for E in upper]) <= bound
+
+
+# 50-digit levels of the unbalanced sector blocks, built from the same
+# double zeta^2, at odd M in 21, 41, 61, 81 and even M in 20, 40, 80 for
+# g = M zeta in 1, 5, 10, 20, 30, 36.7; written by tests/make_reference_data.py.
+LEVEL_REFERENCE = json.loads((Path(__file__).parent / "reference_data.json").read_text())["levels"]
+
+
+@pytest.mark.parametrize("cell", LEVEL_REFERENCE, ids=lambda cell: f"M{cell['M']}-g{cell['g']}")
+def test_large_coupling_levels_match_the_reference(cell):
+    # the unbalanced blocks lost digits as g grew: 7.6e-8 at (M, g) =
+    # (21, 30), 3.5e-6 at (41, 30), 4.2e-10 at (20, 30) and 1.9e-2 at
+    # (81, 36.7), where 12 levels were flagged complex against 8
+    M, zeta = cell["M"], cell["zeta"]
+    assert _worst_relative_error(M, zeta, [complex(*pair) for pair in cell["levels"]]) <= 1e-13
+    if M % 2:
+        assert sum(real for _, _, real in level_rows(M, [zeta])[0]) == cell["real_count"]
 
 
 @pytest.mark.parametrize("M", [6, 8, 12, 20])
@@ -427,9 +448,10 @@ def test_spectrum_exactly_closed_under_conjugation(M):
 
 
 def _recursion_block(params):
-    """The pencil's matrix written out entry by entry from the recursion: rows
-    and columns 0..k of T with the last sub-diagonal entry doubled (the E_P
-    block) for odd M = 2k + 1, rows and columns k..M-1 of T for even M = 2k."""
+    """The sector's block of the R Jacobi matrix written out entry by entry
+    from the recursion: rows and columns 0..k of T with the last sub-diagonal
+    entry doubled (the E_P block) for odd M = 2k + 1, rows and columns k..M-1
+    of T for even M = 2k."""
     M = params.M
     k = M // 2
     first, size = (0, k + 1) if M % 2 else (k, k)
@@ -445,11 +467,22 @@ def _recursion_block(params):
 
 
 def test_pencil_is_the_recursion_block():
+    # B(zeta) = C + |zeta| S is D^-1 T D with D diagonal: C's diagonal is
+    # b_n at zeta = 0, S is tridiagonal, and each off-diagonal pair of B
+    # multiplies to T's a_n (2 a_k at E_P's last entry); for even M, S[0, 0]
+    # is i sqrt(-a_k) / |zeta| = 2ik
     for M in range(1, 62):
         C, S = _pencil(M)
-        for zeta in (0.0, 0.01, 0.1, 0.5, 1.3, -2.0):
+        free = _recursion_block(ModelParams(M=M, zeta=0.0))
+        assert np.array_equal(np.diag(C), np.diag(free)) and np.array_equal(C, np.diag(np.diag(C)))
+        assert np.array_equal(S, np.triu(np.tril(S, 1), -1))
+        assert np.array_equal(np.diag(S), [2j * len(S)] + [0] * (len(S) - 1) if M % 2 == 0 else np.zeros(len(S)))
+        for zeta in (0.01, 0.1, 0.5, 1.3, -2.0):
             params = ModelParams(M=M, zeta=zeta)
-            assert np.array_equal(C + params.zeta2 * S, _recursion_block(params))
+            B, T = C + abs(zeta) * S, _recursion_block(params)
+            pairs = np.diag(B, 1) * np.diag(B, -1)
+            want = np.diag(T, 1) * np.diag(T, -1)
+            assert np.allclose(pairs, want, rtol=4 * np.finfo(float).eps, atol=0.0)
     with pytest.raises(ValueError):
         C[0, 0] = 0.0
     with pytest.raises(ValueError):
@@ -457,15 +490,12 @@ def test_pencil_is_the_recursion_block():
 
 
 def _public_eigvals(M, zeta, label):
-    """np.linalg.eigvals of one sector block at one coupling, the block built
-    as _eigvals builds it."""
+    """np.linalg.eigvals of one sector block at one coupling minus zeta^2,
+    the block B = C + |zeta| S built as _eigvals builds it."""
     C, S = _pencil(M)
-    T = C + np.square(abs(zeta)) * S
-    if M % 2 == 0:
-        T = T.astype(complex)
-        T.imag[0, 0] = 2 * len(C) * abs(zeta)
+    B = C + abs(zeta) * S
     size = _sectors(M)[label]
-    return np.linalg.eigvals(T[:size, :size]).astype(complex)
+    return np.linalg.eigvals(B[:size, :size]).astype(complex) - np.square(abs(zeta))
 
 
 def _assert_kernel_matches_public(M, zetas):
