@@ -77,14 +77,14 @@ def gauge_char_poly(params: ModelParams) -> EnergyPolynomial:
 
 
 # Levels from qes_spectrum agree with the gauge eigenvalues to this distance.
-_ROOT_MATCH_TOL = 1e-8
+_ROOT_MATCH_TOL = 1e-11
 
 # Backward error of R_M at the gauge eigenvalues, relative to its coefficients.
 _R_RESIDUAL_TOL = 1e-12
 
 # Largest coefficient gap between the gauge characteristic polynomial and
 # R_M, relative to R_M's largest coefficient; checked for M <= 6.
-_CHAR_POLY_RTOL = 1e-8
+_CHAR_POLY_RTOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +408,6 @@ def verify_gauge() -> list:
             "oracle.char_poly",
             worst_char[0],
             _CHAR_POLY_RTOL,
-            f"max_rel_coeff_err={worst_char[0]:.3e} at {worst_char[1]}",
+            f"max_rel_coeff_err={worst_char[0]:.3e} at {worst_char[1]} (bound {_CHAR_POLY_RTOL:.1e})",
         ),
     ]

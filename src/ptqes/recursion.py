@@ -30,8 +30,8 @@ F's from n = b + 1 on; R's entries are the a_n, b_n expressions above, with
 the bits of recurrence_a and recurrence_b).  Every routine reads a table:
 the coefficient builders (build_P, build_Q, build_R, build_bar),
 family_values (the recursion run at one point E) and family_norms (the Gram
-diagonals h_n = tail_2 ... tail_{n+1}); norms.weights reads one R table for
-both its norms and its values at every support point.
+diagonals h_n = tail_2 ... tail_{n+1}); norms.gram_matrix runs one R table
+at every support point.
 """
 
 import cmath
@@ -144,17 +144,6 @@ def _values(steps: list, E: complex) -> list:
     return out
 
 
-def _diagonals(family: str, params: ModelParams, steps: list) -> list:
-    """h_0 .. h_{len(steps)-1} of F's step table, h_n = tail_2 ... tail_{n+1};
-    an h_n that overflows raises ValueError."""
-    out = [1.0]
-    for n, (_, tail) in enumerate(steps[1:], 1):
-        out.append(out[-1] * tail)
-        if not cmath.isfinite(out[-1]):
-            raise ValueError(f"{family} Gram norm h_{n} is not finite at zeta^2={params.zeta2!r}")
-    return out
-
-
 def family_values(family: str, params: ModelParams, E: complex, count: int) -> list:
     """F_0(E) .. F_{count-1}(E), run by the recursion at E."""
     return _values(step_table(family, params, count), E)[:count]
@@ -166,4 +155,9 @@ def family_norms(family: str, params: ModelParams, count: int) -> list:
     h_0 = 1 is always returned, also for count < 1; an h_n that overflows
     raises ValueError.  For R, h_n = gamma_n = a_1 ... a_n, 0 from n = M on.
     """
-    return _diagonals(family, params, step_table(family, params, count + 1))
+    out = [1.0]
+    for n, (_, tail) in enumerate(step_table(family, params, count + 1)[1:], 1):
+        out.append(out[-1] * tail)
+        if not cmath.isfinite(out[-1]):
+            raise ValueError(f"{family} Gram norm h_{n} is not finite at zeta^2={params.zeta2!r}")
+    return out

@@ -205,12 +205,14 @@ def _eigvals(M: int, zetas, labels) -> dict:
     bits.  An even-M level with Im E == 0 stands in for its own conjugate,
     so no -0 reaches the output.
 
-    _geev skips numpy.linalg.eigvals' finiteness check: every caller hands it
-    finite blocks, since level_rows refuses non-finite and overflowing
-    couplings before any solve and critical_coupling probes only
-    zeta^2 in (0, 1/2].  _GEEV_ERRSTATE keeps the wrapper's other
-    guarantee: a block that does not converge raises LinAlgError, never a
-    warning or a NaN level."""
+    _geev and _eig's _geev_vectors skip numpy's finiteness check: every
+    caller hands them finite blocks.  level_rows refuses non-finite and
+    overflowing couplings before any solve, critical_coupling probes only
+    zeta^2 in (0, 1/2], and norms.weights calls _eig only after
+    family_norms has refused an overflowing gamma_n (|a_n| <= |gamma_{M-1}|
+    once zeta^2 >= 1).  _GEEV_ERRSTATE keeps the wrapper's other guarantee:
+    a block that does not converge raises LinAlgError, never a warning or a
+    NaN level."""
     C, S = _pencil(M)
     sizes = _sectors(M)
     signature = "d->D" if M % 2 else "D->D"

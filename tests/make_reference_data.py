@@ -1,7 +1,7 @@
 """Writes tests/reference_data.json, the multi-precision references that
 tests/test_spectra.py and tests/test_norms.py compare the library against.
 
-    python tests/make_reference_data.py            # a few minutes on one core
+    python tests/make_reference_data.py            # about 12 minutes on one core
 
 Everything here is mpmath on the unbalanced recursion blocks, written out
 from a_n = -4 n (M - n) zeta^2 and b_n = 4 n (M - 1 - n) + 2M - 1 - zeta^2
@@ -34,14 +34,15 @@ LEVEL_M = (21, 41, 61, 81, 20, 40, 80)
 LEVEL_G = (1, 5, 10, 20, 30, 36.7)
 
 # zeta of the weight reference cells: odd M up to 41 at g up to 10, even M
-# at the norms benchmark's couplings (M = 6 at 0.005 among them), and the
+# at the norms benchmark's couplings (M = 6 at 0.005 among them), the
 # cells where the gap guard that preceded the eigenvector weights refused
-# or missed.
+# or missed, and odd M up to 81 at g up to 20.
 WEIGHT_CELLS = (
     [(M, g / M) for M in (7, 9, 15, 21, 41) for g in (0.5, 1, 2, 5, 10)]
     + [(M, math.sqrt(z2)) for M in (2, 4, 6) for z2 in (0.001, 0.005, 0.01, 0.03, 0.1, 0.3)]
     + [(7, math.sqrt(0.005)), (7, math.sqrt(0.01)), (7, math.sqrt(0.02))]
     + [(21, 1e6), (15, 1e8), (5, 1e6), (9, 1e4), (21, 100.0)]
+    + [(41, 20 / 41)] + [(M, g / M) for M in (61, 81) for g in (1, 10, 20)]
 )
 
 # Below this |Im E| / |E| a 50-digit eigenvalue of a real block is real.

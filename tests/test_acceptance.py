@@ -165,9 +165,9 @@ def _measured(checks, names):
 
 def test_c05_roots_vs_gauge_eigenvalues(acceptance):
     got = _measured(verify_gauge(), ["oracle.R_residual", "oracle.spectrum_match", "oracle.char_poly"])
-    assert got["oracle.spectrum_match"] <= 1e-8
+    assert got["oracle.spectrum_match"] <= 1e-11
     assert got["oracle.R_residual"] <= 1e-12
-    assert got["oracle.char_poly"] <= 1e-8
+    assert got["oracle.char_poly"] <= 1e-12
     acceptance(
         5,
         "R_M roots vs gauge eigenvalues",

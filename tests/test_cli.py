@@ -335,7 +335,8 @@ def test_verify_oracle_full_grid():
     cell = re.compile(r" at M=[1-9] zeta2=(0|0\.005|0\.01|0\.02|0\.025)( |$)")
     assert all(cell.search(c["detail"]) for c in checks.values())
     assert checks["oracle.R_residual"]["detail"].endswith("(bound 1.0e-12)")
-    assert checks["oracle.spectrum_match"]["detail"].endswith("(bound 1.0e-08)")
+    assert checks["oracle.spectrum_match"]["detail"].endswith("(bound 1.0e-11)")
+    assert checks["oracle.char_poly"]["detail"].endswith("(bound 1.0e-12)")
 
 
 def test_verify_csv_format():

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -7,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ptqes import norms
 from ptqes.model import ModelParams
 from ptqes.norms import (
     DegenerateSpectrumError,
@@ -155,8 +155,8 @@ def test_large_coupling_weights_match_the_moment_reference(M, zeta):
 
 
 def test_weights_match_the_moment_reference():
-    # odd M up to 41 at g = M zeta up to 10, and even M = 2, 4, 6 on the
-    # norms benchmark's couplings
+    # odd M up to 41 at g = M zeta up to 10 and up to 81 at g up to 20, and
+    # even M = 2, 4, 6 on the norms benchmark's couplings
     worst = {(M, zeta): _weight_error(M, zeta) for M, zeta in WEIGHT_REFERENCE}
     assert max(worst.values()) <= 1e-12, max(worst.items(), key=lambda item: item[1])
 
@@ -178,6 +178,24 @@ def test_weight_support_is_level_rows(M):
     assert accepted
 
 
+def test_weights_that_miss_their_sum_are_refused(monkeypatch):
+    # an eigenvector whose lead component is off by 1e-6 (relative) gives
+    # weights that miss sum_k omega_k = 1 by about 1e-6, well-conditioned
+    # as every level is at M = 3, zeta^2 = 0.01
+    solve = norms._eig
+
+    def skewed(M, zeta):
+        blocks = solve(M, zeta)
+        levels, X = blocks["E_P"]
+        X = X.copy()
+        X[0, 0] *= 1 + 1e-6
+        return {**blocks, "E_P": (levels, X)}
+
+    monkeypatch.setattr(norms, "_eig", skewed)
+    with pytest.raises(ValueError, match=r"the weights sum to .*, not 1 within 1e-08, at zeta\^2=0\.01"):
+        weights(ModelParams(M=3, zeta=math.sqrt(0.01)))
+
+
 @pytest.mark.parametrize(
     "call, member",
     [
@@ -195,10 +213,10 @@ def test_overflowing_gram_norms_are_refused(call, member):
 
 @pytest.mark.parametrize("M", range(1, 10))
 def test_gram_matrix_is_the_sum_over_support_points(M):
-    # G[i, j] = sum_k omega_k R_i(E_k) R_j(E_k), built here by rerunning
+    # G[i, j] = sum_k omega_k R_i(E_k) R_j(E_k), built here by running
     # family_values at each support point and taking the same matrix
-    # product: the values weights carries, and gram_matrix over them, match
-    # it bit for bit wherever the guards accept the weights.
+    # product: gram_matrix matches it bit for bit wherever the guards accept
+    # the weights.
     accepted = 0
     for z2 in (1e-3, 0.005, 0.01, 0.02, 0.05, 0.1, 0.3, 1.0, 3.0, 10.0):
         params = ModelParams(M=M, zeta=math.sqrt(z2))
@@ -209,13 +227,6 @@ def test_gram_matrix_is_the_sum_over_support_points(M):
         accepted += 1
         vals = np.array([family_values("R", params, E, M) for E in t.energies], dtype=complex)
         w = np.array(t.weights, dtype=complex)
-        assert t.values.tobytes() == vals.tobytes() and not t.values.flags.writeable
         assert gram_matrix(t).tobytes() == (vals.T @ (w[:, None] * vals)).tobytes()
     assert accepted
 
-
-def test_weight_table_repr_and_equality_ignore_values():
-    t = weights(ModelParams(M=3, zeta=0.1))
-    other = dataclasses.replace(t, values=np.zeros((3, 3), dtype=complex))
-    assert other == t and hash(other) == hash(t)
-    assert repr(other) == repr(t) and "values" not in repr(t)
