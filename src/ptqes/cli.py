@@ -330,14 +330,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(func=_cmd_spectrum)
 
-    cz = add("critical-zeta", help="bisect the level-merger coupling")
+    cz = add("critical-zeta", help="solve for the level-merger coupling")
     cz.add_argument("--M", type=int, required=True, dest="M")
     cz.add_argument(
         "--tol",
         type=float,
         default=1e-10,
-        help="width of the zeta^2 bracket at which the bisection stops (default 1e-10); "
-        "the result is good to about 1e-13 relative at best",
+        help="absolute zeta^2 tolerance of the zeroin solve (default 1e-10); "
+        "below the spacing of doubles the result is good to a few ulps",
     )
     _add_common(cz)
     cz.set_defaults(func=_cmd_critical_zeta)

@@ -42,12 +42,15 @@ eigenvalue of a real matrix with imaginary part exactly 0, so an odd-M level
 is real when Im E == 0; at zeta != 0 every even-M level is one of a
 conjugate pair, so an even-M level is real when zeta == 0.  The rows of
 level_rows carry that flag as (E, label, is_real), and qes_spectrum,
-duality, the CLI and the critical_coupling probes read the flag they were
-given.
+duality and the CLI read the flag they were given.
 
 As zeta^2 grows, the two largest E_P levels merge at a critical coupling
-zeta_c^2, beyond which they leave the real axis as a conjugate pair;
-critical_coupling locates it by a scan and a bisection on that flag.
+zeta_c^2, beyond which they leave the real axis as a conjugate pair.  Their
+squared gap Re((E_top - E_below)^2) (_top_gap2) is positive before the
+merger, 0 at it and -4 (Im E)^2 past it, and smooth through it.
+critical_coupling scans zeta^2 = 0.5 i / 200 for the first negative gap^2
+and solves gap^2 = 0 between that point and the one before it by Brent's
+zeroin (_zeroin).
 """
 
 import functools
@@ -80,6 +83,9 @@ _STACK_ENTRIES = 1 << 16
 # and "D->DD" for the complex even-M block.
 _geev = _umath_linalg.eigvals
 _geev_vectors = _umath_linalg.eig
+
+# Relative machine precision, in _zeroin's stopping width 4 eps |b| + tol.
+_EPS = float(np.finfo(float).eps)
 
 
 def _raise_nonconvergence(err, flag):
@@ -207,12 +213,12 @@ def _eigvals(M: int, zetas, labels) -> dict:
 
     _geev and _eig's _geev_vectors skip numpy's finiteness check: every
     caller hands them finite blocks.  level_rows refuses non-finite and
-    overflowing couplings before any solve, critical_coupling probes only
-    zeta^2 in (0, 1/2], and norms.weights calls _eig only after
-    family_norms has refused an overflowing gamma_n (|a_n| <= |gamma_{M-1}|
-    once zeta^2 >= 1).  _GEEV_ERRSTATE keeps the wrapper's other guarantee:
-    a block that does not converge raises LinAlgError, never a warning or a
-    NaN level."""
+    overflowing couplings before any solve, critical_coupling and its
+    _top_gap2 (which calls _geev itself) solve only zeta^2 in [0, 1/2],
+    and norms.weights calls _eig only after family_norms has refused an
+    overflowing gamma_n (|a_n| <= |gamma_{M-1}| once zeta^2 >= 1).
+    _GEEV_ERRSTATE keeps the wrapper's other guarantee: a block that does
+    not converge raises LinAlgError, never a warning or a NaN level."""
     C, S = _pencil(M)
     sizes = _sectors(M)
     signature = "d->D" if M % 2 else "D->D"
@@ -284,50 +290,99 @@ def qes_spectrum(params: ModelParams) -> QesSpectrum:
     return QesSpectrum(params=params, levels=levels)
 
 
-def _p_levels(M: int, zeta2: float) -> list:
-    return _eigvals(M, [math.sqrt(zeta2)], ("E_P",))["E_P"][0]
+def _top_gap2(M: int, zeta2: float) -> float:
+    """Re((E_top - E_below)^2) of the two E_P levels with the largest real
+    parts: > 0 while they are real and apart, 0 where they merge and
+    -4 (Im E)^2 once they are a conjugate pair, smooth through the merger.
+    The block is solved shifted by its last diagonal entry b_k, so the top
+    pair's Schur block has entries of order 1 rather than M^2: the rounding
+    noise in the value is about 1e-14, where the unshifted block gives
+    1e-12 (M = 21) to 2e-11 (M = 81).  The shift and a level's -zeta^2
+    cancel in the gap, so neither is added back."""
+    C, S = _pencil(M)
+    B = (C - C[-1, -1] * np.eye(len(C))) + math.sqrt(zeta2) * S
+    with np.errstate(**_GEEV_ERRSTATE):
+        below, top = sorted(_geev(B, signature="d->D").tolist(), key=lambda E: E.real)[-2:]
+    return ((top - below) ** 2).real
 
 
-def _has_complex_p_level(M: int, zeta2: float) -> bool:
-    return not all(real for _, real in _p_levels(M, zeta2))
+def _zeroin(f, a: float, b: float, fa: float, fb: float, tol: float) -> float:
+    """Brent's zeroin (Algorithms for Minimization without Derivatives,
+    1973, ch. 4): a zero of f between a and b, given fa = f(a) and
+    fb = f(b) of opposite signs or zero, to within 4 eps |b| + tol.  Each
+    step interpolates (inverse quadratic, or linear from two points) when
+    that lands well inside the bracket [b, c], and bisects otherwise."""
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if abs(fc) < abs(fb):  # b is the best point so far, c the other end
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1 or fb == 0.0:
+            return b
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = xm
+        else:
+            d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
+        fb = f(b)
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
 
 
 def critical_coupling(M: int, tol: float = 1e-10) -> CriticalCoupling:
     """Smallest zeta^2 > 0 at which the top two E_P levels merge into a
     conjugate pair, and their mean there.  One scan of zeta^2 = 0.5 i / 200
-    brackets it: zeta_c^2 peaks at exactly 1/4 (M = 3), and M zeta_c falls
+    stops at the first point where the pair's squared gap _top_gap2 is
+    negative: zeta_c^2 peaks at exactly 1/4 (M = 3), and M zeta_c falls
     toward the Mathieu double point 1.4688, so (0, 1/2] holds every merger.
-    Bisection on "an E_P level has Im E != 0" then narrows the bracket.
-    That test flips slightly off the merger, so at tol=1e-300 the result is
-    good to 8.9e-16 to 1.9e-14 relative for M = 3..15; a smaller tol only
-    stops at adjacent doubles.  tol must be positive and finite.  M = 1 has
-    no finite critical coupling."""
+    Brent's zeroin then solves gap^2 = 0 between that point and the one
+    before it, from the two values the scan computed (at zeta = 0 the top
+    two E_P levels are b_k and b_k - 4, so gap^2 = 16 there with no solve),
+    and stops once the bracket is within tol (plus 4 eps zeta_c^2): 6 or 7
+    eigen-solves for M >= 21 at tol=1e-10.  tol is absolute in zeta^2 and
+    must be positive and finite.  Against 60- and 80-digit roots of the same
+    gap^2, tol=1e-13 gives zeta_c^2 within 2.5e-14 relative for M = 3..21
+    and 41, and 1.2e-13 at M = 81; a tol below the spacing of doubles
+    (tol=1e-300) gives all of them within 6.4e-16.  M = 1 has no finite
+    critical coupling; a scan that finds no negative gap^2 raises
+    RuntimeError."""
     k_index(M)  # validates odd positive M
     if not (0 < tol < math.inf):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if M == 1:
         return CriticalCoupling(M=M, zeta_c_squared=math.inf)
 
-    lo = 0.0
+    lo, g_lo = 0.0, 16.0
     for i in range(1, 201):
         up = 0.5 * i / 200
-        if _has_complex_p_level(M, up):
+        g_up = _top_gap2(M, up)
+        if g_up < 0.0:
             break
-        lo = up
+        lo, g_lo = up, g_up
     else:
-        raise RuntimeError(f"no complex E_P level found for M={M} up to zeta^2=0.5")
+        raise RuntimeError(f"the top E_P pair of M={M} does not merge up to zeta^2=0.5")
+    zc2 = _zeroin(functools.partial(_top_gap2, M), lo, up, g_lo, g_up, tol)
 
-    while up - lo > tol:
-        mid = 0.5 * (lo + up)
-        if mid in (lo, up):  # lo and up are adjacent doubles; tol is below their spacing
-            break
-        if _has_complex_p_level(M, mid):
-            up = mid
-        else:
-            lo = mid
-    zc2 = 0.5 * (lo + up)
-
-    below, top = sorted(E.real for E, _ in _p_levels(M, zc2))[-2:]
+    below, top = sorted(E.real for E, _ in _eigvals(M, [math.sqrt(zc2)], ("E_P",))["E_P"][0])[-2:]
     return CriticalCoupling(M=M, zeta_c_squared=zc2, degenerate_energy=0.5 * (below + top))
 
 

@@ -1,7 +1,7 @@
 """Writes tests/reference_data.json, the multi-precision references that
 tests/test_spectra.py and tests/test_norms.py compare the library against.
 
-    python tests/make_reference_data.py            # about 12 minutes on one core
+    python tests/make_reference_data.py            # about 15 minutes on one core
 
 Everything here is mpmath on the unbalanced recursion blocks, written out
 from a_n = -4 n (M - n) zeta^2 and b_n = 4 n (M - 1 - n) + 2M - 1 - zeta^2
@@ -17,7 +17,12 @@ ptqes:
            delta_j0, j < M, over those levels, solved at two precisions that
            agree to 1e-30 of the largest weight, each summing to 1 within
            1e-30; the precision grows in steps of 100 digits until they do
-           and the system resolves the closest E_P / E_Q pair.
+           and the system resolves the closest E_P / E_Q pair;
+  critical zeta_c^2 of the first E_P merger at large odd M: the zero of the
+           squared gap Re((E_top - E_below)^2) of the two E_P eigenvalues
+           with the largest real parts, found by mp.findroot (secant) from
+           g = M zeta = 1.468 and 1.472 at 60 and at 80 digits, which agree
+           to 1e-40.
 """
 
 import json
@@ -44,6 +49,9 @@ WEIGHT_CELLS = (
     + [(21, 1e6), (15, 1e8), (5, 1e6), (9, 1e4), (21, 100.0)]
     + [(41, 20 / 41)] + [(M, g / M) for M in (61, 81) for g in (1, 10, 20)]
 )
+
+# odd M of the critical-coupling reference.
+CRITICAL_M = (41, 81)
 
 # Below this |Im E| / |E| a 50-digit eigenvalue of a real block is real.
 REAL_RTOL = mp.mpf(10) ** -35
@@ -142,13 +150,33 @@ def level_cell(M, g):
         return {"M": M, "g": g, "zeta": zeta, "real_count": real, "levels": [_pair(E) for E in levels]}
 
 
+def top_gap2(M, z2):
+    """Re((E_top - E_below)^2) of the two E_P eigenvalues with the largest
+    real parts: smooth in z2, positive below the merger, negative past it."""
+    values = mp.eig(sector_blocks(M, z2)["E_P"], left=False, right=False)
+    below, top = sorted(values, key=lambda E: E.real)[-2:]
+    return mp.re((top - below) ** 2)
+
+
+def critical_cell(M):
+    roots = []
+    for dps in (60, 80):
+        with mp.workdps(dps):
+            start = [(mp.mpf(g) / M) ** 2 for g in ("1.468", "1.472")]
+            roots.append(mp.findroot(lambda z2: top_gap2(M, z2), start))
+    with mp.workdps(80):
+        if not abs(roots[0] - roots[1]) <= mp.mpf(10) ** -40 * roots[1]:
+            raise ArithmeticError(f"zeta_c^2 of M={M}: {roots[0]} at 60 digits, {roots[1]} at 80")
+    return {"M": M, "dps": [60, 80], "zeta_c_squared": float(roots[1])}
+
+
 def _pair(z):
     z = mp.mpc(z)
     return [float(z.real), float(z.imag)]
 
 
 def main():
-    data = {"levels": [], "weights": []}
+    data = {"levels": [], "weights": [], "critical": []}
     for M in LEVEL_M:
         for g in LEVEL_G:
             data["levels"].append(level_cell(M, g))
@@ -156,6 +184,9 @@ def main():
     for M, zeta in WEIGHT_CELLS:
         data["weights"].append(weight_cell(M, zeta))
         print("weights", M, zeta, data["weights"][-1]["dps"], file=sys.stderr, flush=True)
+    for M in CRITICAL_M:
+        data["critical"].append(critical_cell(M))
+        print("critical", M, file=sys.stderr, flush=True)
     with open(OUT, "w") as fh:
         json.dump(data, fh, indent=1)
         fh.write("\n")

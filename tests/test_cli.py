@@ -110,7 +110,7 @@ def test_critical_zeta_json_and_csv():
 
 
 def test_critical_zeta_tol_below_double_spacing():
-    # the bisection once never ended when tol was below the spacing of
+    # the zeta^2 solve once never ended when tol was below the spacing of
     # doubles near zeta_c^2; the timeout turns that into a failure
     p = run("critical-zeta", "--M", "3", "--tol", "1e-300", timeout=30)
     assert p.returncode == 0, p.stderr

@@ -29,7 +29,7 @@ from ptqes.spectra import (
 )
 
 # Couplings where the top level pair of each odd-M spectrum merges, located
-# by the bisection below and frozen for the reality-switch test.
+# by critical_coupling and frozen for the reality-switch test.
 ZC2 = {3: 0.25, 5: 0.0875655, 7: 0.0443525, 9: 0.0267356}
 
 
@@ -162,16 +162,16 @@ def test_critical_coupling_validation():
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan, -math.inf])
 def test_critical_coupling_refuses_non_finite_tol(tol):
-    # tol=inf once skipped the bisection and returned the scan bracket's
-    # midpoint, 0.25125 at M = 3
+    # tol=inf once skipped the refinement of the scan bracket and returned
+    # its midpoint, 0.25125 at M = 3
     with pytest.raises(ValueError, match="positive and finite"):
         critical_coupling(3, tol=tol)
 
 
 def test_critical_coupling_in_scan_window():
     # zeta_c^2 peaks at exactly 1/4 (M = 3), inside the scan (0, 1/2], and
-    # the bisection stops within tol of it; the merged energy is the mean of
-    # the two largest E_P levels at zeta_c^2.
+    # zeroin stops within tol of it; the merged energy is the mean of the
+    # two largest E_P levels at zeta_c^2.
     tol = 1e-10
     for M in range(3, 102, 2):
         cc = critical_coupling(M, tol)
@@ -185,9 +185,41 @@ def test_critical_coupling_in_scan_window():
 
 
 def test_critical_coupling_never_unbracketed(monkeypatch):
-    monkeypatch.setattr(ptqes.spectra, "_has_complex_p_level", lambda M, zeta2: False)
+    # a squared gap that stays positive past the merger leaves no sign change
+    # to solve on: an error naming M, never an unbracketed value
+    gap2 = ptqes.spectra._top_gap2
+    monkeypatch.setattr(ptqes.spectra, "_top_gap2", lambda M, zeta2: abs(gap2(M, zeta2)))
     with pytest.raises(RuntimeError, match="M=5"):
         critical_coupling(5)
+
+
+@pytest.mark.parametrize("M", [3, 5, 21, 81, 401])
+def test_top_gap2_is_16_at_zero_coupling(M):
+    # critical_coupling takes gap^2 = 16 at zeta = 0 without a solve: the
+    # top two E_P levels are b_k and b_{k-1} = b_k - 4 there
+    assert ptqes.spectra._top_gap2(M, 0.0) == 16.0
+
+
+@pytest.mark.parametrize("M", sorted(ZC2))
+def test_top_gap2_changes_sign_at_the_merger(M):
+    assert ptqes.spectra._top_gap2(M, 0.9 * ZC2[M]) > 0.0
+    pair = [lvl.E for lvl in qes_spectrum(ModelParams(M=M, zeta=math.sqrt(1.1 * ZC2[M]))).levels if not lvl.is_real]
+    assert ptqes.spectra._top_gap2(M, 1.1 * ZC2[M]) == pytest.approx(-4.0 * pair[0].imag ** 2, rel=1e-9)
+
+
+@pytest.mark.parametrize("M", [21, 41, 81])
+def test_critical_coupling_takes_at_most_ten_eigen_solves(monkeypatch, M):
+    # the bisection that preceded zeroin took 27 or 28 solves at these M
+    calls = []
+    geev = ptqes.spectra._geev
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return geev(*args, **kwargs)
+
+    monkeypatch.setattr(ptqes.spectra, "_geev", counted)
+    critical_coupling(M, tol=1e-10)
+    assert len(calls) <= 10
 
 
 def test_overflowing_coupling_is_refused():
@@ -351,50 +383,13 @@ def test_even_m_levels_match_reference_m12():
     assert _worst_relative_error(12, math.sqrt(0.01), M12_LEVELS) <= 1e-12
 
 
-# 40-digit levels at M = 20 with Im >= 0, rounded to doubles; the other ten
-# are their conjugates.  Generated by
-#   python3 -c 'import sys; sys.path.insert(0, "bench"); import reference as r;
-#               print([complex(z) for z in r.levels(20, z2)["E_R"]][::2])'
-# with the sign of each imaginary part dropped.
-M20_UPPER_LEVELS = {
-    0.0625: [
-        39.00347203509591 + 8.245227171552303e-32j,
-        111.01215175341144 + 2.6016793425284736e-26j,
-        175.02455003747048 + 2.665946831214937e-21j,
-        231.0431433298661 + 1.1094982497649927e-16j,
-        279.0728774297379 + 1.9376745743475047e-12j,
-        319.12484248268976 + 1.3461433151532563e-08j,
-        351.22832126511236 + 3.260175688206416e-05j,
-        375.4816610126866 + 0.02167417632090119j,
-        391.3558814987182 + 1.765184981416767j,
-        397.02809915521135 + 6.743543393393252j,
-    ],
-    1.0: [
-        39.05550773762144 + 2.3010998595449954e-20j,
-        111.19418301753605 + 4.566539908817525e-16j,
-        175.39195755490596 + 2.9546513491589994e-12j,
-        231.68758148020933 + 7.823716702461306e-09j,
-        280.1568515253712 + 8.834698123568014e-06j,
-        320.9618391428068 + 0.004122951852863424j,
-        354.396610820036 + 0.7278706636824781j,
-        372.2956618097898 + 7.874436531525447j,
-        381.773672120413 + 20.696286035339067j,
-        393.0861347913103 + 33.545606042520596j,
-    ],
-}
-
-
-@pytest.mark.parametrize("z2, bound", [(0.0625, 1e-13), (1.0, 1e-13)])
-def test_even_m_levels_match_reference_m20(z2, bound):
-    # g = M zeta = 5 and 20; the half-size block keeps even M accurate there
-    upper = M20_UPPER_LEVELS[z2]
-    assert _worst_relative_error(20, math.sqrt(z2), upper + [E.conjugate() for E in upper]) <= bound
-
-
 # 50-digit levels of the unbalanced sector blocks, built from the same
 # double zeta^2, at odd M in 21, 41, 61, 81 and even M in 20, 40, 80 for
 # g = M zeta in 1, 5, 10, 20, 30, 36.7; written by tests/make_reference_data.py.
-LEVEL_REFERENCE = json.loads((Path(__file__).parent / "reference_data.json").read_text())["levels"]
+# zeta_c^2 at M = 41 and 81: roots of the same blocks' top E_P squared gap at
+# 60 and 80 digits, from the same file.
+REFERENCE = json.loads((Path(__file__).parent / "reference_data.json").read_text())
+LEVEL_REFERENCE = REFERENCE["levels"]
 
 
 @pytest.mark.parametrize("cell", LEVEL_REFERENCE, ids=lambda cell: f"M{cell['M']}-g{cell['g']}")
@@ -426,11 +421,31 @@ def test_huge_coupling_pair_is_not_real():
     assert not any(lvl.is_real for lvl in pair)
 
 
-@pytest.mark.parametrize("M, zc2", [(17, 0.00747403225327626), (21, 0.00489582468825987)])
+# zeta_c^2 from bench/reference.py's critical(M), which solves p = dp/dE = 0
+# for the E_P block at 40 digits: M = 3..15 as bench/reference/critical.json
+# holds them, and M = 17 and 21.
+CRITICAL_REFERENCE = [
+    (int(M), cell["zeta_c_squared"])
+    for M, cell in json.loads(
+        (Path(__file__).parents[1] / "bench" / "reference" / "critical.json").read_text()
+    )["critical"].items()
+] + [(17, 0.00747403225327626), (21, 0.00489582468825987)]
+
+
+@pytest.mark.parametrize("M, zc2", CRITICAL_REFERENCE)
 def test_critical_coupling_large_m(M, zc2):
-    # reference values from bench/reference.py's critical(M), which solves
-    # p = dp/dE = 0 for the E_P block at 40 digits
+    # at tol = 1e-13 the bisection that preceded zeroin was 3.1e-13 off at
+    # M = 5 and 2.7e-12 at M = 21
     assert abs(critical_coupling(M).zeta_c_squared - zc2) <= 1e-10
+    assert abs(critical_coupling(M, tol=1e-13).zeta_c_squared - zc2) <= 1e-13 * zc2
+
+
+@pytest.mark.parametrize("cell", REFERENCE["critical"], ids=lambda cell: f"M{cell['M']}")
+def test_critical_coupling_matches_the_multiprecision_root(cell):
+    # measured 1.2e-15 (M = 41) and 1.2e-13 (M = 81) relative at tol = 1e-13;
+    # the bisection that preceded zeroin was 2.0e-11 and 7.5e-11 off
+    zc2 = cell["zeta_c_squared"]
+    assert abs(critical_coupling(cell["M"], tol=1e-13).zeta_c_squared - zc2) <= 1e-12 * zc2
 
 
 @pytest.mark.parametrize("M", sorted(ZC2))
