@@ -336,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=1e-10,
-        help="absolute zeta^2 tolerance of the zeroin solve (default 1e-10); "
+        help="zeroin tolerance relative to zeta^2 (default 1e-10); "
         "below the spacing of doubles the result is good to a few ulps",
     )
     _add_common(cz)

@@ -50,7 +50,10 @@ squared gap Re((E_top - E_below)^2) (_top_gap2) is positive before the
 merger, 0 at it and -4 (Im E)^2 past it, and smooth through it.
 critical_coupling scans zeta^2 = 0.5 i / 200 for the first negative gap^2
 and solves gap^2 = 0 between that point and the one before it by Brent's
-zeroin (_zeroin).
+zeroin (_zeroin), to a tolerance relative to zeta^2.  A probe of the gap is
+one multiply, one add and one _geev call on the E_P block shifted by b_k,
+which _shifted_p_block builds once per M, and critical_coupling enters
+_GEEV_ERRSTATE once around all its probes.
 """
 
 import functools
@@ -84,7 +87,7 @@ _STACK_ENTRIES = 1 << 16
 _geev = _umath_linalg.eigvals
 _geev_vectors = _umath_linalg.eig
 
-# Relative machine precision, in _zeroin's stopping width 4 eps |b| + tol.
+# Relative machine precision, in _zeroin's stopping width (4 eps + tol) |b|.
 _EPS = float(np.finfo(float).eps)
 
 
@@ -204,6 +207,17 @@ def _pencil(M: int):
     return C, S
 
 
+@functools.lru_cache(maxsize=32, typed=True)
+def _shifted_p_block(M: int):
+    """C - b_k I, read-only, for odd M = 2k + 1: _pencil's E_P block at
+    zeta = 0 shifted by its last diagonal entry b_k, built once per M for
+    _top_gap2, which adds |zeta| S to it."""
+    C, _ = _pencil(M)
+    A = C - C[-1, -1] * np.eye(len(C))
+    A.flags.writeable = False
+    return A
+
+
 def _eigvals(M: int, zetas, labels) -> dict:
     """{label: levels of that sector for each zeta in zetas, one list of
     (E, is_real) pairs per coupling}, each level classified here and only
@@ -218,7 +232,9 @@ def _eigvals(M: int, zetas, labels) -> dict:
     and norms.weights calls _eig only after family_norms has refused an
     overflowing gamma_n (|a_n| <= |gamma_{M-1}| once zeta^2 >= 1).
     _GEEV_ERRSTATE keeps the wrapper's other guarantee: a block that does
-    not converge raises LinAlgError, never a warning or a NaN level."""
+    not converge raises LinAlgError, never a warning or a NaN level.  This
+    function and _eig enter it per call; _top_gap2 runs inside the one
+    critical_coupling enters per call."""
     C, S = _pencil(M)
     sizes = _sectors(M)
     signature = "d->D" if M % 2 else "D->D"
@@ -294,22 +310,23 @@ def _top_gap2(M: int, zeta2: float) -> float:
     """Re((E_top - E_below)^2) of the two E_P levels with the largest real
     parts: > 0 while they are real and apart, 0 where they merge and
     -4 (Im E)^2 once they are a conjugate pair, smooth through the merger.
-    The block is solved shifted by its last diagonal entry b_k, so the top
-    pair's Schur block has entries of order 1 rather than M^2: the rounding
-    noise in the value is about 1e-14, where the unshifted block gives
-    1e-12 (M = 21) to 2e-11 (M = 81).  The shift and a level's -zeta^2
-    cancel in the gap, so neither is added back."""
-    C, S = _pencil(M)
-    B = (C - C[-1, -1] * np.eye(len(C))) + math.sqrt(zeta2) * S
-    with np.errstate(**_GEEV_ERRSTATE):
-        below, top = sorted(_geev(B, signature="d->D").tolist(), key=lambda E: E.real)[-2:]
+    The block is solved shifted by its last diagonal entry b_k
+    (_shifted_p_block), so the top pair's Schur block has entries of order
+    1 rather than M^2: the rounding noise in the value is about 1e-14, where
+    the unshifted block gives 1e-12 (M = 21) to 2e-11 (M = 81).  The shift
+    and a level's -zeta^2 cancel in the gap, so neither is added back.
+    _geev runs under the caller's np.errstate: critical_coupling enters
+    _GEEV_ERRSTATE once around all its probes."""
+    B = _shifted_p_block(M) + math.sqrt(zeta2) * _pencil(M)[1]
+    below, top = sorted(_geev(B, signature="d->D").tolist(), key=lambda E: E.real)[-2:]
     return ((top - below) ** 2).real
 
 
 def _zeroin(f, a: float, b: float, fa: float, fb: float, tol: float) -> float:
     """Brent's zeroin (Algorithms for Minimization without Derivatives,
     1973, ch. 4): a zero of f between a and b, given fa = f(a) and
-    fb = f(b) of opposite signs or zero, to within 4 eps |b| + tol.  Each
+    fb = f(b) of opposite signs or zero, to within (4 eps + tol) |b|, a
+    relative width where Brent's tol is absolute.  Each
     step interpolates (inverse quadratic, or linear from two points) when
     that lands well inside the bracket [b, c], and bisects otherwise."""
     c, fc = a, fa
@@ -318,7 +335,7 @@ def _zeroin(f, a: float, b: float, fa: float, fb: float, tol: float) -> float:
         if abs(fc) < abs(fb):  # b is the best point so far, c the other end
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
+        tol1 = (2.0 * _EPS + 0.5 * tol) * abs(b)
         xm = 0.5 * (c - b)
         if abs(xm) <= tol1 or fb == 0.0:
             return b
@@ -357,14 +374,16 @@ def critical_coupling(M: int, tol: float = 1e-10) -> CriticalCoupling:
     Brent's zeroin then solves gap^2 = 0 between that point and the one
     before it, from the two values the scan computed (at zeta = 0 the top
     two E_P levels are b_k and b_k - 4, so gap^2 = 16 there with no solve),
-    and stops once the bracket is within tol (plus 4 eps zeta_c^2): 6 or 7
-    eigen-solves for M >= 21 at tol=1e-10.  tol is absolute in zeta^2 and
-    must be positive and finite.  Against 60- and 80-digit roots of the same
-    gap^2, tol=1e-13 gives zeta_c^2 within 2.5e-14 relative for M = 3..21
-    and 41, and 1.2e-13 at M = 81; a tol below the spacing of doubles
-    (tol=1e-300) gives all of them within 6.4e-16.  M = 1 has no finite
-    critical coupling; a scan that finds no negative gap^2 raises
-    RuntimeError."""
+    and stops once the bracket is within (tol + 4 eps) zeta_c^2: 6 or 7
+    eigen-solves for M = 21..161 at tol=1e-10.  tol is relative to zeta^2,
+    so it gives the same digits at every M, and must be positive and
+    finite.  Against 40-, 60- and 80-digit roots of the same gap^2, the
+    default tol=1e-10 gives zeta_c^2 within 1.7e-11 relative for M = 3..21,
+    41 and 81, tol=1e-13 within 2.0e-15, and a tol below the spacing of
+    doubles (tol=1e-300) within 6.3e-16.  The scan, zeroin and the merged
+    energy's solve run inside one _GEEV_ERRSTATE, so a block that does not
+    converge raises LinAlgError.  M = 1 has no finite critical coupling; a
+    scan that finds no negative gap^2 raises RuntimeError."""
     k_index(M)  # validates odd positive M
     if not (0 < tol < math.inf):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -372,17 +391,17 @@ def critical_coupling(M: int, tol: float = 1e-10) -> CriticalCoupling:
         return CriticalCoupling(M=M, zeta_c_squared=math.inf)
 
     lo, g_lo = 0.0, 16.0
-    for i in range(1, 201):
-        up = 0.5 * i / 200
-        g_up = _top_gap2(M, up)
-        if g_up < 0.0:
-            break
-        lo, g_lo = up, g_up
-    else:
-        raise RuntimeError(f"the top E_P pair of M={M} does not merge up to zeta^2=0.5")
-    zc2 = _zeroin(functools.partial(_top_gap2, M), lo, up, g_lo, g_up, tol)
-
-    below, top = sorted(E.real for E, _ in _eigvals(M, [math.sqrt(zc2)], ("E_P",))["E_P"][0])[-2:]
+    with np.errstate(**_GEEV_ERRSTATE):
+        for i in range(1, 201):
+            up = 0.5 * i / 200
+            g_up = _top_gap2(M, up)
+            if g_up < 0.0:
+                break
+            lo, g_lo = up, g_up
+        else:
+            raise RuntimeError(f"the top E_P pair of M={M} does not merge up to zeta^2=0.5")
+        zc2 = _zeroin(functools.partial(_top_gap2, M), lo, up, g_lo, g_up, tol)
+        below, top = sorted(E.real for E, _ in _eigvals(M, [math.sqrt(zc2)], ("E_P",))["E_P"][0])[-2:]
     return CriticalCoupling(M=M, zeta_c_squared=zc2, degenerate_energy=0.5 * (below + top))
 
 

@@ -207,9 +207,7 @@ def test_top_gap2_changes_sign_at_the_merger(M):
     assert ptqes.spectra._top_gap2(M, 1.1 * ZC2[M]) == pytest.approx(-4.0 * pair[0].imag ** 2, rel=1e-9)
 
 
-@pytest.mark.parametrize("M", [21, 41, 81])
-def test_critical_coupling_takes_at_most_ten_eigen_solves(monkeypatch, M):
-    # the bisection that preceded zeroin took 27 or 28 solves at these M
+def _count_eigen_solves(monkeypatch, M, tol):
     calls = []
     geev = ptqes.spectra._geev
 
@@ -218,8 +216,40 @@ def test_critical_coupling_takes_at_most_ten_eigen_solves(monkeypatch, M):
         return geev(*args, **kwargs)
 
     monkeypatch.setattr(ptqes.spectra, "_geev", counted)
-    critical_coupling(M, tol=1e-10)
-    assert len(calls) <= 10
+    critical_coupling(M, tol)
+    return len(calls)
+
+
+@pytest.mark.parametrize("M", [21, 41, 81])
+def test_critical_coupling_takes_at_most_ten_eigen_solves(monkeypatch, M):
+    # the bisection that preceded zeroin took 27 or 28 solves at these M
+    assert _count_eigen_solves(monkeypatch, M, 1e-10) <= 10
+
+
+@pytest.mark.parametrize("M, bound", [(3, 102), (5, 40), (7, 23), (9, 16), (11, 12)])
+def test_critical_coupling_eigen_solves_at_small_m(monkeypatch, M, bound):
+    # the 200-point scan costs almost all of these; zeroin with the
+    # absolute tol took 102/40/22/16/12
+    assert _count_eigen_solves(monkeypatch, M, 1e-10) <= bound
+
+
+@pytest.mark.parametrize("M", [3, 5, 11, 21, 81])
+@pytest.mark.parametrize("factor", [0.0, 0.5, 1.0, 1.1])
+def test_top_gap2_is_the_inline_shifted_block(M, factor):
+    # the cached shifted block changes no bit of a probe, so the scan's
+    # bracket and zeroin's iterates are those of a block built per call
+    zeta2 = factor * critical_coupling(M).zeta_c_squared
+    C, S = _pencil(M)
+    B = (C - C[-1, -1] * np.eye(len(C))) + math.sqrt(zeta2) * S
+    below, top = sorted(np.linalg.eigvals(B).tolist(), key=lambda E: E.real)[-2:]
+    assert ptqes.spectra._top_gap2(M, zeta2) == ((top - below) ** 2).real
+
+
+def test_shifted_p_block_is_read_only():
+    A = ptqes.spectra._shifted_p_block(5)
+    with pytest.raises(ValueError, match="read-only"):
+        A[0, 0] = 1.0
+    assert A[-1, -1] == 0.0
 
 
 def test_overflowing_coupling_is_refused():
@@ -442,10 +472,19 @@ def test_critical_coupling_large_m(M, zc2):
 
 @pytest.mark.parametrize("cell", REFERENCE["critical"], ids=lambda cell: f"M{cell['M']}")
 def test_critical_coupling_matches_the_multiprecision_root(cell):
-    # measured 1.2e-15 (M = 41) and 1.2e-13 (M = 81) relative at tol = 1e-13;
+    # measured 1.2e-15 (M = 41) and 3.3e-16 (M = 81) relative at tol = 1e-13;
     # the bisection that preceded zeroin was 2.0e-11 and 7.5e-11 off
     zc2 = cell["zeta_c_squared"]
     assert abs(critical_coupling(cell["M"], tol=1e-13).zeta_c_squared - zc2) <= 1e-12 * zc2
+    # the default tol is relative to zeta^2: 1.2e-15 and 1.2e-13 measured,
+    # where an absolute tol gave 3.0e-10 and 6.5e-8
+    assert abs(critical_coupling(cell["M"]).zeta_c_squared - zc2) <= 1e-10 * zc2
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13])
+def test_critical_coupling_within_relative_tol(tol):
+    for M, zc2 in CRITICAL_REFERENCE:
+        assert abs(critical_coupling(M, tol).zeta_c_squared - zc2) <= tol * zc2, M
 
 
 @pytest.mark.parametrize("M", sorted(ZC2))
