@@ -49,7 +49,7 @@ def dual_level_rows(M: int, zetas) -> list:
     """For each zeta in zetas, the periodic-model levels as (Ehat, label,
     is_real) rows, Ehat_k = -E_{M-1-k} of spectra.level_rows; odd M only.
     Negation keeps a level's reality, so is_real is the flag of E_{M-1-k}
-    as spectra._eigvals decided it.  0j - E keeps -0 out of a zero part."""
+    as spectra.level_rows decided it.  0j - E keeps -0 out of a zero part."""
     k_index(M)
     return [[(0j - E, label, real) for E, label, real in reversed(tagged)] for tagged in level_rows(M, zetas)]
 

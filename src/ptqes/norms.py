@@ -86,7 +86,9 @@ class WeightTable:
 
 def weights(params: ModelParams) -> WeightTable:
     """Golub-Welsch weights of the R functional on the M levels, from the
-    eigenvectors x of the sector blocks.  DegenerateSpectrumError when a Gram
+    eigenvectors x of the sector blocks.  The levels arrive from _eig
+    already shifted by -zeta^2, with level_rows' bits; an even-M level's
+    conjugate gets the conjugate weight.  DegenerateSpectrumError when a Gram
     norm vanishes (zeta = 0), or when eps kappa^2 > WEIGHT_RTOL for the
     condition number kappa = ||x||^2 / |sum_n (-1)^n x_n^2| of some level, as
     at a merger.  ValueError, naming zeta^2, when the weights miss their own
@@ -101,7 +103,7 @@ def weights(params: ModelParams) -> WeightTable:
         # reflected onto it; M = 1 has no fold
         lead = 0 if M % 2 else len(X) - 1
         fold = 0.5 * (-1) ** lead if M > 1 else 1.0
-        for E, x in zip(levels.tolist(), X.T.tolist()):
+        for E, x in zip(levels, X.T.tolist()):
             den = sum(v * v for v in x[::2]) - sum(v * v for v in x[1::2])
             sq_norm = sum(abs(v) ** 2 for v in x)
             if not _EPS * sq_norm * sq_norm <= WEIGHT_RTOL * abs(den) ** 2:  # NaN fails too
@@ -111,7 +113,6 @@ def weights(params: ModelParams) -> WeightTable:
                     f"its weight cannot be resolved to {WEIGHT_RTOL:.0e} of the largest"
                 )
             w = fold * x[lead] * x[lead] / den
-            E -= params.zeta2
             rows.append((E, label, w))
             if M % 2 == 0:
                 rows.append((E.conjugate() if E.imag else E, label, w.conjugate()))

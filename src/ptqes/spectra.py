@@ -36,13 +36,15 @@ numpy.linalg.eigvals and eig, called under the wrappers' np.errstate, so a
 non-convergence raises LinAlgError.  oracle.verify_gauge stays on
 numpy.linalg.eigvals and shares no code with this route.
 
-_eigvals is the one place that decides whether a level is real, from the
-structure of the solve and with no tolerance.  LAPACK returns a real
-eigenvalue of a real matrix with imaginary part exactly 0, so an odd-M level
-is real when Im E == 0; at zeta != 0 every even-M level is one of a
-conjugate pair, so an even-M level is real when zeta == 0.  The rows of
-level_rows carry that flag as (E, label, is_real), and qes_spectrum,
-duality and the CLI read the flag they were given.
+level_rows is the one place that turns a stacked sector solve into level
+rows and decides whether a level is real, from the structure of the solve
+and with no tolerance.  LAPACK returns a real eigenvalue of a real matrix
+with imaginary part exactly 0, so an odd-M level is real when Im E == 0;
+at zeta != 0 every even-M level is one of a conjugate pair, so an even-M
+level is real when zeta == 0.  Its rows carry that flag as (E, label,
+is_real), and qes_spectrum, duality and the CLI read the flag they were
+given.  _eig (for norms.weights) and critical_coupling's merged-energy
+solve subtract zeta^2 as level_rows does, so their levels have its bits.
 
 As zeta^2 grows, the two largest E_P levels merge at a critical coupling
 zeta_c^2, beyond which they leave the real axis as a conjugate pair.  Their
@@ -58,16 +60,18 @@ _GEEV_ERRSTATE once around all its probes.
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .model import ModelParams, _check, k_index
-from .polyengine import EnergyPolynomial, matching_distance, mul
+from .polyengine import EnergyPolynomial, mul
 from .recursion import build_bar, build_P, build_Q, build_R, recurrence_a, recurrence_b
 
-# Two levels closer than this (relative) are reported as degenerate.
+# Two levels closer than this, relative to 1 + the spread of the level set,
+# are reported as degenerate.
 DEGENERACY_RTOL = 1e-6
 
 # Largest truncation-identity deviation verify_factorization accepts.
@@ -120,8 +124,8 @@ class QesSpectrum:
 
     @property
     def degenerate_pairs(self):
-        """Index pairs of levels closer than DEGENERACY_RTOL (see
-        degenerate_pairs), computed when read."""
+        """Index pairs of levels closer than DEGENERACY_RTOL times the
+        spread of the levels (see degenerate_pairs), computed when read."""
         return degenerate_pairs(self.energies)
 
 
@@ -155,15 +159,23 @@ def critical_polynomials(params: ModelParams):
 
 
 def degenerate_pairs(energies):
-    """Index pairs closer than DEGENERACY_RTOL relative to the level size.
+    """Index pairs (i, j) with |E_i - E_j| <= DEGENERACY_RTOL * scale,
+    scale = 1 + (max Re E - min Re E) + (max Im E - min Im E).
 
-    energies must be sorted by real part.  |E_i - E_j| >= Re E_j - Re E_i,
-    so the scan for partners of E_i stops at the first E_j whose real part
-    alone is already too far.
+    The spread follows every level's absolute rounding error (about
+    eps ||B||) and is unchanged by a shift or a negation of the levels, so
+    the -zeta^2 shift cannot make levels far apart look degenerate:
+    at M = 3, zeta^2 = 1e18 the E_P pair -1e18 +- 4e9i and the E_Q level
+    are no pair.  energies must be sorted by real part.
+    |E_i - E_j| >= Re E_j - Re E_i, so the scan for partners of E_i stops
+    at the first E_j whose real part alone is already too far.
     """
+    if len(energies) < 2:
+        return ()
+    im = [E.imag for E in energies]
+    bound = DEGENERACY_RTOL * (1.0 + (energies[-1].real - energies[0].real) + (max(im) - min(im)))
     pairs = []
     for i, a in enumerate(energies):
-        bound = DEGENERACY_RTOL * (1.0 + abs(a))
         for j in range(i + 1, len(energies)):
             b = energies[j]
             if b.real - a.real > bound:
@@ -218,57 +230,21 @@ def _shifted_p_block(M: int):
     return A
 
 
-def _eigvals(M: int, zetas, labels) -> dict:
-    """{label: levels of that sector for each zeta in zetas, one list of
-    (E, is_real) pairs per coupling}, each level classified here and only
-    here: eigenvalues of B(zeta) minus |zeta| * |zeta|, ModelParams.zeta2's
-    bits.  An even-M level with Im E == 0 stands in for its own conjugate,
-    so no -0 reaches the output.
-
-    _geev and _eig's _geev_vectors skip numpy's finiteness check: every
-    caller hands them finite blocks.  level_rows refuses non-finite and
-    overflowing couplings before any solve, critical_coupling and its
-    _top_gap2 (which calls _geev itself) solve only zeta^2 in [0, 1/2],
-    and norms.weights calls _eig only after family_norms has refused an
-    overflowing gamma_n (|a_n| <= |gamma_{M-1}| once zeta^2 >= 1).
-    _GEEV_ERRSTATE keeps the wrapper's other guarantee: a block that does
-    not converge raises LinAlgError, never a warning or a NaN level.  This
-    function and _eig enter it per call; _top_gap2 runs inside the one
-    critical_coupling enters per call."""
-    C, S = _pencil(M)
-    sizes = _sectors(M)
-    signature = "d->D" if M % 2 else "D->D"
-    zeta = np.abs(np.asarray(zetas, dtype=float))
-    flat = zeta.tolist()
-    shifts = [z * z for z in flat]
-    zeta = zeta.reshape(-1, 1, 1)
-    out = {label: [] for label in labels}
-    per = max(1, _STACK_ENTRIES // C.size)
-    with np.errstate(**_GEEV_ERRSTATE):
-        for i in range(0, len(zeta), per):
-            B = C + zeta[i : i + per] * S
-            for label, values in out.items():
-                size = sizes[label]
-                solved = _geev(B[:, :size, :size], signature=signature).tolist()
-                rows = zip(solved, shifts[i : i + per], flat[i : i + per])
-                if M % 2:
-                    values.extend([(E - s, E.imag == 0.0) for E in row] for row, s, _ in rows)
-                else:
-                    values.extend(
-                        [(F, z == 0.0) for E in row for F in (E - s, (E - s).conjugate() if E.imag else E - s)]
-                        for row, s, z in rows
-                    )
-    return out
-
-
 def _eig(M: int, zeta: float) -> dict:
-    """{label: (eigenvalues, X)} of each sector block B(zeta): _eigvals'
-    eigenvalues before the zeta^2 shift, eigenvector j as column j of X."""
+    """{label: (levels, X)} of each sector block B(zeta): a list of its
+    eigenvalues minus |zeta| * |zeta|, the bits level_rows gives them (an
+    even-M row adds each one's conjugate), and eigenvector j as column j
+    of X."""
     C, S = _pencil(M)
-    B = C + abs(zeta) * S
+    z = abs(zeta)
+    B, s = C + z * S, z * z
     signature = "d->DD" if M % 2 else "D->DD"
+    out = {}
     with np.errstate(**_GEEV_ERRSTATE):
-        return {label: _geev_vectors(B[:size, :size], signature=signature) for label, size in _sectors(M).items()}
+        for label, size in _sectors(M).items():
+            levels, X = _geev_vectors(B[:size, :size], signature=signature)
+            out[label] = [E - s for E in levels.tolist()], X
+    return out
 
 
 def _level_key(row):
@@ -278,21 +254,53 @@ def _level_key(row):
 
 def level_rows(M: int, zetas) -> list:
     """For each zeta in zetas, the M solvable levels as (E, label, is_real)
-    rows, ascending by (Re E, Im E, label); is_real is the flag _eigvals
-    gave the level.  Row i equals the levels of
+    rows, ascending by (Re E, Im E, label).  Row i equals the levels of
     qes_spectrum(ModelParams(M, zetas[i])), bit for bit.  ValueError when
-    some zeta is not finite or M^2 zeta^2 (>= every |a_n|) overflows."""
+    some zeta is not finite or M^2 zeta^2 (>= every |a_n|) overflows.
+
+    This is the one place that turns a stacked sector solve into rows and
+    decides their reality.  E is an eigenvalue of B(zeta) minus
+    |zeta| * |zeta|, ModelParams.zeta2's bits.  An odd-M level is real when
+    Im E == 0.  An even-M row holds each eigenvalue and its conjugate, real
+    when zeta == 0; one with Im E == 0 stands in for its own conjugate, so
+    no -0 reaches the output.
+
+    _geev and _eig's _geev_vectors skip numpy's finiteness check: every
+    caller hands them finite blocks.  This function refuses non-finite and
+    overflowing couplings before any solve, critical_coupling and its
+    _top_gap2 solve only zeta^2 in [0, 1/2], and norms.weights calls _eig
+    only after family_norms has refused an overflowing gamma_n
+    (|a_n| <= |gamma_{M-1}| once zeta^2 >= 1).  _GEEV_ERRSTATE keeps the
+    wrapper's other guarantee: a block that does not converge raises
+    LinAlgError, never a warning or a NaN level.  This function and _eig
+    enter it per call, critical_coupling once around all its solves."""
     if not all(map(math.isfinite, zetas)):
         bad = next(z for z in zetas if not math.isfinite(z))
         raise ValueError(f"non-finite coupling zeta={bad!r} for M={M}")
     z = float(max(map(abs, zetas), default=0.0))
     if not math.isfinite(z * z * M * M):
         raise ValueError(f"zeta^2={z * z!r} overflows the M={M} recursion coefficients")
-    sectors = _eigvals(M, zetas, _sectors(M)).items()
-    return [
-        sorted(((E, label, real) for label, values in sectors for E, real in values[i]), key=_level_key)
-        for i in range(len(zetas))
-    ]
+    C, S = _pencil(M)
+    sectors = _sectors(M).items()
+    signature = "d->D" if M % 2 else "D->D"
+    zeta = np.abs(np.asarray(zetas, dtype=float)).reshape(-1, 1, 1)
+    flat = zeta.ravel().tolist()
+    per = max(1, _STACK_ENTRIES // C.size)
+    out = []
+    with np.errstate(**_GEEV_ERRSTATE):
+        for i in range(0, len(flat), per):
+            B = C + zeta[i : i + per] * S
+            solved = [(label, _geev(B[:, :size, :size], signature=signature).tolist()) for label, size in sectors]
+            for j, z in enumerate(flat[i : i + per]):
+                s, rows = z * z, []
+                for label, values in solved:
+                    shifted = [E - s for E in values[j]]
+                    if M % 2:
+                        rows += [(E, label, E.imag == 0.0) for E in shifted]
+                    else:
+                        rows += [(F, label, z == 0.0) for E in shifted for F in (E, E.conjugate() if E.imag else E)]
+                out.append(sorted(rows, key=_level_key))
+    return out
 
 
 def qes_spectrum(params: ModelParams) -> QesSpectrum:
@@ -380,10 +388,13 @@ def critical_coupling(M: int, tol: float = 1e-10) -> CriticalCoupling:
     finite.  Against 40-, 60- and 80-digit roots of the same gap^2, the
     default tol=1e-10 gives zeta_c^2 within 1.7e-11 relative for M = 3..21,
     41 and 81, tol=1e-13 within 2.0e-15, and a tol below the spacing of
-    doubles (tol=1e-300) within 6.3e-16.  The scan, zeroin and the merged
-    energy's solve run inside one _GEEV_ERRSTATE, so a block that does not
-    converge raises LinAlgError.  M = 1 has no finite critical coupling; a
-    scan that finds no negative gap^2 raises RuntimeError."""
+    doubles (tol=1e-300) within 6.3e-16.  The merged energy comes from one
+    solve of the unshifted pencil C + zeta_c S, which for odd M is the E_P
+    block, minus zeta_c^2 as level_rows subtracts it, so it has
+    qes_spectrum's bits.  The scan, zeroin and the merged energy's solve
+    run inside one _GEEV_ERRSTATE, so a block that does not converge raises
+    LinAlgError.  M = 1 has no finite critical coupling; a scan that finds
+    no negative gap^2 raises RuntimeError."""
     k_index(M)  # validates odd positive M
     if not (0 < tol < math.inf):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -401,7 +412,9 @@ def critical_coupling(M: int, tol: float = 1e-10) -> CriticalCoupling:
         else:
             raise RuntimeError(f"the top E_P pair of M={M} does not merge up to zeta^2=0.5")
         zc2 = _zeroin(functools.partial(_top_gap2, M), lo, up, g_lo, g_up, tol)
-        below, top = sorted(E.real for E, _ in _eigvals(M, [math.sqrt(zc2)], ("E_P",))["E_P"][0])[-2:]
+        z = math.sqrt(zc2)
+        C, S = _pencil(M)
+        below, top = sorted(E.real - z * z for E in _geev(C + z * S, signature="d->D").tolist())[-2:]
     return CriticalCoupling(M=M, zeta_c_squared=zc2, degenerate_energy=0.5 * (below + top))
 
 
@@ -474,6 +487,6 @@ def even_M_pairing(params: ModelParams) -> bool:
     if params.M % 2 != 0:
         raise ValueError(f"even_M_pairing needs even M, got {params.M}")
     spec = qes_spectrum(params)
-    if matching_distance(spec.energies, [z.conjugate() for z in spec.energies]) != 0.0:
+    if Counter(spec.energies) != Counter(E.conjugate() for E in spec.energies):
         return False
     return params.zeta == 0 or not any(lvl.is_real for lvl in spec.levels)

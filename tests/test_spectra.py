@@ -16,7 +16,6 @@ from ptqes.polyengine import evaluate, matching_distance, taylor_shift
 from ptqes.recursion import build_P, build_Q, recurrence_a, recurrence_b
 from ptqes.spectra import (
     _STACK_ENTRIES,
-    _eigvals,
     _sectors,
     check_factorization,
     critical_coupling,
@@ -91,8 +90,21 @@ def test_m2_exact_complex_pair():
 def test_degenerate_pairs_helper():
     assert degenerate_pairs([1.0, 1.0 + 1e-9, 5.0]) == ((0, 1),)
     assert degenerate_pairs([1.0, 2.0]) == ()
+    assert degenerate_pairs([]) == degenerate_pairs([3.0]) == ()
+    # the bound follows the spread of the set, so a shift keeps the pairs
+    assert degenerate_pairs([-1e9 + 5.0, -1e9 + 5.0 + 1e-6, -1e9 + 9.0 + 2j]) == ((0, 1),)
     # a level with the same real part that is not a partner does not end the scan
     assert degenerate_pairs([1.0 - 1j, 1.0 + 0j, 1.0 + 1e-9j]) == ((1, 2),)
+
+
+@pytest.mark.parametrize("M", [2, 3, 4, 5, 21, 41])
+def test_large_coupling_levels_are_not_degenerate(M):
+    # the bound scales with the spread of the levels, not with |E|: at
+    # zeta^2 = 1e18 the -zeta^2 shift made a bound of 1e-6 (1 + |E|) = 1e12
+    # swallow levels 4e9 apart (M = 3: the E_P pair -1e18 +- 4e9i and E_Q)
+    spec = qes_spectrum(ModelParams(M=M, zeta=1e9))
+    assert spec.degenerate_pairs == ()
+    assert degenerate_pairs([0j - E for E in reversed(spec.energies)]) == ()
 
 
 def test_critical_polynomials_m1():
@@ -543,28 +555,37 @@ def test_pencil_is_the_recursion_block():
         S[0, 0] = 0.0
 
 
-def _public_eigvals(M, zeta, label):
+def _public_levels(M, zeta, label):
     """np.linalg.eigvals of one sector block at one coupling minus zeta^2,
-    the block B = C + |zeta| S built as _eigvals builds it."""
+    the block B = C + |zeta| S built as level_rows builds it; for even M
+    each level and its conjugate (the level itself when Im E == 0)."""
     C, S = _pencil(M)
     B = C + abs(zeta) * S
     size = _sectors(M)[label]
-    return np.linalg.eigvals(B[:size, :size]).astype(complex) - np.square(abs(zeta))
+    levels = np.linalg.eigvals(B[:size, :size]).astype(complex) - np.square(abs(zeta))
+    if M % 2 == 0:
+        levels = np.concatenate([levels, np.where(levels.imag != 0.0, levels.conj(), levels)])
+    return levels
+
+
+def _bits(levels):
+    """The levels as a sorted multiset of bit patterns."""
+    return sorted(np.array(levels, dtype=complex).view(np.uint64).reshape(-1, 2).tolist())
 
 
 def _assert_kernel_matches_public(M, zetas):
-    for label, values in _eigvals(M, zetas, _sectors(M)).items():
-        assert len(values) == len(zetas)
-        for zeta, row in zip(zetas, values):
-            # an even-M row interleaves each eigenvalue with its conjugate
-            ours = np.array([E for E, _ in (row if M % 2 else row[0::2])], dtype=complex)
-            public = _public_eigvals(M, zeta, label)
-            assert np.array_equal(ours.view(np.uint64), public.view(np.uint64)), (M, zeta, label)
+    rows = level_rows(M, zetas)
+    assert len(rows) == len(zetas)
+    for zeta, row in zip(zetas, rows):
+        assert len(row) == M
+        for label in _sectors(M):
+            ours = [E for E, tag, _ in row if tag == label]
+            assert _bits(ours) == _bits(_public_levels(M, zeta, label)), (M, zeta, label)
 
 
 @pytest.mark.parametrize("M", range(1, 42))
 def test_kernel_matches_public_eigvals_bit_for_bit(M):
-    # _eigvals calls the private gufunc behind np.linalg.eigvals; a numpy
+    # level_rows calls the private gufunc behind np.linalg.eigvals; a numpy
     # release that changes it fails here rather than shifting levels
     zc2 = critical_coupling(max(3, M | 1)).zeta_c_squared
     z2s = (0.0, 1e-12, zc2 * (1 - 1e-6), zc2 * (1 + 1e-6), 1e6)
