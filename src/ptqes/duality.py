@@ -58,7 +58,7 @@ def dual_spectrum(params: ModelParams) -> DualSpectrum:
     """Periodic-model levels Ehat_k = -E_{M-1-k}, ascending; odd M only."""
     last = params.M - 1
     levels = tuple(
-        DualLevel(Ehat=Ehat, source_index=last - k, label=label, is_real=real)
+        DualLevel(Ehat, last - k, label, real)
         for k, (Ehat, label, real) in enumerate(dual_level_rows(params.M, [params.zeta])[0])
     )
     return DualSpectrum(params=params, levels=levels)

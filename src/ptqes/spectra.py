@@ -27,24 +27,26 @@ Each block is solved in its balanced form B = D^-1 T D, D diagonal, with
 -sqrt(-a_n) above the diagonal and +sqrt(-a_n) below it: T is far from
 normal at large g = M zeta and lost up to 1.9e-2 there, B keeps about
 1e-14.  Each M has one pencil B(zeta) = C + |zeta| S (_pencil), and a level
-is an eigenvalue of B(zeta) minus zeta^2.  level_rows solves a list of
-couplings with one stacked _geev call per sector and chunk of at most
-_STACK_ENTRIES matrix entries, so a long sweep's extra memory stays bounded
-and a coupling's levels are the same bits alone or in a stack.  _geev and
-_geev_vectors (for norms.weights) are the LAPACK gufuncs behind
-numpy.linalg.eigvals and eig, called under the wrappers' np.errstate, so a
-non-convergence raises LinAlgError.  oracle.verify_gauge stays on
-numpy.linalg.eigvals and shares no code with this route.
+is an eigenvalue of B(zeta) minus zeta^2.  level_rows solves one coupling
+with one _geev call per sector on the 2-D blocks, and a list of couplings
+with one stacked _geev call per sector and chunk of at most _STACK_ENTRIES
+matrix entries, so a long sweep's extra memory stays bounded; a coupling's
+levels are the same bits alone or in a stack.  _geev and _geev_vectors (for
+norms.weights) are the LAPACK gufuncs behind numpy.linalg.eigvals and eig,
+called under the wrappers' np.errstate, so a non-convergence raises
+LinAlgError.  oracle.verify_gauge stays on numpy.linalg.eigvals and shares
+no code with this route.
 
-level_rows is the one place that turns a stacked sector solve into level
-rows and decides whether a level is real, from the structure of the solve
-and with no tolerance.  LAPACK returns a real eigenvalue of a real matrix
-with imaginary part exactly 0, so an odd-M level is real when Im E == 0;
-at zeta != 0 every even-M level is one of a conjugate pair, so an even-M
-level is real when zeta == 0.  Its rows carry that flag as (E, label,
-is_real), and qes_spectrum, duality and the CLI read the flag they were
-given.  _eig (for norms.weights) and critical_coupling's merged-energy
-solve subtract zeta^2 as level_rows does, so their levels have its bits.
+_rows, behind both of level_rows' branches, is the one place that turns
+sector eigenvalues into level rows and decides whether a level is real,
+from the structure of the solve and with no tolerance.  LAPACK returns a
+real eigenvalue of a real matrix with imaginary part exactly 0, so an odd-M
+level is real when Im E == 0; at zeta != 0 every even-M level is one of a
+conjugate pair, so an even-M level is real when zeta == 0.  Its rows carry
+that flag as (E, label, is_real), and qes_spectrum, duality and the CLI
+read the flag they were given.  _eig (for norms.weights) and
+critical_coupling's merged-energy solve subtract zeta^2 as level_rows does,
+so their levels have its bits.
 
 As zeta^2 grows, the two largest E_P levels merge at a critical coupling
 zeta_c^2, beyond which they leave the real axis as a conjugate pair.  Their
@@ -59,9 +61,11 @@ _GEEV_ERRSTATE once around all its probes.
 """
 
 import functools
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
@@ -185,14 +189,15 @@ def degenerate_pairs(energies):
     return tuple(pairs)
 
 
-def _sectors(M: int) -> dict:
-    """{label: size} of the sector blocks, each the leading size x size block
-    of the pencil: E_P (k + 1) and E_Q (k, when k > 0) for odd M = 2k + 1,
-    E_R (k) for even M = 2k."""
+@functools.lru_cache(maxsize=32, typed=True)
+def _sectors(M: int):
+    """{label: size}, read-only, of the sector blocks, each the leading
+    size x size block of the pencil: E_P (k + 1) and E_Q (k, when k > 0)
+    for odd M = 2k + 1, E_R (k) for even M = 2k."""
     k = M // 2
     if M % 2 == 0:
-        return {"E_R": k}
-    return {"E_P": k + 1, "E_Q": k} if k else {"E_P": 1}
+        return MappingProxyType({"E_R": k})
+    return MappingProxyType({"E_P": k + 1, "E_Q": k} if k else {"E_P": 1})
 
 
 @functools.lru_cache(maxsize=32, typed=True)
@@ -252,13 +257,40 @@ def _level_key(row):
     return E.real, E.imag, label
 
 
+def _rows(M: int, z: float, labels, solved) -> list:
+    """One coupling's level rows from its per-sector eigenvalue lists, in
+    the order of labels: each eigenvalue minus z * z, flagged, with the
+    even-M conjugates, ascending by (Re E, Im E, label).  Both branches of
+    level_rows end here, so this is the one place that shifts, flags,
+    conjugates and sorts levels."""
+    s, rows = z * z, []
+    for label, values in zip(labels, solved):
+        shifted = [E - s for E in values]
+        if M % 2:
+            rows += [(E, label, E.imag == 0.0) for E in shifted]
+        else:
+            rows += [(F, label, z == 0.0) for E in shifted for F in (E, E.conjugate() if E.imag else E)]
+    rows.sort(key=_level_key)
+    return rows
+
+
 def level_rows(M: int, zetas) -> list:
     """For each zeta in zetas, the M solvable levels as (E, label, is_real)
     rows, ascending by (Re E, Im E, label).  Row i equals the levels of
     qes_spectrum(ModelParams(M, zetas[i])), bit for bit.  ValueError when
     some zeta is not finite or M^2 zeta^2 (>= every |a_n|) overflows.
 
-    This is the one place that turns a stacked sector solve into rows and
+    The number of couplings picks one of two solves with the same bits.
+    One coupling is solved on the 2-D blocks B = C + |zeta| S, one _geev
+    call per sector; the stack's 3-D set-up would add about 3 us to its
+    11.5 us (M = 3) to 24.5 us (M = 15).  A list is solved in stacked chunks
+    of at most _STACK_ENTRIES matrix entries, one _geev call per sector and
+    chunk.  Neither single path is as fast (Python 3.11, numpy 2.4, 2 vCPU):
+    solving each coupling of a 25-coupling sweep alone was 1.5x (M = 15) to
+    2.7x (M = 3) slower, and shifting, flagging and sorting in numpy for
+    every list added 3 to 6 us to one coupling.
+
+    _rows is the one place that turns sector eigenvalues into rows and
     decides their reality.  E is an eigenvalue of B(zeta) minus
     |zeta| * |zeta|, ModelParams.zeta2's bits.  An odd-M level is real when
     Im E == 0.  An even-M row holds each eigenvalue and its conjugate, real
@@ -281,8 +313,13 @@ def level_rows(M: int, zetas) -> list:
     if not math.isfinite(z * z * M * M):
         raise ValueError(f"zeta^2={z * z!r} overflows the M={M} recursion coefficients")
     C, S = _pencil(M)
-    sectors = _sectors(M).items()
+    sectors = _sectors(M)
     signature = "d->D" if M % 2 else "D->D"
+    if len(zetas) == 1:
+        B = C + z * S
+        with np.errstate(**_GEEV_ERRSTATE):
+            solved = [_geev(B[:size, :size], signature=signature).tolist() for size in sectors.values()]
+        return [_rows(M, z, sectors, solved)]
     zeta = np.abs(np.asarray(zetas, dtype=float)).reshape(-1, 1, 1)
     flat = zeta.ravel().tolist()
     per = max(1, _STACK_ENTRIES // C.size)
@@ -290,16 +327,8 @@ def level_rows(M: int, zetas) -> list:
     with np.errstate(**_GEEV_ERRSTATE):
         for i in range(0, len(flat), per):
             B = C + zeta[i : i + per] * S
-            solved = [(label, _geev(B[:, :size, :size], signature=signature).tolist()) for label, size in sectors]
-            for j, z in enumerate(flat[i : i + per]):
-                s, rows = z * z, []
-                for label, values in solved:
-                    shifted = [E - s for E in values[j]]
-                    if M % 2:
-                        rows += [(E, label, E.imag == 0.0) for E in shifted]
-                    else:
-                        rows += [(F, label, z == 0.0) for E in shifted for F in (E, E.conjugate() if E.imag else E)]
-                out.append(sorted(rows, key=_level_key))
+            solved = [_geev(B[:, :size, :size], signature=signature).tolist() for size in sectors.values()]
+            out += [_rows(M, z, sectors, values) for z, values in zip(flat[i : i + per], zip(*solved))]
     return out
 
 
@@ -310,7 +339,7 @@ def qes_spectrum(params: ModelParams) -> QesSpectrum:
     Even M: eigenvalues of the half-size complex block and their
     conjugates, labelled E_R.
     """
-    levels = tuple(QesLevel(*row) for row in level_rows(params.M, [params.zeta])[0])
+    levels = tuple(itertools.starmap(QesLevel, level_rows(params.M, [params.zeta])[0]))
     return QesSpectrum(params=params, levels=levels)
 
 

@@ -10,7 +10,7 @@ import pytest
 import ptqes.cli
 import ptqes.recursion
 import ptqes.spectra
-from ptqes.duality import dual_level_rows
+from ptqes.duality import dual_level_rows, dual_spectrum
 from ptqes.model import ModelParams
 from ptqes.polyengine import evaluate, matching_distance, taylor_shift
 from ptqes.recursion import build_P, build_Q, recurrence_a, recurrence_b
@@ -269,13 +269,17 @@ def test_overflowing_coupling_is_refused():
         qes_spectrum(ModelParams(M=3, zeta=1e154))
     # a coupling a decade below the overflow is still solved
     assert len(qes_spectrum(ModelParams(M=3, zeta=1e153)).levels) == 3
+    # a stack of couplings is refused when any one of them overflows
+    with pytest.raises(ValueError, match="overflows"):
+        level_rows(3, [0.1, 1e154])
 
 
 @pytest.mark.parametrize("rows", [level_rows, dual_level_rows])
-@pytest.mark.parametrize("zetas", [[math.nan, 1.0], [1.0, math.nan], [0.1, math.inf]])
+@pytest.mark.parametrize("zetas", [[math.nan, 1.0], [1.0, math.nan], [0.1, math.inf], [math.nan], [math.inf]])
 def test_non_finite_coupling_is_refused(rows, zetas):
     # a NaN after the first coupling once slipped past the overflow guard
-    # into numpy, and a leading one was reported as an overflow
+    # into numpy, and a leading one was reported as an overflow; a single
+    # coupling takes the 2-D branch and is refused there too
     with pytest.raises(ValueError, match="non-finite coupling"):
         rows(3, zetas)
 
@@ -573,7 +577,14 @@ def _bits(levels):
     return sorted(np.array(levels, dtype=complex).view(np.uint64).reshape(-1, 2).tolist())
 
 
+def _row_bits(rows):
+    """(E, label, is_real) rows, in their order, with E as bit patterns."""
+    return [(E.real.hex(), E.imag.hex(), label, real) for E, label, real in rows]
+
+
 def _assert_kernel_matches_public(M, zetas):
+    # the stack against the public solve, and each coupling solved alone
+    # (level_rows' 2-D branch, and the calls built on it) against the stack
     rows = level_rows(M, zetas)
     assert len(rows) == len(zetas)
     for zeta, row in zip(zetas, rows):
@@ -581,6 +592,16 @@ def _assert_kernel_matches_public(M, zetas):
         for label in _sectors(M):
             ours = [E for E, tag, _ in row if tag == label]
             assert _bits(ours) == _bits(_public_levels(M, zeta, label)), (M, zeta, label)
+        want = _row_bits(row)
+        assert _row_bits(level_rows(M, [zeta])[0]) == want, (M, zeta)
+        levels = qes_spectrum(ModelParams(M=M, zeta=zeta)).levels
+        assert _row_bits((lvl.E, lvl.label, lvl.is_real) for lvl in levels) == want, (M, zeta)
+        if M % 2:
+            dual = [(0j - E, label, real) for E, label, real in reversed(row)]
+            assert _row_bits(dual_level_rows(M, [zeta])[0]) == _row_bits(dual), (M, zeta)
+            levels = dual_spectrum(ModelParams(M=M, zeta=zeta)).levels
+            assert [lvl.source_index for lvl in levels] == list(range(M - 1, -1, -1))
+            assert _row_bits((lvl.Ehat, lvl.label, lvl.is_real) for lvl in levels) == _row_bits(dual), (M, zeta)
 
 
 @pytest.mark.parametrize("M", range(1, 42))
@@ -589,7 +610,9 @@ def test_kernel_matches_public_eigvals_bit_for_bit(M):
     # release that changes it fails here rather than shifting levels
     zc2 = critical_coupling(max(3, M | 1)).zeta_c_squared
     z2s = (0.0, 1e-12, zc2 * (1 - 1e-6), zc2 * (1 + 1e-6), 1e6)
-    _assert_kernel_matches_public(M, [math.sqrt(z2) for z2 in z2s])
+    # a signed zeta in B = C + zeta S gives other bits at zeta = -10 for 20 of
+    # these M, and at -1e3 for M = 5 as well
+    _assert_kernel_matches_public(M, [math.sqrt(z2) for z2 in z2s] + [-10.0, -1e3])
 
 
 @pytest.mark.parametrize("M", [40, 41])
@@ -614,10 +637,11 @@ def test_unconverged_stand_in_raises_the_invalid_flag():
     [
         lambda: level_rows(3, [0.1, 0.2]),
         lambda: level_rows(4, [0.1]),
+        lambda: level_rows(4, [0.1, 0.2]),
         lambda: qes_spectrum(ModelParams(M=5, zeta=0.1)),
         lambda: critical_coupling(5),
     ],
-    ids=["level_rows-odd", "level_rows-even", "qes_spectrum", "critical_coupling"],
+    ids=["level_rows-odd", "level_rows-even", "level_rows-even-stacked", "qes_spectrum", "critical_coupling"],
 )
 def test_non_convergence_raises_linalgerror(monkeypatch, solve):
     monkeypatch.setattr(ptqes.spectra, "_geev", _unconverged)
