@@ -170,23 +170,28 @@ def degenerate_pairs(energies):
     eps ||B||) and is unchanged by a shift or a negation of the levels, so
     the -zeta^2 shift cannot make levels far apart look degenerate:
     at M = 3, zeta^2 = 1e18 the E_P pair -1e18 +- 4e9i and the E_Q level
-    are no pair.  energies must be sorted by real part.
-    |E_i - E_j| >= Re E_j - Re E_i, so the scan for partners of E_i stops
-    at the first E_j whose real part alone is already too far.
+    are no pair.
+
+    The scan runs over the levels in order of real part.  |E_i - E_j| >=
+    |Re E_j - Re E_i|, so the scan for partners of E_i stops at the first
+    later E_j whose real part alone is already too far.  The pairs come out
+    with i < j, in ascending order.
     """
     if len(energies) < 2:
         return ()
+    real = [E.real for E in energies]
     im = [E.imag for E in energies]
-    bound = DEGENERACY_RTOL * (1.0 + (energies[-1].real - energies[0].real) + (max(im) - min(im)))
+    bound = DEGENERACY_RTOL * (1.0 + (max(real) - min(real)) + (max(im) - min(im)))
+    order = sorted(range(len(energies)), key=real.__getitem__)
     pairs = []
-    for i, a in enumerate(energies):
-        for j in range(i + 1, len(energies)):
-            b = energies[j]
-            if b.real - a.real > bound:
+    for n, i in enumerate(order):
+        for m in range(n + 1, len(order)):
+            j = order[m]
+            if real[j] - real[i] > bound:
                 break
-            if abs(a - b) <= bound:
-                pairs.append((i, j))
-    return tuple(pairs)
+            if abs(energies[i] - energies[j]) <= bound:
+                pairs.append((min(i, j), max(i, j)))
+    return tuple(sorted(pairs))
 
 
 @functools.lru_cache(maxsize=32, typed=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 from importlib import resources
@@ -157,6 +158,12 @@ def test_golden_loading(tmp_path, monkeypatch):
     got = load_golden_levels()
     assert len(got) == 1
     assert got[0].energy == 9.0
+    # columns are read by name: another order and an extra column parse
+    # to the same rows
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text("energy,note,rank,label,zeta2,M,table\n9.0,x,0,E_P,0.01,5,I\n")
+    monkeypatch.setenv("QES_GOLDEN_PATH", str(shuffled))
+    assert load_golden_levels() == got
     empty = tmp_path / "empty.csv"
     empty.write_text("table,M,zeta2,label,rank,energy\n")
     monkeypatch.setenv("QES_GOLDEN_PATH", str(empty))
@@ -236,6 +243,9 @@ def test_reproduce_table_ii_single_defect():
     assert len(bad) == 1
     cell = bad[0]
     assert (cell.zeta2, cell.label, cell.rank) == (0.025, "E_P", 0)
+    # the cell heads with its golden row's six fields
+    row = next(g for g in load_golden_levels() if (g.table, g.zeta2, g.label, g.rank) == ("II", 0.025, "E_P", 0))
+    assert dataclasses.astuple(cell)[:6] == dataclasses.astuple(row)
     assert 1.0e-6 < cell.abs_err < 1.1e-6
     good = [c for c in report.cells if c.passed]
     assert max(c.abs_err for c in good) < 1e-6

@@ -95,6 +95,16 @@ def test_degenerate_pairs_helper():
     assert degenerate_pairs([-1e9 + 5.0, -1e9 + 5.0 + 1e-6, -1e9 + 9.0 + 2j]) == ((0, 1),)
     # a level with the same real part that is not a partner does not end the scan
     assert degenerate_pairs([1.0 - 1j, 1.0 + 0j, 1.0 + 1e-9j]) == ((1, 2),)
+    # the levels need not be sorted: the pairs come out as (i, j), i < j,
+    # ascending, in the caller's numbering
+    assert degenerate_pairs([5.0, 1.0, 1.0 + 1e-9]) == ((1, 2),)
+    energies = qes_spectrum(ModelParams(M=9, zeta=1.0)).energies
+    pairs = degenerate_pairs(energies)
+    assert pairs
+    perm = np.random.default_rng(0).permutation(len(energies))
+    where = {int(p): n for n, p in enumerate(perm)}
+    want = tuple(sorted(tuple(sorted((where[i], where[j]))) for i, j in pairs))
+    assert degenerate_pairs([energies[p] for p in perm]) == want
 
 
 @pytest.mark.parametrize("M", [2, 3, 4, 5, 21, 41])
