@@ -54,15 +54,21 @@ squared gap Re((E_top - E_below)^2) (_top_gap2) is positive before the
 merger, 0 at it and -4 (Im E)^2 past it, and smooth through it.
 critical_coupling scans zeta^2 = 0.5 i / 200 for the first negative gap^2
 and solves gap^2 = 0 between that point and the one before it by Brent's
-zeroin (_zeroin), to a tolerance relative to zeta^2.  A probe of the gap is
-one multiply, one add and one _geev call on the E_P block shifted by b_k,
-which _shifted_p_block builds once per M, and critical_coupling enters
-_GEEV_ERRSTATE once around all its probes.
+zeroin (_zeroin), to a tolerance relative to zeta^2.  critical_coupling
+fetches the E_P block shifted by b_k (_shifted_p_block, built once per M)
+and S once per call and hands both to every probe, and it enters
+_GEEV_ERRSTATE once around all its probes.  A probe of the gap is one
+multiply, one add, one _geev call and an in-place sort of the levels by
+real part with a C key; best of 40 x 1000 interleaved probes (Python 3.11,
+numpy 2.4, 2 vCPU), that is 3.5 us at M = 3, 4.8 at M = 7 and 7.1 at
+M = 11, of which _geev takes 1.8, 2.9 and 4.6 us.  With two cache lookups
+and a copying sort per probe it was 4.2, 5.7 and 8.1 us.
 """
 
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -94,6 +100,9 @@ _STACK_ENTRIES = 1 << 16
 # and "D->DD" for the complex even-M block.
 _geev = _umath_linalg.eigvals
 _geev_vectors = _umath_linalg.eig
+
+# _top_gap2's sort key: a C-level getter in place of a Python lambda.
+_REAL_PART = operator.attrgetter("real")
 
 # Relative machine precision, in _zeroin's stopping width (4 eps + tol) |b|.
 _EPS = float(np.finfo(float).eps)
@@ -348,20 +357,26 @@ def qes_spectrum(params: ModelParams) -> QesSpectrum:
     return QesSpectrum(params=params, levels=levels)
 
 
-def _top_gap2(M: int, zeta2: float) -> float:
+def _top_gap2(A, S, zeta2: float) -> float:
     """Re((E_top - E_below)^2) of the two E_P levels with the largest real
-    parts: > 0 while they are real and apart, 0 where they merge and
-    -4 (Im E)^2 once they are a conjugate pair, smooth through the merger.
-    The block is solved shifted by its last diagonal entry b_k
-    (_shifted_p_block), so the top pair's Schur block has entries of order
-    1 rather than M^2: the rounding noise in the value is about 1e-14, where
-    the unshifted block gives 1e-12 (M = 21) to 2e-11 (M = 81).  The shift
-    and a level's -zeta^2 cancel in the gap, so neither is added back.
-    _geev runs under the caller's np.errstate: critical_coupling enters
-    _GEEV_ERRSTATE once around all its probes."""
-    B = _shifted_p_block(M) + math.sqrt(zeta2) * _pencil(M)[1]
-    below, top = sorted(_geev(B, signature="d->D").tolist(), key=lambda E: E.real)[-2:]
-    return ((top - below) ** 2).real
+    parts at zeta2, from the shifted block A = _shifted_p_block(M) and
+    S = _pencil(M)[1]: > 0 while they are real and apart, 0 where they
+    merge and -4 (Im E)^2 once they are a conjugate pair, smooth through
+    the merger.  The block is solved shifted by its last diagonal entry b_k,
+    so the top pair's Schur block has entries of order 1 rather than M^2:
+    the rounding noise in the value is about 1e-14, where the unshifted
+    block gives 1e-12 (M = 21) to 2e-11 (M = 81).  The shift and a level's
+    -zeta^2 cancel in the gap, so neither is added back.
+
+    A probe is A + sqrt(zeta2) S, one _geev call and an in-place sort of
+    the levels by real part with a C key, and looks up no cache:
+    critical_coupling binds A and S once per call.  At M = 3 it takes
+    3.5 us, of which _geev is 1.8 (module docstring).  _geev runs under
+    the caller's np.errstate: critical_coupling enters _GEEV_ERRSTATE once
+    around all its probes."""
+    levels = _geev(A + math.sqrt(zeta2) * S, signature="d->D").tolist()
+    levels.sort(key=_REAL_PART)
+    return ((levels[-1] - levels[-2]) ** 2).real
 
 
 def _zeroin(f, a: float, b: float, fa: float, fb: float, tol: float) -> float:
@@ -428,26 +443,34 @@ def critical_coupling(M: int, tol: float = 1e-10) -> CriticalCoupling:
     qes_spectrum's bits.  The scan, zeroin and the merged energy's solve
     run inside one _GEEV_ERRSTATE, so a block that does not converge raises
     LinAlgError.  M = 1 has no finite critical coupling; a scan that finds
-    no negative gap^2 raises RuntimeError."""
+    no negative gap^2 raises RuntimeError.
+
+    The shifted block and S are fetched once per call and bound into the
+    one probe that the scan and zeroin both call, so a probe costs about
+    1.7 us more than its _geev call (3.5 us at M = 3, 7.1 at M = 11).  The
+    scan is still all 101 probes at M = 3 and 36 of 39 at M = 5; it stays
+    until the benchmark's memory reading no longer grows with the number
+    of operations a run completes (ROADMAP item 1)."""
     k_index(M)  # validates odd positive M
     if not (0 < tol < math.inf):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if M == 1:
         return CriticalCoupling(M=M, zeta_c_squared=math.inf)
 
+    C, S = _pencil(M)
+    gap2 = functools.partial(_top_gap2, _shifted_p_block(M), S)
     lo, g_lo = 0.0, 16.0
     with np.errstate(**_GEEV_ERRSTATE):
         for i in range(1, 201):
             up = 0.5 * i / 200
-            g_up = _top_gap2(M, up)
+            g_up = gap2(up)
             if g_up < 0.0:
                 break
             lo, g_lo = up, g_up
         else:
             raise RuntimeError(f"the top E_P pair of M={M} does not merge up to zeta^2=0.5")
-        zc2 = _zeroin(functools.partial(_top_gap2, M), lo, up, g_lo, g_up, tol)
+        zc2 = _zeroin(gap2, lo, up, g_lo, g_up, tol)
         z = math.sqrt(zc2)
-        C, S = _pencil(M)
         below, top = sorted(E.real - z * z for E in _geev(C + z * S, signature="d->D").tolist())[-2:]
     return CriticalCoupling(M=M, zeta_c_squared=zc2, degenerate_energy=0.5 * (below + top))
 

@@ -169,10 +169,14 @@ def test_critical_coupling_m1_infinite():
 
 
 def test_critical_coupling_m3():
-    cc = critical_coupling(3, tol=1e-10)
-    assert abs(cc.zeta_c_squared - 0.25) <= 1e-10
-    assert cc.degenerate_energy == pytest.approx(6.75, abs=1e-5)
-    assert cc.is_finite
+    # the paper's exact double level E = 27/4 at zeta^2 = 1/4: zeta_c^2 to
+    # 1e-13 relative, and E to sqrt(eps) |E| with margin, at every tol the
+    # critical workload runs
+    for tol in (1e-8, 1e-9, 1e-10):
+        cc = critical_coupling(3, tol=tol)
+        assert abs(cc.zeta_c_squared - 0.25) <= 1e-13 * 0.25, tol
+        assert abs(cc.degenerate_energy - 6.75) <= 1e-7, tol
+        assert cc.is_finite
 
 
 def test_critical_coupling_validation():
@@ -210,23 +214,28 @@ def test_critical_coupling_never_unbracketed(monkeypatch):
     # a squared gap that stays positive past the merger leaves no sign change
     # to solve on: an error naming M, never an unbracketed value
     gap2 = ptqes.spectra._top_gap2
-    monkeypatch.setattr(ptqes.spectra, "_top_gap2", lambda M, zeta2: abs(gap2(M, zeta2)))
+    monkeypatch.setattr(ptqes.spectra, "_top_gap2", lambda A, S, zeta2: abs(gap2(A, S, zeta2)))
     with pytest.raises(RuntimeError, match="M=5"):
         critical_coupling(5)
+
+
+def _probe(M, zeta2):
+    # the probe on the blocks critical_coupling binds once per call
+    return ptqes.spectra._top_gap2(ptqes.spectra._shifted_p_block(M), _pencil(M)[1], zeta2)
 
 
 @pytest.mark.parametrize("M", [3, 5, 21, 81, 401])
 def test_top_gap2_is_16_at_zero_coupling(M):
     # critical_coupling takes gap^2 = 16 at zeta = 0 without a solve: the
     # top two E_P levels are b_k and b_{k-1} = b_k - 4 there
-    assert ptqes.spectra._top_gap2(M, 0.0) == 16.0
+    assert _probe(M, 0.0) == 16.0
 
 
 @pytest.mark.parametrize("M", sorted(ZC2))
 def test_top_gap2_changes_sign_at_the_merger(M):
-    assert ptqes.spectra._top_gap2(M, 0.9 * ZC2[M]) > 0.0
+    assert _probe(M, 0.9 * ZC2[M]) > 0.0
     pair = [lvl.E for lvl in qes_spectrum(ModelParams(M=M, zeta=math.sqrt(1.1 * ZC2[M]))).levels if not lvl.is_real]
-    assert ptqes.spectra._top_gap2(M, 1.1 * ZC2[M]) == pytest.approx(-4.0 * pair[0].imag ** 2, rel=1e-9)
+    assert _probe(M, 1.1 * ZC2[M]) == pytest.approx(-4.0 * pair[0].imag ** 2, rel=1e-9)
 
 
 def _count_eigen_solves(monkeypatch, M, tol):
@@ -255,16 +264,20 @@ def test_critical_coupling_eigen_solves_at_small_m(monkeypatch, M, bound):
     assert _count_eigen_solves(monkeypatch, M, 1e-10) <= bound
 
 
-@pytest.mark.parametrize("M", [3, 5, 11, 21, 81])
+@pytest.mark.parametrize("M", [3, 5, 7, 9, 11, 21, 81])
 @pytest.mark.parametrize("factor", [0.0, 0.5, 1.0, 1.1])
 def test_top_gap2_is_the_inline_shifted_block(M, factor):
-    # the cached shifted block changes no bit of a probe, so the scan's
-    # bracket and zeroin's iterates are those of a block built per call
+    # neither the cached shifted block nor the in-place sort by a C key
+    # changes a bit of a probe, so the scan's bracket and zeroin's iterates
+    # are those of a block built per call and sorted by a Python key.  The
+    # levels stay complex: eigvals returns a real array when every level is
+    # real, and float ** 2 (libm pow) then differs from complex ** 2 (a
+    # product) by an ulp at M = 9, factor 1.0
     zeta2 = factor * critical_coupling(M).zeta_c_squared
     C, S = _pencil(M)
     B = (C - C[-1, -1] * np.eye(len(C))) + math.sqrt(zeta2) * S
-    below, top = sorted(np.linalg.eigvals(B).tolist(), key=lambda E: E.real)[-2:]
-    assert ptqes.spectra._top_gap2(M, zeta2) == ((top - below) ** 2).real
+    below, top = sorted(np.linalg.eigvals(B).astype(complex).tolist(), key=lambda E: E.real)[-2:]
+    assert _probe(M, zeta2) == ((top - below) ** 2).real
 
 
 def test_shifted_p_block_is_read_only():
