@@ -48,8 +48,9 @@ class DualSpectrum:
 def dual_level_rows(M: int, zetas) -> list:
     """For each zeta in zetas, the periodic-model levels as (Ehat, label,
     is_real) rows, Ehat_k = -E_{M-1-k} of spectra.level_rows; odd M only.
-    Negation keeps a level's reality, so is_real is the flag of E_{M-1-k}
-    as spectra.level_rows decided it.  0j - E keeps -0 out of a zero part."""
+    zetas must be a sequence, as for spectra.level_rows.  Negation keeps a
+    level's reality, so is_real is the flag of E_{M-1-k} as
+    spectra.level_rows decided it.  0j - E keeps -0 out of a zero part."""
     k_index(M)
     return [[(0j - E, label, real) for E, label, real in reversed(tagged)] for tagged in level_rows(M, zetas)]
 
@@ -82,8 +83,7 @@ def verify_duality() -> list:
         params = ModelParams(M=m, zeta=math.sqrt(0.01))
         base = tuple(qes_spectrum(params).energies)
         manual = tuple(-e for e in reversed(base))
-        involution = tuple(-e for e in reversed(manual))
-        broken += tuple(dual_spectrum(params).energies) != manual or involution != base
+        broken += tuple(dual_spectrum(params).energies) != manual
     worst = 0.0
     for z2 in (0.0, 0.01, 0.1, 0.24):
         params = ModelParams(M=3, zeta=math.sqrt(z2))
@@ -95,7 +95,7 @@ def verify_duality() -> list:
         for tag, E in dshg_closed_form_levels(params).items():
             worst_res = max(worst_res, ode_residual_dsg(params, -E, tag))
     return [
-        _check("duality.negation_reversal", broken, 0, "exact float equality and involution, M in 1,3,5,7,9"),
+        _check("duality.negation_reversal", broken, 0, "exact float equality, M in 1,3,5,7,9"),
         _check("duality.closed_form_m3", worst, _CLOSED_FORM_TOL, f"max_error={worst:.3e}"),
         _check(
             "duality.ode_residual",

@@ -43,14 +43,12 @@ import numpy as np
 
 from .model import ModelParams, _check, k_index
 from .recursion import _values, family_norms, step_table
-from .spectra import _eig, _level_key
+from .spectra import _EPS, _eig, _level_key
 
 # Weights are refused when rounding can move them by more than this
 # fraction of the largest weight, or when their sum is further than this
 # from 1.
 WEIGHT_RTOL = 1e-8
-
-_EPS = float(np.finfo(float).eps)
 
 # verify_norms bound on the distance of the Gram matrix from diag(gamma),
 # relative to 1 + max |gamma_n|.

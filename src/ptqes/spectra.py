@@ -12,9 +12,8 @@ odd M = 2k + 1 the index reflection splits T into two real blocks:
 
 Expanding those determinants along the last row gives the critical
 polynomials from the real R recursion: Q_k = R_k and
-P_{k+1} = (E - b_k) R_k - 2 a_k R_{k-1} = R_{k+1} - a_k R_{k-1}.
-critical_polynomials builds them that way, so their coefficients are real;
-the complex P and Q families serve the truncation identities
+P_{k+1} = (E - b_k) R_k - 2 a_k R_{k-1} = R_{k+1} - a_k R_{k-1}.  The
+complex P and Q families serve the truncation identities
 (check_factorization) and the sector norms.
 
 For even M = 2k, T symmetrised (off-diagonal entries i sqrt(-a_n)) splits
@@ -27,42 +26,12 @@ Each block is solved in its balanced form B = D^-1 T D, D diagonal, with
 -sqrt(-a_n) above the diagonal and +sqrt(-a_n) below it: T is far from
 normal at large g = M zeta and lost up to 1.9e-2 there, B keeps about
 1e-14.  Each M has one pencil B(zeta) = C + |zeta| S (_pencil), and a level
-is an eigenvalue of B(zeta) minus zeta^2.  level_rows solves one coupling
-with one _geev call per sector on the 2-D blocks, and a list of couplings
-with one stacked _geev call per sector and chunk of at most _STACK_ENTRIES
-matrix entries, so a long sweep's extra memory stays bounded; a coupling's
-levels are the same bits alone or in a stack.  _geev and _geev_vectors (for
-norms.weights) are the LAPACK gufuncs behind numpy.linalg.eigvals and eig,
-called under the wrappers' np.errstate, so a non-convergence raises
-LinAlgError.  oracle.verify_gauge stays on numpy.linalg.eigvals and shares
-no code with this route.
-
-_rows, behind both of level_rows' branches, is the one place that turns
-sector eigenvalues into level rows and decides whether a level is real,
-from the structure of the solve and with no tolerance.  LAPACK returns a
-real eigenvalue of a real matrix with imaginary part exactly 0, so an odd-M
-level is real when Im E == 0; at zeta != 0 every even-M level is one of a
-conjugate pair, so an even-M level is real when zeta == 0.  Its rows carry
-that flag as (E, label, is_real), and qes_spectrum, duality and the CLI
-read the flag they were given.  _eig (for norms.weights) and
-critical_coupling's merged-energy solve subtract zeta^2 as level_rows does,
-so their levels have its bits.
+is an eigenvalue of B(zeta) minus zeta^2.  oracle.verify_gauge stays on
+numpy.linalg.eigvals and shares no code with this route.
 
 As zeta^2 grows, the two largest E_P levels merge at a critical coupling
-zeta_c^2, beyond which they leave the real axis as a conjugate pair.  Their
-squared gap Re((E_top - E_below)^2) (_top_gap2) is positive before the
-merger, 0 at it and -4 (Im E)^2 past it, and smooth through it.
-critical_coupling scans zeta^2 = 0.5 i / 200 for the first negative gap^2
-and solves gap^2 = 0 between that point and the one before it by Brent's
-zeroin (_zeroin), to a tolerance relative to zeta^2.  critical_coupling
-fetches the E_P block shifted by b_k (_shifted_p_block, built once per M)
-and S once per call and hands both to every probe, and it enters
-_GEEV_ERRSTATE once around all its probes.  A probe of the gap is one
-multiply, one add, one _geev call and an in-place sort of the levels by
-real part with a C key; best of 40 x 1000 interleaved probes (Python 3.11,
-numpy 2.4, 2 vCPU), that is 3.5 us at M = 3, 4.8 at M = 7 and 7.1 at
-M = 11, of which _geev takes 1.8, 2.9 and 4.6 us.  With two cache lookups
-and a copying sort per probe it was 4.2, 5.7 and 8.1 us.
+zeta_c^2 (critical_coupling), beyond which they leave the real axis as a
+conjugate pair.
 """
 
 import functools
@@ -97,14 +66,21 @@ _STACK_ENTRIES = 1 << 16
 # The LAPACK geev gufuncs behind numpy.linalg.eigvals and numpy.linalg.eig:
 # at these block sizes the wrappers' checks and casts cost several times the
 # solve.  Signatures "d->D" and "d->DD" for the real odd-M blocks, "D->D"
-# and "D->DD" for the complex even-M block.
+# and "D->DD" for the complex even-M block.  They skip the wrappers'
+# finiteness check, so every caller hands them finite blocks: level_rows
+# refuses non-finite and overflowing couplings before any solve,
+# critical_coupling solves only zeta^2 in [0, 1/2], and norms.weights calls
+# _eig only after family_norms has refused an overflowing gamma_n
+# (|a_n| <= |gamma_{M-1}| once zeta^2 >= 1).  Every call runs under
+# _GEEV_ERRSTATE, which keeps the wrappers' other guarantee.
 _geev = _umath_linalg.eigvals
 _geev_vectors = _umath_linalg.eig
 
 # _top_gap2's sort key: a C-level getter in place of a Python lambda.
 _REAL_PART = operator.attrgetter("real")
 
-# Relative machine precision, in _zeroin's stopping width (4 eps + tol) |b|.
+# Relative machine precision, in _zeroin's stopping width (4 eps + tol) |b|
+# and norms.weights' rounding bound.
 _EPS = float(np.finfo(float).eps)
 
 
@@ -114,8 +90,9 @@ def _raise_nonconvergence(err, flag):
     raise LinAlgError("Eigenvalues did not converge")
 
 
-# numpy.linalg's errstate for geev, which may raise other flags next to
-# invalid: their warnings would come before the LinAlgError.
+# numpy.linalg's errstate for geev: a block that does not converge raises
+# LinAlgError, never a warning or a NaN level.  geev may raise other flags
+# next to invalid, whose warnings would come before the LinAlgError.
 _GEEV_ERRSTATE = dict(call=_raise_nonconvergence, invalid="call", over="ignore", divide="ignore", under="ignore")
 
 
@@ -137,8 +114,7 @@ class QesSpectrum:
 
     @property
     def degenerate_pairs(self):
-        """Index pairs of levels closer than DEGENERACY_RTOL times the
-        spread of the levels (see degenerate_pairs), computed when read."""
+        """degenerate_pairs of the energies, computed when read."""
         return degenerate_pairs(self.energies)
 
 
@@ -156,13 +132,10 @@ class CriticalCoupling:
 
 
 def critical_polynomials(params: ModelParams):
-    """(P_{k+1}, Q_k) for odd M = 2k + 1: the characteristic polynomials of
-    the E_P and E_Q blocks, taken from the R recursion, so their coefficients
-    are real.  Q_k = R_k and P_{k+1} = R_{k+1} - a_k R_{k-1}, one more R step
-    with the tail doubled.
-
-    Q_0 is the constant 1 (no odd-sector level for M = 1).
-    """
+    """(P_{k+1}, Q_k) for odd M = 2k + 1, the characteristic polynomials of
+    the E_P and E_Q blocks, built from the R recursion as the module
+    docstring derives them, so their coefficients are real.  Q_0 is the
+    constant 1 (no odd-sector level for M = 1)."""
     k = k_index(params.M)
     R = [np.real(r.coeffs) for r in build_R(params, k + 1)]
     p_crit = R[k + 1].copy()
@@ -172,35 +145,22 @@ def critical_polynomials(params: ModelParams):
 
 
 def degenerate_pairs(energies):
-    """Index pairs (i, j) with |E_i - E_j| <= DEGENERACY_RTOL * scale,
-    scale = 1 + (max Re E - min Re E) + (max Im E - min Im E).
+    """Index pairs (i, j), i < j, with |E_i - E_j| <= DEGENERACY_RTOL *
+    (1 + (max Re E - min Re E) + (max Im E - min Im E)).
 
     The spread follows every level's absolute rounding error (about
     eps ||B||) and is unchanged by a shift or a negation of the levels, so
     the -zeta^2 shift cannot make levels far apart look degenerate:
     at M = 3, zeta^2 = 1e18 the E_P pair -1e18 +- 4e9i and the E_Q level
     are no pair.
-
-    The scan runs over the levels in order of real part.  |E_i - E_j| >=
-    |Re E_j - Re E_i|, so the scan for partners of E_i stops at the first
-    later E_j whose real part alone is already too far.  The pairs come out
-    with i < j, in ascending order.
     """
-    if len(energies) < 2:
+    n = len(energies)
+    if n < 2:
         return ()
     real = [E.real for E in energies]
     im = [E.imag for E in energies]
     bound = DEGENERACY_RTOL * (1.0 + (max(real) - min(real)) + (max(im) - min(im)))
-    order = sorted(range(len(energies)), key=real.__getitem__)
-    pairs = []
-    for n, i in enumerate(order):
-        for m in range(n + 1, len(order)):
-            j = order[m]
-            if real[j] - real[i] > bound:
-                break
-            if abs(energies[i] - energies[j]) <= bound:
-                pairs.append((min(i, j), max(i, j)))
-    return tuple(sorted(pairs))
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n) if abs(energies[i] - energies[j]) <= bound)
 
 
 @functools.lru_cache(maxsize=32, typed=True)
@@ -251,9 +211,8 @@ def _shifted_p_block(M: int):
 
 def _eig(M: int, zeta: float) -> dict:
     """{label: (levels, X)} of each sector block B(zeta): a list of its
-    eigenvalues minus |zeta| * |zeta|, the bits level_rows gives them (an
-    even-M row adds each one's conjugate), and eigenvector j as column j
-    of X."""
+    eigenvalues minus |zeta| * |zeta| (an even-M row of level_rows adds
+    each one's conjugate), and eigenvector j as column j of X."""
     C, S = _pencil(M)
     z = abs(zeta)
     B, s = C + z * S, z * z
@@ -273,10 +232,18 @@ def _level_key(row):
 
 def _rows(M: int, z: float, labels, solved) -> list:
     """One coupling's level rows from its per-sector eigenvalue lists, in
-    the order of labels: each eigenvalue minus z * z, flagged, with the
-    even-M conjugates, ascending by (Re E, Im E, label).  Both branches of
+    the order of labels, ascending by (Re E, Im E, label).  Both branches of
     level_rows end here, so this is the one place that shifts, flags,
-    conjugates and sorts levels."""
+    conjugates and sorts levels.
+
+    E is an eigenvalue minus z * z, ModelParams.zeta2's bits; _eig and
+    critical_coupling's merged-energy solve subtract it the same way, so
+    their levels have these bits.  Reality is read from the structure of
+    the solve, with no tolerance.  LAPACK returns a real eigenvalue of a
+    real matrix with imaginary part exactly 0, so an odd-M level is real
+    when Im E == 0.  At z != 0 every even-M level is one of a conjugate
+    pair, so an even-M level is real when z == 0; one with Im E == 0
+    stands in for its own conjugate, so no -0 reaches the output."""
     s, rows = z * z, []
     for label, values in zip(labels, solved):
         shifted = [E - s for E in values]
@@ -290,9 +257,9 @@ def _rows(M: int, z: float, labels, solved) -> list:
 
 def level_rows(M: int, zetas) -> list:
     """For each zeta in zetas, the M solvable levels as (E, label, is_real)
-    rows, ascending by (Re E, Im E, label).  Row i equals the levels of
-    qes_spectrum(ModelParams(M, zetas[i])), bit for bit.  ValueError when
-    some zeta is not finite or M^2 zeta^2 (>= every |a_n|) overflows.
+    rows (_rows).  zetas must be a sequence: a generator would be consumed
+    by the finiteness check.  ValueError when some zeta is not finite or
+    M^2 zeta^2 (>= every |a_n|) overflows.
 
     The number of couplings picks one of two solves with the same bits.
     One coupling is solved on the 2-D blocks B = C + |zeta| S, one _geev
@@ -302,24 +269,7 @@ def level_rows(M: int, zetas) -> list:
     chunk.  Neither single path is as fast (Python 3.11, numpy 2.4, 2 vCPU):
     solving each coupling of a 25-coupling sweep alone was 1.5x (M = 15) to
     2.7x (M = 3) slower, and shifting, flagging and sorting in numpy for
-    every list added 3 to 6 us to one coupling.
-
-    _rows is the one place that turns sector eigenvalues into rows and
-    decides their reality.  E is an eigenvalue of B(zeta) minus
-    |zeta| * |zeta|, ModelParams.zeta2's bits.  An odd-M level is real when
-    Im E == 0.  An even-M row holds each eigenvalue and its conjugate, real
-    when zeta == 0; one with Im E == 0 stands in for its own conjugate, so
-    no -0 reaches the output.
-
-    _geev and _eig's _geev_vectors skip numpy's finiteness check: every
-    caller hands them finite blocks.  This function refuses non-finite and
-    overflowing couplings before any solve, critical_coupling and its
-    _top_gap2 solve only zeta^2 in [0, 1/2], and norms.weights calls _eig
-    only after family_norms has refused an overflowing gamma_n
-    (|a_n| <= |gamma_{M-1}| once zeta^2 >= 1).  _GEEV_ERRSTATE keeps the
-    wrapper's other guarantee: a block that does not converge raises
-    LinAlgError, never a warning or a NaN level.  This function and _eig
-    enter it per call, critical_coupling once around all its solves."""
+    every list added 3 to 6 us to one coupling."""
     if not all(map(math.isfinite, zetas)):
         bad = next(z for z in zetas if not math.isfinite(z))
         raise ValueError(f"non-finite coupling zeta={bad!r} for M={M}")
@@ -347,12 +297,8 @@ def level_rows(M: int, zetas) -> list:
 
 
 def qes_spectrum(params: ModelParams) -> QesSpectrum:
-    """All M solvable levels, ascending by (Re E, Im E).
-
-    Odd M: eigenvalues of the two sector blocks, labelled E_P / E_Q.
-    Even M: eigenvalues of the half-size complex block and their
-    conjugates, labelled E_R.
-    """
+    """All M solvable levels, ascending by (Re E, Im E), labelled E_P / E_Q
+    for odd M and E_R for even M."""
     levels = tuple(itertools.starmap(QesLevel, level_rows(params.M, [params.zeta])[0]))
     return QesSpectrum(params=params, levels=levels)
 
@@ -368,12 +314,10 @@ def _top_gap2(A, S, zeta2: float) -> float:
     block gives 1e-12 (M = 21) to 2e-11 (M = 81).  The shift and a level's
     -zeta^2 cancel in the gap, so neither is added back.
 
-    A probe is A + sqrt(zeta2) S, one _geev call and an in-place sort of
-    the levels by real part with a C key, and looks up no cache:
-    critical_coupling binds A and S once per call.  At M = 3 it takes
-    3.5 us, of which _geev is 1.8 (module docstring).  _geev runs under
-    the caller's np.errstate: critical_coupling enters _GEEV_ERRSTATE once
-    around all its probes."""
+    A probe looks up no cache: critical_coupling binds A and S once per
+    call.  Best of 40 x 1000 interleaved probes (Python 3.11, numpy 2.4,
+    2 vCPU), it takes 3.5 us at M = 3, 4.8 at M = 7 and 7.1 at M = 11, of
+    which _geev is 1.8, 2.9 and 4.6 us."""
     levels = _geev(A + math.sqrt(zeta2) * S, signature="d->D").tolist()
     levels.sort(key=_REAL_PART)
     return ((levels[-1] - levels[-2]) ** 2).real
@@ -439,18 +383,12 @@ def critical_coupling(M: int, tol: float = 1e-10) -> CriticalCoupling:
     41 and 81, tol=1e-13 within 2.0e-15, and a tol below the spacing of
     doubles (tol=1e-300) within 6.3e-16.  The merged energy comes from one
     solve of the unshifted pencil C + zeta_c S, which for odd M is the E_P
-    block, minus zeta_c^2 as level_rows subtracts it, so it has
-    qes_spectrum's bits.  The scan, zeroin and the merged energy's solve
-    run inside one _GEEV_ERRSTATE, so a block that does not converge raises
-    LinAlgError.  M = 1 has no finite critical coupling; a scan that finds
-    no negative gap^2 raises RuntimeError.
+    block.  M = 1 has no finite critical coupling; a scan that finds no
+    negative gap^2 raises RuntimeError.
 
-    The shifted block and S are fetched once per call and bound into the
-    one probe that the scan and zeroin both call, so a probe costs about
-    1.7 us more than its _geev call (3.5 us at M = 3, 7.1 at M = 11).  The
-    scan is still all 101 probes at M = 3 and 36 of 39 at M = 5; it stays
-    until the benchmark's memory reading no longer grows with the number
-    of operations a run completes (ROADMAP item 1)."""
+    The scan is still all 101 probes at M = 3 and 36 of 39 at M = 5; it
+    stays until the benchmark's memory reading no longer grows with the
+    number of operations a run completes (ROADMAP item 1)."""
     k_index(M)  # validates odd positive M
     if not (0 < tol < math.inf):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")

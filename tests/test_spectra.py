@@ -98,6 +98,9 @@ def test_degenerate_pairs_helper():
     # the levels need not be sorted: the pairs come out as (i, j), i < j,
     # ascending, in the caller's numbering
     assert degenerate_pairs([5.0, 1.0, 1.0 + 1e-9]) == ((1, 2),)
+    # a three-level cluster gives all three pairs, sorted or not
+    assert degenerate_pairs([1.0, 1.0 + 4e-7, 1.0 + 8e-7]) == ((0, 1), (0, 2), (1, 2))
+    assert degenerate_pairs([1.0 + 8e-7, 1.0, 1.0 + 4e-7]) == ((0, 1), (0, 2), (1, 2))
     energies = qes_spectrum(ModelParams(M=9, zeta=1.0)).energies
     pairs = degenerate_pairs(energies)
     assert pairs
