@@ -22,10 +22,12 @@ import itertools
 import math
 import sys
 
-from .duality import dual_level_rows, verify_duality
+import numpy as np
+
+from .duality import _dual_level_chunks, dual_level_rows, verify_duality
 from .norms import verify_norms
 from .oracle import verify_gauge, verify_tables
-from .spectra import critical_coupling, degenerate_pairs, level_rows, verify_factorization
+from .spectra import _level_chunks, critical_coupling, degenerate_pairs, level_rows, verify_factorization
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -48,8 +50,8 @@ class UsageError(ValueError):
     pass
 
 
-def _bool(x) -> str:
-    return "true" if x else "false"
+# A bool's text, looked up by the bool itself.
+_BOOL_TEXT = ("false", "true")
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +59,8 @@ def _bool(x) -> str:
 # width, type).  The key names the json field and heads the csv column; the
 # width is a %-format field width, "-" padding on the right.  A cell is
 # written by its type's %-conversion in _CONVERSIONS, a bool as true or
-# false.  A column with no table header is written to json only.
+# false.  A column with no table header is written to json only.  sweep's
+# zeta2 column holds one value per coupling (_Levels).
 
 _LEVEL_COLUMNS = (
     ("index", "index", "5", int),
@@ -91,27 +94,44 @@ def _cell(value) -> str:
     """One csv or table cell outside the level rows: 12 significant digits
     for a float, true or false for a bool, str otherwise."""
     if isinstance(value, bool):
-        return _bool(value)
+        return _BOOL_TEXT[value]
     return "%.12g" % value if isinstance(value, float) else str(value)
 
 
-def _fill(spec, columns, row: str, sep: str) -> str:
-    """One copy of the %-template row per level, joined by sep and filled
-    from one flat tuple of the columns read level by level."""
-    k, n = len(columns), len(columns[0])
+def _fill(spec, columns, cells, join, sep: str) -> str:
+    """All level rows joined by sep, as one %-template: join(cells) is one
+    row's template, cells[i] holding column i's conversion, filled from one
+    flat tuple of the columns read level by level.  A bool is written as
+    true or false.  A column of fewer values than rows holds one per group
+    of consecutive rows; each value is formatted once, by its cell, and
+    enters the template through %s."""
+    k, n = len(columns), max(map(len, columns))
     flat = [None] * (k * n)
+    cells = list(cells)
     for i, ((*_, kind), column) in enumerate(zip(spec, columns)):
-        flat[i::k] = map(_bool, column) if kind is bool else column
-    return sep.join([row] * n) % tuple(flat)
+        if kind is bool:
+            column = map(_BOOL_TEXT.__getitem__, column)
+        elif len(column) < n:
+            texts = list(map(cells[i].__mod__, column))
+            # zip of the same list n / len times repeats each text in place
+            column = itertools.chain.from_iterable(zip(*[texts] * (n // len(texts))))
+            cells[i] = "%s"
+        flat[i::k] = column
+    return sep.join([join(cells)] * n) % tuple(flat)
+
+
+def _json_row(cells) -> str:
+    return "    {\n" + ",\n".join(cells) + "\n    }"
 
 
 class _Levels:
     """Level rows held as columns, built once per command: columns[i] holds
-    field spec[i] of every level.  Each format writes all rows with one
-    %-template derived from spec.  A template would print inf or nan as
-    bare words, so a non-finite float is refused with ValueError; each
-    value is tested, since a column's sum can overflow while every value is
-    finite."""
+    field spec[i] of every level, or, when shorter, of every group of
+    consecutive levels (a sweep's zeta2, one per coupling).  Each format
+    writes all rows with one %-template derived from spec.  A template
+    would print inf or nan as bare words, so a non-finite float is refused
+    with ValueError; each value is tested, since a column's sum can
+    overflow while every value is finite."""
 
     def __init__(self, spec, columns):
         for (key, _, _, kind), column in zip(spec, columns):
@@ -121,8 +141,8 @@ class _Levels:
         self.columns = columns
 
     def json(self) -> str:
-        fields = ",\n".join(f'      "{key}": {_CONVERSIONS[kind][0]}' for key, _, _, kind in self.spec)
-        return "[\n" + _fill(self.spec, self.columns, "    {\n" + fields + "\n    }", ",\n") + "\n  ]"
+        cells = [f'      "{key}": {_CONVERSIONS[kind][0]}' for key, _, _, kind in self.spec]
+        return "[\n" + _fill(self.spec, self.columns, cells, _json_row, ",\n") + "\n  ]"
 
     def _shown(self):
         """(spec, columns) of the columns with a table header."""
@@ -130,14 +150,14 @@ class _Levels:
 
     def csv(self) -> str:
         spec, columns = self._shown()
-        row = ",".join(f"%{_CONVERSIONS[kind][1]}" for *_, kind in spec)
-        return ",".join(key for key, *_ in spec) + "\n" + _fill(spec, columns, row, "\n") + "\n"
+        cells = [f"%{_CONVERSIONS[kind][1]}" for *_, kind in spec]
+        return ",".join(key for key, *_ in spec) + "\n" + _fill(spec, columns, cells, ",".join, "\n") + "\n"
 
     def table(self) -> str:
         spec, columns = self._shown()
         head = "  ".join(f"%{width}s" for _, _, width, _ in spec) % tuple(h for _, h, _, _ in spec)
-        row = "  ".join(f"%{width}{_CONVERSIONS[kind][1]}" for _, _, width, kind in spec)
-        return head + "\n" + _fill(spec, columns, row, "\n")
+        cells = [f"%{width}{_CONVERSIONS[kind][1]}" for _, _, width, kind in spec]
+        return head + "\n" + _fill(spec, columns, cells, "  ".join, "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +176,10 @@ def _solver(args):
     return dual_level_rows if args.model == "dsg" else level_rows
 
 
-def _level_columns(M: int, tagged) -> list:
-    """The index, label, E_re, E_im and is_real columns of the
-    (E, label, is_real) rows of each coupling in tagged."""
-    E, labels, real = zip(*itertools.chain.from_iterable(tagged))
-    return [list(range(M)) * len(tagged), labels, [e.real for e in E], [e.imag for e in E], real]
+def _chunks(args):
+    """The stacked level chunks of args.model, looked up when the command
+    runs."""
+    return _dual_level_chunks if args.model == "dsg" else _level_chunks
 
 
 def _cmd_spectrum(args):
@@ -168,8 +187,8 @@ def _cmd_spectrum(args):
     if not (0 <= args.zeta2 < math.inf):
         raise UsageError(f"--zeta2 must be finite and >= 0, got {args.zeta2}")
     zeta2 = abs(args.zeta2)  # -0.0 -> 0.0, so the payload never shows -0.0
-    tagged = _solver(args)(args.M, [math.sqrt(zeta2)])
-    columns = _level_columns(args.M, tagged)
+    E, labels, real = zip(*_solver(args)(args.M, [math.sqrt(zeta2)])[0])
+    columns = [range(args.M), labels, [e.real for e in E], [e.imag for e in E], real]
     spec = _COLUMNS["spectrum"]
     if args.model == "dsg":
         spec = _COLUMNS["spectrum-dsg"]
@@ -181,7 +200,7 @@ def _cmd_spectrum(args):
         "M": args.M,
         "zeta2": zeta2,
         "levels": _Levels(spec, columns),
-        "degenerate_pairs": [list(p) for p in degenerate_pairs([E for E, _, _ in tagged[0]])],
+        "degenerate_pairs": [list(p) for p in degenerate_pairs(E)],
     }
     return payload, EXIT_OK
 
@@ -233,15 +252,17 @@ def _parse_range(spec: str):
 def _cmd_sweep(args):
     _check_M(args)
     values = _parse_range(args.zeta2_range)
-    tagged = _solver(args)(args.M, [math.sqrt(z2) for z2 in values])
-    zeta2 = [z2 for z2 in values for _ in range(args.M)]
+    chunks = _chunks(args)(args.M, [math.sqrt(z2) for z2 in values])
+    E, labels, real = (np.concatenate(parts).ravel() for parts in zip(*chunks))
+    index = list(range(args.M)) * len(values)
+    columns = [values, index, labels.tolist(), E.real.tolist(), E.imag.tolist(), real.tolist()]
     payload = {
         "schema": 1,
         "command": "sweep",
         "model": args.model,
         "M": args.M,
         "zeta2_range": args.zeta2_range,
-        "rows": _Levels(_COLUMNS["sweep"], [zeta2, *_level_columns(args.M, tagged)]),
+        "rows": _Levels(_COLUMNS["sweep"], columns),
     }
     return payload, EXIT_OK
 

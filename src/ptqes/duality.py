@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .model import ModelParams, _check, k_index
 from .oracle import dshg_closed_form_levels, ode_residual_dsg
-from .spectra import level_rows, qes_spectrum
+from .spectra import _level_chunks, level_rows, qes_spectrum
 
 # verify_duality bounds: the M = 3 closed-form dual levels, absolute, and the
 # periodic ODE residual of the mapped closed forms.
@@ -53,6 +53,14 @@ def dual_level_rows(M: int, zetas) -> list:
     spectra.level_rows decided it.  0j - E keeps -0 out of a zero part."""
     k_index(M)
     return [[(0j - E, label, real) for E, label, real in reversed(tagged)] for tagged in level_rows(M, zetas)]
+
+
+def _dual_level_chunks(M: int, zetas):
+    """spectra._level_chunks mapped as dual_level_rows maps level_rows: each
+    coupling's row reversed and negated as 0j - E; odd M only."""
+    k_index(M)
+    for E, labels, real in _level_chunks(M, zetas):
+        yield 0j - E[:, ::-1], labels[:, ::-1], real[:, ::-1]
 
 
 def dual_spectrum(params: ModelParams) -> DualSpectrum:

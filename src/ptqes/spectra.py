@@ -68,11 +68,12 @@ _STACK_ENTRIES = 1 << 16
 # solve.  Signatures "d->D" and "d->DD" for the real odd-M blocks, "D->D"
 # and "D->DD" for the complex even-M block.  They skip the wrappers'
 # finiteness check, so every caller hands them finite blocks: level_rows
-# refuses non-finite and overflowing couplings before any solve,
-# critical_coupling solves only zeta^2 in [0, 1/2], and norms.weights calls
-# _eig only after family_norms has refused an overflowing gamma_n
-# (|a_n| <= |gamma_{M-1}| once zeta^2 >= 1).  Every call runs under
-# _GEEV_ERRSTATE, which keeps the wrappers' other guarantee.
+# and _level_chunks refuse non-finite and overflowing couplings before any
+# solve (_checked_coupling), critical_coupling solves only zeta^2 in
+# [0, 1/2], and norms.weights calls _eig only after family_norms has
+# refused an overflowing gamma_n (|a_n| <= |gamma_{M-1}| once zeta^2 >= 1).
+# Every call runs under _GEEV_ERRSTATE, which keeps the wrappers' other
+# guarantee.
 _geev = _umath_linalg.eigvals
 _geev_vectors = _umath_linalg.eig
 
@@ -232,9 +233,9 @@ def _level_key(row):
 
 def _rows(M: int, z: float, labels, solved) -> list:
     """One coupling's level rows from its per-sector eigenvalue lists, in
-    the order of labels, ascending by (Re E, Im E, label).  Both branches of
-    level_rows end here, so this is the one place that shifts, flags,
-    conjugates and sorts levels.
+    the order of labels, ascending by (Re E, Im E, label).  level_rows'
+    one-coupling branch ends here; _level_chunks applies the same rules to
+    a stack of couplings with the same bits.
 
     E is an eigenvalue minus z * z, ModelParams.zeta2's bits; _eig and
     critical_coupling's merged-energy solve subtract it the same way, so
@@ -255,45 +256,84 @@ def _rows(M: int, z: float, labels, solved) -> list:
     return rows
 
 
-def level_rows(M: int, zetas) -> list:
-    """For each zeta in zetas, the M solvable levels as (E, label, is_real)
-    rows (_rows).  zetas must be a sequence: a generator would be consumed
-    by the finiteness check.  ValueError when some zeta is not finite or
-    M^2 zeta^2 (>= every |a_n|) overflows.
-
-    The number of couplings picks one of two solves with the same bits.
-    One coupling is solved on the 2-D blocks B = C + |zeta| S, one _geev
-    call per sector; the stack's 3-D set-up would add about 3 us to its
-    11.5 us (M = 3) to 24.5 us (M = 15).  A list is solved in stacked chunks
-    of at most _STACK_ENTRIES matrix entries, one _geev call per sector and
-    chunk.  Neither single path is as fast (Python 3.11, numpy 2.4, 2 vCPU):
-    solving each coupling of a 25-coupling sweep alone was 1.5x (M = 15) to
-    2.7x (M = 3) slower, and shifting, flagging and sorting in numpy for
-    every list added 3 to 6 us to one coupling."""
+def _checked_coupling(M: int, zetas) -> float:
+    """max |zeta| over zetas, a sequence; ValueError when some zeta is not
+    finite or M^2 zeta^2 (>= every |a_n|) overflows."""
     if not all(map(math.isfinite, zetas)):
         bad = next(z for z in zetas if not math.isfinite(z))
         raise ValueError(f"non-finite coupling zeta={bad!r} for M={M}")
     z = float(max(map(abs, zetas), default=0.0))
     if not math.isfinite(z * z * M * M):
         raise ValueError(f"zeta^2={z * z!r} overflows the M={M} recursion coefficients")
+    return z
+
+
+def _level_chunks(M: int, zetas):
+    """Yield (E, labels, real), three arrays of shape (couplings, M), for
+    each stacked chunk of zetas (a sequence) in order: row i holds coupling
+    i's levels as level_rows gives them.  Raises as _checked_coupling
+    before any solve.
+
+    A chunk is at most _STACK_ENTRIES matrix entries, one _geev call per
+    sector.  The sector eigenvalues are concatenated in label order and
+    shifted by -z * z; for even M each is followed by its conjugate, or by
+    itself when Im E == 0.  A stable sort of complex values orders them by
+    (Re E, Im E) and keeps ties in label order, which is _rows' order, and
+    the reality rule is _rows': Im E == 0 for odd M, z == 0 for even M."""
+    _checked_coupling(M, zetas)
+    C, S = _pencil(M)
+    sectors = _sectors(M)
+    labels = np.array([label for label, size in sectors.items() for _ in range(size)], dtype=object)
+    if M % 2 == 0:
+        labels = labels.repeat(2)
+    signature = "d->D" if M % 2 else "D->D"
+    zeta = np.abs(np.asarray(zetas, dtype=float)).reshape(-1, 1)
+    per = max(1, _STACK_ENTRIES // C.size)
+    for i in range(0, len(zeta), per):
+        z = zeta[i : i + per]
+        B = C + z[:, :, None] * S
+        with np.errstate(**_GEEV_ERRSTATE):
+            solved = [_geev(B[:, :size, :size], signature=signature) for size in sectors.values()]
+        E = np.concatenate(solved, axis=1) - z * z
+        if M % 2 == 0:
+            E = np.stack([E, np.where(E.imag != 0.0, E.conj(), E)], axis=2).reshape(len(z), M)
+        order = np.argsort(E, axis=1, kind="stable")
+        E = np.take_along_axis(E, order, axis=1)
+        real = E.imag == 0.0 if M % 2 else np.broadcast_to(z == 0.0, E.shape)
+        yield E, labels[order], real
+
+
+def level_rows(M: int, zetas) -> list:
+    """For each zeta in zetas, the M solvable levels as (E, label, is_real)
+    rows.  zetas must be a sequence: a generator would be consumed by the
+    finiteness check.  ValueError when some zeta is not finite or M^2
+    zeta^2 (>= every |a_n|) overflows.
+
+    The number of couplings picks one of two solves with the same bits.
+    One coupling is solved on the 2-D blocks B = C + |zeta| S, one _geev
+    call per sector, and shifted, flagged and sorted in Python (_rows): the
+    stack's 3-D set-up and numpy's shift, flag and sort would add about
+    3 to 6 us to its 11.5 us (M = 3) to 24.5 us (M = 15).  A list is solved
+    and sorted a chunk at a time in numpy (_level_chunks), and its rows are
+    read off the chunk arrays: 25 couplings take 65 us (M = 3) and 270 us
+    (M = 15), against 102 and 385 us when each coupling went through _rows.
+    Neither single path is as fast (Python 3.11, numpy 2.4, 2 vCPU): solving
+    each coupling of a 25-coupling sweep alone was 1.5x (M = 15) to 2.7x
+    (M = 3) slower."""
+    if len(zetas) != 1:
+        return [
+            list(zip(*row))
+            for E, labels, real in _level_chunks(M, zetas)
+            for row in zip(E.tolist(), labels.tolist(), real.tolist())
+        ]
+    z = _checked_coupling(M, zetas)
     C, S = _pencil(M)
     sectors = _sectors(M)
     signature = "d->D" if M % 2 else "D->D"
-    if len(zetas) == 1:
-        B = C + z * S
-        with np.errstate(**_GEEV_ERRSTATE):
-            solved = [_geev(B[:size, :size], signature=signature).tolist() for size in sectors.values()]
-        return [_rows(M, z, sectors, solved)]
-    zeta = np.abs(np.asarray(zetas, dtype=float)).reshape(-1, 1, 1)
-    flat = zeta.ravel().tolist()
-    per = max(1, _STACK_ENTRIES // C.size)
-    out = []
+    B = C + z * S
     with np.errstate(**_GEEV_ERRSTATE):
-        for i in range(0, len(flat), per):
-            B = C + zeta[i : i + per] * S
-            solved = [_geev(B[:, :size, :size], signature=signature).tolist() for size in sectors.values()]
-            out += [_rows(M, z, sectors, values) for z, values in zip(flat[i : i + per], zip(*solved))]
-    return out
+        solved = [_geev(B[:size, :size], signature=signature).tolist() for size in sectors.values()]
+    return [_rows(M, z, sectors, solved)]
 
 
 def qes_spectrum(params: ModelParams) -> QesSpectrum:

@@ -228,6 +228,22 @@ def test_memory_error_exits_3(monkeypatch, capsys):
     assert captured.err == "numerical or internal failure: cannot allocate the stacked pencil\n"
 
 
+@pytest.mark.parametrize("model", ["dshg", "dsg"])
+def test_memory_error_in_a_sweep_exits_3(monkeypatch, capsys, model):
+    # a sweep reads the stacked chunks, not level_rows; the dsg chunks are
+    # the dshg ones mapped, so one fault reaches both models
+    def exhausted(M, zetas):
+        raise MemoryError("cannot allocate the stacked pencil")
+        yield
+
+    monkeypatch.setattr(ptqes.duality, "_level_chunks", exhausted)
+    monkeypatch.setattr(ptqes.cli, "_level_chunks", exhausted)
+    assert ptqes.cli.main(["sweep", "--M", "3", "--zeta2-range", "0:0.02:0.01", "--model", model]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical or internal failure: cannot allocate the stacked pencil\n"
+
+
 @pytest.mark.parametrize(
     "error, message",
     [(KeyError("E_R"), "'E_R'"), (IndexError("no such level"), "no such level"), (TypeError("bad operand"), "bad operand")],
@@ -585,22 +601,24 @@ def test_json_render_matches_stdlib(x):
     ],
 )
 def test_json_render_matches_stdlib_on_payloads(argv):
-    # level rows are held as columns; json.dumps takes them as row dicts
+    # level rows are held as columns, a sweep's zeta2 one value per
+    # coupling; json.dumps takes them as row dicts
+    def rows(levels):
+        n = len(levels.columns[-1])
+        columns = [[x for x in column for _ in range(n // len(column))] for column in levels.columns]
+        return [dict(zip([k for k, *_ in levels.spec], row)) for row in zip(*columns)]
+
     args = ptqes.cli._build_parser().parse_args(argv)
     payload, _ = args.func(args)
-    as_dicts = {
-        key: [dict(zip([k for k, *_ in v.spec], row)) for row in zip(*v.columns)]
-        if isinstance(v, ptqes.cli._Levels)
-        else v
-        for key, v in payload.items()
-    }
+    as_dicts = {key: rows(v) if isinstance(v, ptqes.cli._Levels) else v for key, v in payload.items()}
     assert ptqes.cli._render(payload, "json") == json.dumps(as_dicts, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # Level output against an independent reference: the rows rebuilt as dicts
-# from level_rows / dual_level_rows and written by json.dumps, csv.writer and
-# f"{x:.12g}" padded to the _COLUMNS widths.
+# from level_rows / dual_level_rows, one coupling per call (the one-coupling
+# solve, which shares no code with a sweep's stacked chunks), and written by
+# json.dumps, csv.writer and f"{x:.12g}" padded to the _COLUMNS widths.
 
 
 def _stdout(argv) -> str:
@@ -615,7 +633,8 @@ def _reference(command, model, M, where, couplings, fmt) -> str:
     of spectrum or the --zeta2-range of sweep."""
     solve = ptqes.duality.dual_level_rows if model == "dsg" else ptqes.spectra.level_rows
     rows = []
-    for z2, tagged in zip(couplings, solve(M, [math.sqrt(z2) for z2 in couplings])):
+    for z2 in couplings:
+        (tagged,) = solve(M, [math.sqrt(z2)])
         for k, (E, label, real) in enumerate(tagged):
             row = {"zeta2": z2} if command == "sweep" else {}
             row.update(index=k, label=label, E_re=E.real, E_im=E.imag, is_real=real)
@@ -667,6 +686,9 @@ def _reference(command, model, M, where, couplings, fmt) -> str:
 @example(model="dshg", M=5, start=0.0, step=0.01, count=3)  # degenerate_pairs [[0, 1], [2, 3]]
 @example(model="dshg", M=3, start=1e300, step=1.0, count=1)
 @example(model="dsg", M=41, start=1e300, step=1.0, count=1)
+# 150 couplings of M = 41 span two stacked chunks of 148
+@example(model="dshg", M=41, start=0.0, step=0.0002, count=150)
+@example(model="dsg", M=41, start=0.0, step=0.0002, count=150)
 def test_level_output_matches_an_independent_reference(model, M, start, step, count):
     if model == "dsg":
         M |= 1
@@ -693,13 +715,21 @@ def test_sweep_at_a_huge_coupling_is_strict_json(capsys):
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 @pytest.mark.parametrize("args", [("spectrum", "--zeta2", "0.01"), ("sweep", "--zeta2-range", "0:0.02:0.01")])
 def test_non_finite_level_exits_3(monkeypatch, capsys, args, fmt):
-    # a template would print nan as a bare word, which is not json
-    solve = ptqes.spectra.level_rows
+    # a template would print nan as a bare word, which is not json; spectrum
+    # reads level_rows, a sweep the stacked chunks
+    solve, chunks = ptqes.spectra.level_rows, ptqes.spectra._level_chunks
 
     def nan_level(M, zetas):
         return [[(complex(math.nan, 0.0), "E_P", True), *rows[1:]] for rows in solve(M, zetas)]
 
+    def nan_chunks(M, zetas):
+        for E, labels, real in chunks(M, zetas):
+            E = E.copy()
+            E[:, 0] = complex(math.nan, 0.0)
+            yield E, labels, real
+
     monkeypatch.setattr(ptqes.cli, "level_rows", nan_level)
+    monkeypatch.setattr(ptqes.cli, "_level_chunks", nan_chunks)
     assert ptqes.cli.main([args[0], "--M", "3", *args[1:], "--format", fmt]) == 3
     out, err = capsys.readouterr()
     assert out == ""

@@ -93,7 +93,8 @@ def test_degenerate_pairs_helper():
     assert degenerate_pairs([]) == degenerate_pairs([3.0]) == ()
     # the bound follows the spread of the set, so a shift keeps the pairs
     assert degenerate_pairs([-1e9 + 5.0, -1e9 + 5.0 + 1e-6, -1e9 + 9.0 + 2j]) == ((0, 1),)
-    # a level with the same real part that is not a partner does not end the scan
+    # every pair is tested on its full distance: 1 - 1j shares the real part
+    # of the pair (1, 2) and joins neither level
     assert degenerate_pairs([1.0 - 1j, 1.0 + 0j, 1.0 + 1e-9j]) == ((1, 2),)
     # the levels need not be sorted: the pairs come out as (i, j), i < j,
     # ascending, in the caller's numbering
