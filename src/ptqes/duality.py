@@ -45,18 +45,8 @@ class DualSpectrum:
         return tuple(lvl.Ehat for lvl in self.levels)
 
 
-def dual_level_rows(M: int, zetas) -> list:
-    """For each zeta in zetas, the periodic-model levels as (Ehat, label,
-    is_real) rows, Ehat_k = -E_{M-1-k} of spectra.level_rows; odd M only.
-    zetas must be a sequence, as for spectra.level_rows.  Negation keeps a
-    level's reality, so is_real is the flag of E_{M-1-k} as
-    spectra.level_rows decided it.  0j - E keeps -0 out of a zero part."""
-    k_index(M)
-    return [[(0j - E, label, real) for E, label, real in reversed(tagged)] for tagged in level_rows(M, zetas)]
-
-
 def _dual_level_chunks(M: int, zetas):
-    """spectra._level_chunks mapped as dual_level_rows maps level_rows: each
+    """spectra._level_chunks mapped as dual_spectrum maps level_rows: each
     coupling's row reversed and negated as 0j - E; odd M only."""
     k_index(M)
     for E, labels, real in _level_chunks(M, zetas):
@@ -64,11 +54,14 @@ def _dual_level_chunks(M: int, zetas):
 
 
 def dual_spectrum(params: ModelParams) -> DualSpectrum:
-    """Periodic-model levels Ehat_k = -E_{M-1-k}, ascending; odd M only."""
+    """Periodic-model levels Ehat_k = -E_{M-1-k} of spectra.level_rows,
+    ascending; odd M only.  Negation keeps a level's reality, so is_real is
+    the flag of E_{M-1-k} as level_rows decided it."""
+    k_index(params.M)
     last = params.M - 1
     levels = tuple(
-        DualLevel(Ehat, last - k, label, real)
-        for k, (Ehat, label, real) in enumerate(dual_level_rows(params.M, [params.zeta])[0])
+        DualLevel(0j - E, last - k, label, real)
+        for k, (E, label, real) in enumerate(reversed(level_rows(params.M, params.zeta)))
     )
     return DualSpectrum(params=params, levels=levels)
 
@@ -77,7 +70,7 @@ def dual_closed_form_levels(params: ModelParams):
     """Closed-form dual levels for M = 1 and M = 3: 0j - E of
     oracle.dshg_closed_form_levels in descending-E tag order, so ascending
     while the M = 3 levels are real.  Each is complex, and a real one has
-    Im +0, as in dual_level_rows."""
+    Im +0, as in dual_spectrum."""
     closed = dshg_closed_form_levels(params)
     tags = ("ground",) if params.M == 1 else ("even_plus", "odd", "even_minus")
     return [0j - closed[tag] for tag in tags]

@@ -68,10 +68,12 @@ _STACK_ENTRIES = 1 << 16
 # solve.  Signatures "d->D" and "d->DD" for the real odd-M blocks, "D->D"
 # and "D->DD" for the complex even-M block.  They skip the wrappers'
 # finiteness check, so every caller hands them finite blocks: level_rows
-# and _level_chunks refuse non-finite and overflowing couplings before any
-# solve (_checked_coupling), critical_coupling solves only zeta^2 in
-# [0, 1/2], and norms.weights calls _eig only after family_norms has
-# refused an overflowing gamma_n (|a_n| <= |gamma_{M-1}| once zeta^2 >= 1).
+# (behind qes_spectrum and duality.dual_spectrum) and _level_chunks (behind
+# the CLI's spectrum and sweep) refuse non-finite and overflowing
+# couplings before any solve (_checked_coupling), critical_coupling solves
+# only zeta^2 in [0, 1/2], and norms.weights calls _eig only after
+# family_norms has refused an overflowing gamma_n (|a_n| <= |gamma_{M-1}|
+# once zeta^2 >= 1).
 # Every call runs under _GEEV_ERRSTATE, which keeps the wrappers' other
 # guarantee.
 _geev = _umath_linalg.eigvals
@@ -231,31 +233,6 @@ def _level_key(row):
     return E.real, E.imag, label
 
 
-def _rows(M: int, z: float, labels, solved) -> list:
-    """One coupling's level rows from its per-sector eigenvalue lists, in
-    the order of labels, ascending by (Re E, Im E, label).  level_rows'
-    one-coupling branch ends here; _level_chunks applies the same rules to
-    a stack of couplings with the same bits.
-
-    E is an eigenvalue minus z * z, ModelParams.zeta2's bits; _eig and
-    critical_coupling's merged-energy solve subtract it the same way, so
-    their levels have these bits.  Reality is read from the structure of
-    the solve, with no tolerance.  LAPACK returns a real eigenvalue of a
-    real matrix with imaginary part exactly 0, so an odd-M level is real
-    when Im E == 0.  At z != 0 every even-M level is one of a conjugate
-    pair, so an even-M level is real when z == 0; one with Im E == 0
-    stands in for its own conjugate, so no -0 reaches the output."""
-    s, rows = z * z, []
-    for label, values in zip(labels, solved):
-        shifted = [E - s for E in values]
-        if M % 2:
-            rows += [(E, label, E.imag == 0.0) for E in shifted]
-        else:
-            rows += [(F, label, z == 0.0) for E in shifted for F in (E, E.conjugate() if E.imag else E)]
-    rows.sort(key=_level_key)
-    return rows
-
-
 def _checked_coupling(M: int, zetas) -> float:
     """max |zeta| over zetas, a sequence; ValueError when some zeta is not
     finite or M^2 zeta^2 (>= every |a_n|) overflows."""
@@ -271,15 +248,17 @@ def _checked_coupling(M: int, zetas) -> float:
 def _level_chunks(M: int, zetas):
     """Yield (E, labels, real), three arrays of shape (couplings, M), for
     each stacked chunk of zetas (a sequence) in order: row i holds coupling
-    i's levels as level_rows gives them.  Raises as _checked_coupling
-    before any solve.
+    i's levels as level_rows gives them, bit for bit.  Raises as
+    _checked_coupling before any solve.  Every CLI level command reads
+    these chunks, spectrum as a one-coupling stack: solving each coupling
+    of a 25-coupling sweep alone was 1.5x (M = 15) to 2.7x (M = 3) slower.
 
     A chunk is at most _STACK_ENTRIES matrix entries, one _geev call per
     sector.  The sector eigenvalues are concatenated in label order and
     shifted by -z * z; for even M each is followed by its conjugate, or by
     itself when Im E == 0.  A stable sort of complex values orders them by
-    (Re E, Im E) and keeps ties in label order, which is _rows' order, and
-    the reality rule is _rows': Im E == 0 for odd M, z == 0 for even M."""
+    (Re E, Im E) and keeps ties in label order, which is level_rows' order,
+    and real follows level_rows' reality rule."""
     _checked_coupling(M, zetas)
     C, S = _pencil(M)
     sectors = _sectors(M)
@@ -303,43 +282,45 @@ def _level_chunks(M: int, zetas):
         yield E, labels[order], real
 
 
-def level_rows(M: int, zetas) -> list:
-    """For each zeta in zetas, the M solvable levels as (E, label, is_real)
-    rows.  zetas must be a sequence: a generator would be consumed by the
-    finiteness check.  ValueError when some zeta is not finite or M^2
-    zeta^2 (>= every |a_n|) overflows.
+def level_rows(M: int, zeta: float) -> list:
+    """The M solvable levels at one coupling as (E, label, is_real) rows,
+    ascending by (Re E, Im E, label); ValueError when zeta is not finite or
+    M^2 zeta^2 (>= every |a_n|) overflows.  qes_spectrum and
+    duality.dual_spectrum read these rows.
 
-    The number of couplings picks one of two solves with the same bits.
-    One coupling is solved on the 2-D blocks B = C + |zeta| S, one _geev
-    call per sector, and shifted, flagged and sorted in Python (_rows): the
-    stack's 3-D set-up and numpy's shift, flag and sort would add about
-    3 to 6 us to its 11.5 us (M = 3) to 24.5 us (M = 15).  A list is solved
-    and sorted a chunk at a time in numpy (_level_chunks), and its rows are
-    read off the chunk arrays: 25 couplings take 65 us (M = 3) and 270 us
-    (M = 15), against 102 and 385 us when each coupling went through _rows.
-    Neither single path is as fast (Python 3.11, numpy 2.4, 2 vCPU): solving
-    each coupling of a 25-coupling sweep alone was 1.5x (M = 15) to 2.7x
-    (M = 3) slower."""
-    if len(zetas) != 1:
-        return [
-            list(zip(*row))
-            for E, labels, real in _level_chunks(M, zetas)
-            for row in zip(E.tolist(), labels.tolist(), real.tolist())
-        ]
-    z = _checked_coupling(M, zetas)
+    Each sector is solved on the 2-D block B = C + |zeta| S, one _geev call,
+    and shifted, flagged and sorted in Python: _level_chunks' 3-D set-up and
+    numpy's shift, flag and sort would add about 3 to 6 us to its 11.5 us
+    (M = 3) to 24.5 us (M = 15) (Python 3.11, numpy 2.4, 2 vCPU).
+
+    E is an eigenvalue minus z * z, z = |zeta|, ModelParams.zeta2's bits;
+    _eig and critical_coupling's merged-energy solve subtract it the same
+    way, so their levels have these bits.  Reality is read from the
+    structure of the solve, with no tolerance.  LAPACK returns a real
+    eigenvalue of a real matrix with imaginary part exactly 0, so an odd-M
+    level is real when Im E == 0.  At z != 0 every even-M level is one of a
+    conjugate pair, so an even-M level is real when z == 0; one with
+    Im E == 0 stands in for its own conjugate, so no -0 reaches the
+    output."""
+    z = _checked_coupling(M, (zeta,))
     C, S = _pencil(M)
-    sectors = _sectors(M)
+    B, s, rows = C + z * S, z * z, []
     signature = "d->D" if M % 2 else "D->D"
-    B = C + z * S
     with np.errstate(**_GEEV_ERRSTATE):
-        solved = [_geev(B[:size, :size], signature=signature).tolist() for size in sectors.values()]
-    return [_rows(M, z, sectors, solved)]
+        for label, size in _sectors(M).items():
+            shifted = [E - s for E in _geev(B[:size, :size], signature=signature).tolist()]
+            if M % 2:
+                rows += [(E, label, E.imag == 0.0) for E in shifted]
+            else:
+                rows += [(F, label, z == 0.0) for E in shifted for F in (E, E.conjugate() if E.imag else E)]
+    rows.sort(key=_level_key)
+    return rows
 
 
 def qes_spectrum(params: ModelParams) -> QesSpectrum:
     """All M solvable levels, ascending by (Re E, Im E), labelled E_P / E_Q
     for odd M and E_R for even M."""
-    levels = tuple(itertools.starmap(QesLevel, level_rows(params.M, [params.zeta])[0]))
+    levels = tuple(itertools.starmap(QesLevel, level_rows(params.M, params.zeta)))
     return QesSpectrum(params=params, levels=levels)
 
 

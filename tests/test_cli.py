@@ -208,37 +208,34 @@ def test_internal_value_error_exits_3(monkeypatch, capsys):
     # must still reach the command
     assert ptqes.cli.main(["spectrum", "--M", "3", "--zeta2", "0.01"]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(ptqes.cli, "level_rows", broken)
+    monkeypatch.setattr(ptqes.cli, "_level_chunks", broken)
     assert ptqes.cli.main(["spectrum", "--M", "3", "--zeta2", "0.01"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "internal fault" in captured.err
 
 
-def test_memory_error_exits_3(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--M", "3", "--zeta2-range", "0:0.02:0.01", "--model", "dshg"],
+        ["sweep", "--M", "3", "--zeta2-range", "0:0.02:0.01", "--model", "dsg"],
+        ["spectrum", "--M", "3", "--zeta2", "0.01"],
+    ],
+    ids=["dshg", "dsg", "spectrum"],
+)
+def test_memory_error_in_a_sweep_exits_3(monkeypatch, capsys, argv):
     # numpy raises MemoryError when a pencil stack does not fit; that is a
-    # numerical failure, not a traceback with the verification exit code
-    def exhausted(M, zetas):
-        raise MemoryError("cannot allocate the stacked pencil")
-
-    monkeypatch.setattr(ptqes.cli, "level_rows", exhausted)
-    assert ptqes.cli.main(["spectrum", "--M", "3", "--zeta2", "0.01"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "numerical or internal failure: cannot allocate the stacked pencil\n"
-
-
-@pytest.mark.parametrize("model", ["dshg", "dsg"])
-def test_memory_error_in_a_sweep_exits_3(monkeypatch, capsys, model):
-    # a sweep reads the stacked chunks, not level_rows; the dsg chunks are
-    # the dshg ones mapped, so one fault reaches both models
+    # numerical failure, not a traceback with the verification exit code.
+    # spectrum and sweep read the stacked chunks, and the dsg chunks are the
+    # dshg ones mapped, so one fault reaches every level command
     def exhausted(M, zetas):
         raise MemoryError("cannot allocate the stacked pencil")
         yield
 
     monkeypatch.setattr(ptqes.duality, "_level_chunks", exhausted)
     monkeypatch.setattr(ptqes.cli, "_level_chunks", exhausted)
-    assert ptqes.cli.main(["sweep", "--M", "3", "--zeta2-range", "0:0.02:0.01", "--model", model]) == 3
+    assert ptqes.cli.main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "numerical or internal failure: cannot allocate the stacked pencil\n"
@@ -255,7 +252,7 @@ def test_any_internal_error_exits_3(monkeypatch, capsys, error, message):
     def broken(M, zetas):
         raise error
 
-    monkeypatch.setattr(ptqes.cli, "level_rows", broken)
+    monkeypatch.setattr(ptqes.cli, "_level_chunks", broken)
     assert ptqes.cli.main(["spectrum", "--M", "3", "--zeta2", "0.01"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -266,13 +263,13 @@ def test_keyboard_interrupt_passes_through(monkeypatch):
     def interrupted(M, zetas):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(ptqes.cli, "level_rows", interrupted)
+    monkeypatch.setattr(ptqes.cli, "_level_chunks", interrupted)
     with pytest.raises(KeyboardInterrupt):
         ptqes.cli.main(["spectrum", "--M", "3", "--zeta2", "0.01"])
 
 
 def test_pencil_overflow_exits_3():
-    # zeta^2 S overflows at zeta^2 = 1e308 for M = 3; level_rows refuses it
+    # zeta^2 S overflows at zeta^2 = 1e308 for M = 3; _level_chunks refuses it
     # and the CLI prints one line, with the code of a numerical failure.
     p = run("spectrum", "--M", "3", "--zeta2", "1e308", timeout=60)
     assert p.returncode == 3
@@ -616,9 +613,9 @@ def test_json_render_matches_stdlib_on_payloads(argv):
 
 # ---------------------------------------------------------------------------
 # Level output against an independent reference: the rows rebuilt as dicts
-# from level_rows / dual_level_rows, one coupling per call (the one-coupling
-# solve, which shares no code with a sweep's stacked chunks), and written by
-# json.dumps, csv.writer and f"{x:.12g}" padded to the _COLUMNS widths.
+# from level_rows / dual_spectrum, one coupling per call (the 2-D solve,
+# which shares no code with the stacked chunks the CLI reads), and written
+# by json.dumps, csv.writer and f"{x:.12g}" padded to the _COLUMNS widths.
 
 
 def _stdout(argv) -> str:
@@ -631,18 +628,22 @@ def _stdout(argv) -> str:
 def _reference(command, model, M, where, couplings, fmt) -> str:
     """What `command` prints at these couplings; `where` is the --zeta2 value
     of spectrum or the --zeta2-range of sweep."""
-    solve = ptqes.duality.dual_level_rows if model == "dsg" else ptqes.spectra.level_rows
     rows = []
     for z2 in couplings:
-        (tagged,) = solve(M, [math.sqrt(z2)])
+        if model == "dsg":
+            levels = ptqes.duality.dual_spectrum(ptqes.model.ModelParams(M, math.sqrt(z2))).levels
+            tagged = [(lvl.Ehat, lvl.label, lvl.is_real) for lvl in levels]
+        else:
+            tagged = ptqes.spectra.level_rows(M, math.sqrt(z2))
         for k, (E, label, real) in enumerate(tagged):
             row = {"zeta2": z2} if command == "sweep" else {}
             row.update(index=k, label=label, E_re=E.real, E_im=E.imag, is_real=real)
             if command == "spectrum" and model == "dsg":
                 row["source_index"] = M - 1 - k
             rows.append(row)
-    energies = [complex(row["E_re"], row["E_im"]) for row in rows]
-    pairs = [list(p) for p in ptqes.spectra.degenerate_pairs(energies)]
+    if command == "spectrum":
+        energies = [complex(row["E_re"], row["E_im"]) for row in rows]
+        pairs = [list(p) for p in ptqes.spectra.degenerate_pairs(energies)]
     columns = ptqes.cli._COLUMNS[command]
     if fmt == "json":
         payload = {"schema": 1, "command": command, "model": model, "M": M}
@@ -716,11 +717,8 @@ def test_sweep_at_a_huge_coupling_is_strict_json(capsys):
 @pytest.mark.parametrize("args", [("spectrum", "--zeta2", "0.01"), ("sweep", "--zeta2-range", "0:0.02:0.01")])
 def test_non_finite_level_exits_3(monkeypatch, capsys, args, fmt):
     # a template would print nan as a bare word, which is not json; spectrum
-    # reads level_rows, a sweep the stacked chunks
-    solve, chunks = ptqes.spectra.level_rows, ptqes.spectra._level_chunks
-
-    def nan_level(M, zetas):
-        return [[(complex(math.nan, 0.0), "E_P", True), *rows[1:]] for rows in solve(M, zetas)]
+    # and sweep read the stacked chunks
+    chunks = ptqes.spectra._level_chunks
 
     def nan_chunks(M, zetas):
         for E, labels, real in chunks(M, zetas):
@@ -728,7 +726,6 @@ def test_non_finite_level_exits_3(monkeypatch, capsys, args, fmt):
             E[:, 0] = complex(math.nan, 0.0)
             yield E, labels, real
 
-    monkeypatch.setattr(ptqes.cli, "level_rows", nan_level)
     monkeypatch.setattr(ptqes.cli, "_level_chunks", nan_chunks)
     assert ptqes.cli.main([args[0], "--M", "3", *args[1:], "--format", fmt]) == 3
     out, err = capsys.readouterr()

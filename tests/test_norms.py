@@ -35,7 +35,7 @@ def _weight_error(M, zeta):
     scale = max(abs(w) for _, _, w in reference)
     t = weights(ModelParams(M=M, zeta=zeta))
     worst = 0.0
-    for (E, label, _), w in zip(level_rows(M, [zeta])[0], t.weights):
+    for (E, label, _), w in zip(level_rows(M, zeta), t.weights):
         match = min((row for row in reference if row[1] == label), key=lambda row: abs(row[0] - E))
         reference.remove(match)
         worst = max(worst, abs(w - match[2]) / scale)
@@ -173,7 +173,7 @@ def test_weight_support_is_level_rows(M):
         except DegenerateSpectrumError:
             continue
         accepted += 1
-        rows = np.array([E for E, _, _ in level_rows(M, [zeta])[0]], dtype=complex)
+        rows = np.array([E for E, _, _ in level_rows(M, zeta)], dtype=complex)
         assert np.array_equal(np.array(t.energies, dtype=complex).view(np.uint64), rows.view(np.uint64))
     assert accepted
 

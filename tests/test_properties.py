@@ -14,7 +14,7 @@ from ptqes.duality import dual_spectrum
 from ptqes.model import ModelParams
 from ptqes.polyengine import evaluate
 from ptqes.recursion import build_bar, build_P, build_Q, build_R, family_values, recurrence_b, step_table
-from ptqes.spectra import level_rows, qes_spectrum
+from ptqes.spectra import _level_chunks, level_rows, qes_spectrum
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -39,6 +39,15 @@ def _hex(tagged):
     return [(E.real.hex(), E.imag.hex(), label, real) for E, label, real in tagged]
 
 
+def _stacked_rows(M, zetas):
+    """Each coupling's (E, label, is_real) rows, read off the stacked chunks."""
+    return [
+        list(zip(*row))
+        for E, labels, real in _level_chunks(M, zetas)
+        for row in zip(E.tolist(), labels.tolist(), real.tolist())
+    ]
+
+
 @PROPERTY
 @given(M=Ms, z2=zeta2s, others=st.lists(zeta2s, max_size=6))
 def test_spectrum_depends_on_zeta_through_zeta2_only(M, z2, others):
@@ -47,16 +56,17 @@ def test_spectrum_depends_on_zeta_through_zeta2_only(M, z2, others):
     minus = qes_spectrum(ModelParams(M=M, zeta=-zeta))
     assert plus.levels == minus.levels
     assert plus.degenerate_pairs == minus.degenerate_pairs
-    # a batched solve gives each coupling the levels of its own solve, bit for bit
-    zetas = [zeta, -zeta, *map(math.sqrt, others)]
-    rows = level_rows(M, zetas)
-    for row, one in zip(rows, zetas):
-        assert _hex(row) == _hex(level_rows(M, [one])[0])
-    assert _hex(level_rows(M, [zeta])[0]) == _hex((lvl.E, lvl.label, lvl.is_real) for lvl in plus.levels)
-    # each row carries the structural reality flag: Im E exactly 0 for odd
-    # M, zeta = 0 for even M
-    for row, one in zip(rows, zetas):
-        assert all(real == (E.imag == 0.0 if M % 2 else one == 0.0) for E, _, real in row)
+    assert _hex(level_rows(M, zeta)) == _hex((lvl.E, lvl.label, lvl.is_real) for lvl in plus.levels)
+    # a stacked solve, of one coupling or of several, gives each coupling
+    # the levels of its own solve, bit for bit
+    for zetas in ([zeta], [zeta, -zeta, *map(math.sqrt, others)]):
+        rows = _stacked_rows(M, zetas)
+        assert len(rows) == len(zetas)
+        for row, one in zip(rows, zetas):
+            assert _hex(row) == _hex(level_rows(M, one))
+            # each row carries the structural reality flag: Im E exactly 0
+            # for odd M, zeta = 0 for even M
+            assert all(real == (E.imag == 0.0 if M % 2 else one == 0.0) for E, _, real in row)
 
 
 @PROPERTY

@@ -10,12 +10,13 @@ import pytest
 import ptqes.cli
 import ptqes.recursion
 import ptqes.spectra
-from ptqes.duality import dual_level_rows, dual_spectrum
+from ptqes.duality import _dual_level_chunks, dual_spectrum
 from ptqes.model import ModelParams
 from ptqes.polyengine import evaluate, matching_distance, taylor_shift
 from ptqes.recursion import build_P, build_Q, recurrence_a, recurrence_b
 from ptqes.spectra import (
     _STACK_ENTRIES,
+    _level_chunks,
     _sectors,
     check_factorization,
     critical_coupling,
@@ -159,10 +160,10 @@ def test_critical_polynomials_match_complex_families(M):
 
 def test_level_rows_refuses_non_integer_m():
     # M is validated before it sizes the pencil, also once M = 3 is cached
-    level_rows(3, [0.1])
+    level_rows(3, 0.1)
     for M in (3.0, 2.0):
         with pytest.raises(ValueError, match="plain integer"):
-            level_rows(M, [0.1])
+            level_rows(M, 0.1)
 
 
 def test_critical_coupling_m1_infinite():
@@ -298,17 +299,20 @@ def test_overflowing_coupling_is_refused():
     assert len(qes_spectrum(ModelParams(M=3, zeta=1e153)).levels) == 3
     # a stack of couplings is refused when any one of them overflows
     with pytest.raises(ValueError, match="overflows"):
-        level_rows(3, [0.1, 1e154])
+        next(_level_chunks(3, [0.1, 1e154]))
 
 
-@pytest.mark.parametrize("rows", [level_rows, dual_level_rows])
+@pytest.mark.parametrize("chunks", [_level_chunks, _dual_level_chunks], ids=["level_rows", "dual_level_rows"])
 @pytest.mark.parametrize("zetas", [[math.nan, 1.0], [1.0, math.nan], [0.1, math.inf], [math.nan], [math.inf]])
-def test_non_finite_coupling_is_refused(rows, zetas):
+def test_non_finite_coupling_is_refused(chunks, zetas):
     # a NaN after the first coupling once slipped past the overflow guard
     # into numpy, and a leading one was reported as an overflow; a single
-    # coupling takes the 2-D branch and is refused there too
+    # coupling is refused by level_rows and by a one-coupling stack alike
     with pytest.raises(ValueError, match="non-finite coupling"):
-        rows(3, zetas)
+        next(chunks(3, zetas))
+    if len(zetas) == 1:
+        with pytest.raises(ValueError, match="non-finite coupling"):
+            level_rows(3, zetas[0])
 
 
 @pytest.mark.parametrize("M", [3, 5, 7, 9])
@@ -443,7 +447,7 @@ M12_LEVELS = [
 def _worst_relative_error(M, zeta, reference):
     """Largest |E - E_ref| / |E_ref|, each reference level matched greedily
     to the nearest unmatched level at (M, zeta)."""
-    got = [E for E, _, _ in level_rows(M, [zeta])[0]]
+    got = [E for E, _, _ in level_rows(M, zeta)]
     worst = 0.0
     for want in reference:
         nearest = min(got, key=lambda E: abs(E - want))
@@ -473,7 +477,7 @@ def test_large_coupling_levels_match_the_reference(cell):
     M, zeta = cell["M"], cell["zeta"]
     assert _worst_relative_error(M, zeta, [complex(*pair) for pair in cell["levels"]]) <= 1e-13
     if M % 2:
-        assert sum(real for _, _, real in level_rows(M, [zeta])[0]) == cell["real_count"]
+        assert sum(real for _, _, real in level_rows(M, zeta)) == cell["real_count"]
 
 
 @pytest.mark.parametrize("M", [6, 8, 12, 20])
@@ -605,35 +609,49 @@ def _bits(levels):
 
 
 def _row_bits(rows):
-    """(E, label, is_real) rows, in their order, with E as bit patterns."""
-    return [(E.real.hex(), E.imag.hex(), label, real) for E, label, real in rows]
+    """(E, label, is_real) rows, in their order, with E as bit patterns and
+    each field's type."""
+    return [(E.real.hex(), E.imag.hex(), label, real, type(E), type(label), type(real)) for E, label, real in rows]
+
+
+def _stacked_rows(M, zetas, chunks=_level_chunks):
+    """Each coupling's (E, label, is_real) rows, read off the stacked chunks."""
+    return [
+        list(zip(*row))
+        for E, labels, real in chunks(M, zetas)
+        for row in zip(E.tolist(), labels.tolist(), real.tolist())
+    ]
 
 
 def _assert_kernel_matches_public(M, zetas):
     # the stack against the public solve, and each coupling solved alone
-    # (level_rows' 2-D branch, and the calls built on it) against the stack
-    rows = level_rows(M, zetas)
+    # (level_rows, the calls built on it and a one-coupling stack, the
+    # route of ptqes spectrum) against the stack
+    rows = _stacked_rows(M, zetas)
     assert len(rows) == len(zetas)
-    for zeta, row in zip(zetas, rows):
+    duals = _stacked_rows(M, zetas, _dual_level_chunks) if M % 2 else None
+    for i, (zeta, row) in enumerate(zip(zetas, rows)):
         assert len(row) == M
         for label in _sectors(M):
             ours = [E for E, tag, _ in row if tag == label]
             assert _bits(ours) == _bits(_public_levels(M, zeta, label)), (M, zeta, label)
         want = _row_bits(row)
-        assert _row_bits(level_rows(M, [zeta])[0]) == want, (M, zeta)
+        assert _row_bits(level_rows(M, zeta)) == want, (M, zeta)
+        assert [_row_bits(one) for one in _stacked_rows(M, [zeta])] == [want], (M, zeta)
         levels = qes_spectrum(ModelParams(M=M, zeta=zeta)).levels
         assert _row_bits((lvl.E, lvl.label, lvl.is_real) for lvl in levels) == want, (M, zeta)
         if M % 2:
-            dual = [(0j - E, label, real) for E, label, real in reversed(row)]
-            assert _row_bits(dual_level_rows(M, [zeta])[0]) == _row_bits(dual), (M, zeta)
+            dual = _row_bits((0j - E, label, real) for E, label, real in reversed(row))
+            assert _row_bits(duals[i]) == dual, (M, zeta)
+            assert [_row_bits(one) for one in _stacked_rows(M, [zeta], _dual_level_chunks)] == [dual], (M, zeta)
             levels = dual_spectrum(ModelParams(M=M, zeta=zeta)).levels
             assert [lvl.source_index for lvl in levels] == list(range(M - 1, -1, -1))
-            assert _row_bits((lvl.Ehat, lvl.label, lvl.is_real) for lvl in levels) == _row_bits(dual), (M, zeta)
+            assert _row_bits((lvl.Ehat, lvl.label, lvl.is_real) for lvl in levels) == dual, (M, zeta)
 
 
 @pytest.mark.parametrize("M", range(1, 42))
 def test_kernel_matches_public_eigvals_bit_for_bit(M):
-    # level_rows calls the private gufunc behind np.linalg.eigvals; a numpy
+    # spectra calls the private gufunc behind np.linalg.eigvals; a numpy
     # release that changes it fails here rather than shifting levels
     zc2 = critical_coupling(max(3, M | 1)).zeta_c_squared
     z2s = (0.0, 1e-12, zc2 * (1 - 1e-6), zc2 * (1 + 1e-6), 1e6)
@@ -662,9 +680,9 @@ def test_unconverged_stand_in_raises_the_invalid_flag():
 @pytest.mark.parametrize(
     "solve",
     [
-        lambda: level_rows(3, [0.1, 0.2]),
-        lambda: level_rows(4, [0.1]),
-        lambda: level_rows(4, [0.1, 0.2]),
+        lambda: next(_level_chunks(3, [0.1, 0.2])),
+        lambda: level_rows(4, 0.1),
+        lambda: next(_level_chunks(4, [0.1, 0.2])),
         lambda: qes_spectrum(ModelParams(M=5, zeta=0.1)),
         lambda: critical_coupling(5),
     ],
