@@ -16,6 +16,7 @@ called repeatedly in one process.
 import argparse
 import csv
 import functools
+import importlib
 import io
 import json
 import itertools
@@ -24,23 +25,23 @@ import sys
 
 import numpy as np
 
-from .duality import _dual_level_chunks, verify_duality
-from .norms import verify_norms
-from .oracle import verify_gauge, verify_tables
-from .spectra import _level_chunks, critical_coupling, degenerate_pairs, verify_factorization
+from .duality import _dual_level_chunks
+from .spectra import _level_chunks, critical_coupling, degenerate_pairs
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-# verify suites, in the order --suite all runs them
+# verify suites, in the order --suite all runs them, as (module, function)
+# names: a suite's module is imported only when the suite runs, so the level
+# commands never load oracle or norms
 _SUITES = {
-    "tables": verify_tables,
-    "oracle": verify_gauge,
-    "factorization": verify_factorization,
-    "norms": verify_norms,
-    "duality": verify_duality,
+    "tables": ("oracle", "verify_tables"),
+    "oracle": ("oracle", "verify_gauge"),
+    "factorization": ("spectra", "verify_factorization"),
+    "norms": ("norms", "verify_norms"),
+    "duality": ("duality", "verify_duality"),
 }
 
 MAX_SWEEP_POINTS = 10**6
@@ -129,14 +130,11 @@ class _Levels:
     field spec[i] of every level, or, when shorter, of every group of
     consecutive levels (a sweep's zeta2, one per coupling).  Each format
     writes all rows with one %-template derived from spec.  A template
-    would print inf or nan as bare words, so a non-finite float is refused
-    with ValueError; each value is tested, since a column's sum can
-    overflow while every value is finite."""
+    would print inf or nan as bare words, so every float column must be
+    finite: _level_columns refuses non-finite levels, and the zeta2 values
+    are checked as arguments."""
 
     def __init__(self, spec, columns):
-        for (key, _, _, kind), column in zip(spec, columns):
-            if kind is float and not all(map(math.isfinite, column)):
-                raise ValueError(f"non-finite {key} in the level rows")
         self.spec = spec
         self.columns = columns
 
@@ -177,9 +175,13 @@ def _level_columns(args, values):
     columns the index, label, E_re, E_im and is_real columns.  spectrum is a
     one-coupling stack, so both level commands print from one route; the
     stack's set-up costs it about 7 to 20 us of a 150 to 700 us warm call
-    (Python 3.11, numpy 2.4, 2 vCPU)."""
+    (Python 3.11, numpy 2.4, 2 vCPU).  A non-finite level part is refused
+    with ValueError, the real parts tested first."""
     chunks = (_dual_level_chunks if args.model == "dsg" else _level_chunks)(args.M, [math.sqrt(z2) for z2 in values])
     E, labels, real = (np.concatenate(parts).ravel() for parts in zip(*chunks))
+    for key, part in (("E_re", E.real), ("E_im", E.imag)):
+        if not np.isfinite(part).all():
+            raise ValueError(f"non-finite {key} in the level rows")
     return E, [list(range(args.M)) * len(values), labels.tolist(), E.real.tolist(), E.imag.tolist(), real.tolist()]
 
 
@@ -216,7 +218,8 @@ def _cmd_critical_zeta(args):
 
 
 def _cmd_verify(args):
-    runs = _SUITES.values() if args.suite == "all" else [_SUITES[args.suite]]
+    suites = _SUITES.values() if args.suite == "all" else [_SUITES[args.suite]]
+    runs = [getattr(importlib.import_module(f".{module}", __package__), name) for module, name in suites]
     checks = [c for run in runs for c in run()]
     passed = all(c["passed"] for c in checks)
     payload = {

@@ -11,14 +11,15 @@ psi(i*theta).  This map is the only route to the periodic model: its levels
 and closed forms are those of the hyperbolic model, negated.  A level is
 negated as 0j - E, exactly as -E but with a zero part +0, so a real level's
 Ehat has Im +0.  Applying the map twice is the identity on the level
-multiset, exactly, since float subtraction from zero is exact.
+multiset, exactly, since float subtraction from zero is exact.  Only the
+closed-form checks import the oracle module, so the dual levels load the
+same modules as the hyperbolic ones.
 """
 
 import math
 from dataclasses import dataclass
 
 from .model import ModelParams, _check, k_index
-from .oracle import dshg_closed_form_levels, ode_residual_dsg
 from .spectra import _level_chunks, level_rows, qes_spectrum
 
 # verify_duality bounds: the M = 3 closed-form dual levels, absolute, and the
@@ -71,6 +72,8 @@ def dual_closed_form_levels(params: ModelParams):
     oracle.dshg_closed_form_levels in descending-E tag order, so ascending
     while the M = 3 levels are real.  Each is complex, and a real one has
     Im +0, as in dual_spectrum."""
+    from .oracle import dshg_closed_form_levels
+
     closed = dshg_closed_form_levels(params)
     tags = ("ground",) if params.M == 1 else ("even_plus", "odd", "even_minus")
     return [0j - closed[tag] for tag in tags]
@@ -79,6 +82,8 @@ def dual_closed_form_levels(params: ModelParams):
 def verify_duality() -> list:
     """verify --suite duality: the map against the hyperbolic spectrum, the
     M = 3 closed-form duals and the periodic ODE."""
+    from .oracle import dshg_closed_form_levels, ode_residual_dsg
+
     broken = 0
     for m in (1, 3, 5, 7, 9):
         params = ModelParams(M=m, zeta=math.sqrt(0.01))

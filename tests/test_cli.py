@@ -733,6 +733,24 @@ def test_non_finite_level_exits_3(monkeypatch, capsys, args, fmt):
     assert err == "numerical or internal failure: non-finite E_re in the level rows\n"
 
 
+@pytest.mark.parametrize("args", [("spectrum", "--zeta2", "0.01"), ("sweep", "--zeta2-range", "0:0.02:0.01")])
+def test_non_finite_imaginary_level_exits_3(monkeypatch, capsys, args):
+    # the real parts are tested first, so this level's finite E_re passes
+    chunks = ptqes.spectra._level_chunks
+
+    def nan_chunks(M, zetas):
+        for E, labels, real in chunks(M, zetas):
+            E = E.copy()
+            E[:, -1] = complex(E[0, -1].real, math.nan)
+            yield E, labels, real
+
+    monkeypatch.setattr(ptqes.cli, "_level_chunks", nan_chunks)
+    assert ptqes.cli.main([args[0], "--M", "3", *args[1:]]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numerical or internal failure: non-finite E_im in the level rows\n"
+
+
 def test_parser_is_built_once():
     assert ptqes.cli._build_parser() is ptqes.cli._build_parser()
 
