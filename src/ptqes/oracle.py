@@ -29,7 +29,7 @@ import numpy as np
 from .model import ModelParams, _check, periodic_potential, potential
 from .polyengine import EnergyPolynomial, backward_error, matching_distance
 from .recursion import build_R
-from .spectra import qes_spectrum
+from .spectra import _coeff_distance, qes_spectrum
 
 GOLDEN_PATH_ENV = "QES_GOLDEN_PATH"
 
@@ -362,9 +362,7 @@ def verify_gauge() -> list:
             if res > worst_res[0]:
                 worst_res = (res, where)
             if m <= 6:
-                cp = gauge_char_poly(params)
-                scale = max(abs(c) for c in r_m.coeffs)
-                dc = max(abs(a - b) for a, b in zip(cp.coeffs, r_m.coeffs)) / scale
+                dc = _coeff_distance(r_m, gauge_char_poly(params))
                 if dc > worst_char[0]:
                     worst_char = (dc, where)
             d = matching_distance(qes_spectrum(params).energies, eigs)

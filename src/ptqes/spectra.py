@@ -65,17 +65,12 @@ _STACK_ENTRIES = 1 << 16
 
 # The LAPACK geev gufuncs behind numpy.linalg.eigvals and numpy.linalg.eig:
 # at these block sizes the wrappers' checks and casts cost several times the
-# solve.  Signatures "d->D" and "d->DD" for the real odd-M blocks, "D->D"
-# and "D->DD" for the complex even-M block.  They skip the wrappers'
-# finiteness check, so every caller hands them finite blocks: level_rows
-# (behind qes_spectrum and duality.dual_spectrum) and _level_chunks (behind
-# the CLI's spectrum and sweep) refuse non-finite and overflowing
-# couplings before any solve (_checked_coupling), critical_coupling solves
-# only zeta^2 in [0, 1/2], and norms.weights calls _eig only after
-# family_norms has refused an overflowing gamma_n (|a_n| <= |gamma_{M-1}|
-# once zeta^2 >= 1).
-# Every call runs under _GEEV_ERRSTATE, which keeps the wrappers' other
-# guarantee.
+# solve.  The block's dtype picks the loop: float64 for the odd-M blocks,
+# complex128 for the even-M block (_pencil).  They skip the wrappers'
+# finiteness check; every block is finite because each caller reads its
+# coupling through _checked_coupling, or, in critical_coupling, solves only
+# zeta^2 in [0, 1/2].  Every call runs under _GEEV_ERRSTATE, which keeps the
+# wrappers' other guarantee.
 _geev = _umath_linalg.eigvals
 _geev_vectors = _umath_linalg.eig
 
@@ -183,7 +178,8 @@ def _pencil(M: int):
     rows 0..k of T with E_P's a_k doubled for odd M = 2k + 1, rows k..M-1
     for even M = 2k.  C = diag(b_n at zeta = 0); S has -sqrt(-a_n / zeta^2)
     above the diagonal, +sqrt(-a_n / zeta^2) below it, and for even M
-    i sqrt(-a_k) / |zeta| = 2ik at [0, 0].  In the other sign order geev
+    i sqrt(-a_k) / |zeta| = 2ik at [0, 0], which makes the even-M block
+    complex128 and each odd-M block float64.  In the other sign order geev
     splits the exact double level of M = 3, zeta^2 = 1/4 by 1.2e-7.  The
     typed cache refuses M = 3.0 rather than serve the entry of M = 3."""
     free, unit = ModelParams(M, 0.0), ModelParams(M, 1.0)
@@ -215,15 +211,15 @@ def _shifted_p_block(M: int):
 def _eig(M: int, zeta: float) -> dict:
     """{label: (levels, X)} of each sector block B(zeta): a list of its
     eigenvalues minus |zeta| * |zeta| (an even-M row of level_rows adds
-    each one's conjugate), and eigenvector j as column j of X."""
+    each one's conjugate), and eigenvector j as column j of X.  Raises as
+    _checked_coupling before any solve."""
+    z = _checked_coupling(M, (zeta,))
     C, S = _pencil(M)
-    z = abs(zeta)
     B, s = C + z * S, z * z
-    signature = "d->DD" if M % 2 else "D->DD"
     out = {}
     with np.errstate(**_GEEV_ERRSTATE):
         for label, size in _sectors(M).items():
-            levels, X = _geev_vectors(B[:size, :size], signature=signature)
+            levels, X = _geev_vectors(B[:size, :size])
             out[label] = [E - s for E in levels.tolist()], X
     return out
 
@@ -265,14 +261,13 @@ def _level_chunks(M: int, zetas):
     labels = np.array([label for label, size in sectors.items() for _ in range(size)], dtype=object)
     if M % 2 == 0:
         labels = labels.repeat(2)
-    signature = "d->D" if M % 2 else "D->D"
     zeta = np.abs(np.asarray(zetas, dtype=float)).reshape(-1, 1)
     per = max(1, _STACK_ENTRIES // C.size)
     for i in range(0, len(zeta), per):
         z = zeta[i : i + per]
         B = C + z[:, :, None] * S
         with np.errstate(**_GEEV_ERRSTATE):
-            solved = [_geev(B[:, :size, :size], signature=signature) for size in sectors.values()]
+            solved = [_geev(B[:, :size, :size]) for size in sectors.values()]
         E = np.concatenate(solved, axis=1) - z * z
         if M % 2 == 0:
             E = np.stack([E, np.where(E.imag != 0.0, E.conj(), E)], axis=2).reshape(len(z), M)
@@ -305,10 +300,9 @@ def level_rows(M: int, zeta: float) -> list:
     z = _checked_coupling(M, (zeta,))
     C, S = _pencil(M)
     B, s, rows = C + z * S, z * z, []
-    signature = "d->D" if M % 2 else "D->D"
     with np.errstate(**_GEEV_ERRSTATE):
         for label, size in _sectors(M).items():
-            shifted = [E - s for E in _geev(B[:size, :size], signature=signature).tolist()]
+            shifted = [E - s for E in _geev(B[:size, :size]).tolist()]
             if M % 2:
                 rows += [(E, label, E.imag == 0.0) for E in shifted]
             else:
@@ -339,7 +333,7 @@ def _top_gap2(A, S, zeta2: float) -> float:
     call.  Best of 40 x 1000 interleaved probes (Python 3.11, numpy 2.4,
     2 vCPU), it takes 3.5 us at M = 3, 4.8 at M = 7 and 7.1 at M = 11, of
     which _geev is 1.8, 2.9 and 4.6 us."""
-    levels = _geev(A + math.sqrt(zeta2) * S, signature="d->D").tolist()
+    levels = _geev(A + math.sqrt(zeta2) * S).tolist()
     levels.sort(key=_REAL_PART)
     return ((levels[-1] - levels[-2]) ** 2).real
 
@@ -430,7 +424,7 @@ def critical_coupling(M: int, tol: float = 1e-10) -> CriticalCoupling:
             raise RuntimeError(f"the top E_P pair of M={M} does not merge up to zeta^2=0.5")
         zc2 = _zeroin(gap2, lo, up, g_lo, g_up, tol)
         z = math.sqrt(zc2)
-        below, top = sorted(E.real - z * z for E in _geev(C + z * S, signature="d->D").tolist())[-2:]
+        below, top = sorted(E.real - z * z for E in _geev(C + z * S).tolist())[-2:]
     return CriticalCoupling(M=M, zeta_c_squared=zc2, degenerate_energy=0.5 * (below + top))
 
 

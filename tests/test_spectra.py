@@ -12,10 +12,12 @@ import ptqes.recursion
 import ptqes.spectra
 from ptqes.duality import _dual_level_chunks, dual_spectrum
 from ptqes.model import ModelParams
+from ptqes.norms import weights
 from ptqes.polyengine import evaluate, matching_distance, taylor_shift
 from ptqes.recursion import build_P, build_Q, recurrence_a, recurrence_b
 from ptqes.spectra import (
     _STACK_ENTRIES,
+    _eig,
     _level_chunks,
     _sectors,
     check_factorization,
@@ -666,7 +668,7 @@ def test_kernel_matches_public_eigvals_across_stack_chunks(M):
     _assert_kernel_matches_public(M, zetas)
 
 
-def _unconverged(a, signature):
+def _unconverged(a):
     """Stands in for geev on blocks that do not converge: NaN eigenvalues and
     numpy's invalid flag, as the real kernel reports it."""
     return np.multiply(np.full(a.shape[:-1], np.inf), 0.0).astype(complex)
@@ -674,7 +676,7 @@ def _unconverged(a, signature):
 
 def test_unconverged_stand_in_raises_the_invalid_flag():
     with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
-        _unconverged(np.eye(2)[None], "d->D")
+        _unconverged(np.eye(2)[None])
 
 
 @pytest.mark.parametrize(
@@ -706,3 +708,70 @@ def test_non_convergence_exits_3(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "did not converge" in err
+
+
+def _unconverged_vectors(a):
+    """Stands in for the eigenvector geev on blocks that do not converge:
+    NaN eigenvalues and eigenvectors and numpy's invalid flag."""
+    return _unconverged(a), np.multiply(np.full(a.shape, np.inf), 0.0).astype(complex)
+
+
+def test_eigenvector_non_convergence_raises_linalgerror(monkeypatch):
+    monkeypatch.setattr(ptqes.spectra, "_geev_vectors", _unconverged_vectors)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            weights(ModelParams(M=5, zeta=0.1))
+    assert caught == []
+
+
+def test_eigenvector_non_convergence_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(ptqes.spectra, "_geev_vectors", _unconverged_vectors)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert ptqes.cli.main(["verify", "--suite", "norms"]) == ptqes.cli.EXIT_NUMERICAL == 3
+    assert caught == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "did not converge" in err
+
+
+@pytest.mark.parametrize(
+    "M, zeta, message",
+    [
+        (3, 1e200, r"zeta\^2=.* overflows the M=3 recursion coefficients"),
+        (4, math.nan, "non-finite coupling zeta=nan for M=4"),
+        (3, math.inf, "non-finite coupling zeta=inf for M=3"),
+    ],
+    ids=["overflow", "nan", "inf"],
+)
+def test_eig_refuses_a_bad_coupling_before_any_solve(capfd, M, zeta, message):
+    # geev skips the finiteness check: a non-finite block makes LAPACK print
+    # "illegal value" to stderr, and an overflowing coupling gives -inf levels
+    with pytest.raises(ValueError, match=message):
+        _eig(M, zeta)
+    assert "illegal value" not in capfd.readouterr().err
+
+
+def test_every_geev_block_is_float64_for_odd_m_and_complex128_for_even_m(monkeypatch):
+    # no signature is passed to geev: the block's dtype picks its loop, so a
+    # float32 or object block would silently pick another one
+    seen = []
+
+    def spy(solve):
+        def recorded(a):
+            seen.append((M, a.dtype))
+            return solve(a)
+
+        return recorded
+
+    monkeypatch.setattr(ptqes.spectra, "_geev", spy(ptqes.spectra._geev))
+    monkeypatch.setattr(ptqes.spectra, "_geev_vectors", spy(ptqes.spectra._geev_vectors))
+    for M in (1, 2, 3, 4, 5, 6, 15, 16):
+        level_rows(M, 0.1)
+        list(_level_chunks(M, [0.0, 0.1, 1.0]))
+        _eig(M, 0.1)
+        if M % 2:
+            critical_coupling(M)
+    assert {M for M, _ in seen} == {1, 2, 3, 4, 5, 6, 15, 16}
+    assert all(dtype == (np.float64 if M % 2 else np.complex128) for M, dtype in seen)
