@@ -9,8 +9,8 @@ code with it:
 * ode_residual_* plug closed-form eigenfunctions into the Schroedinger
   equation with a central finite difference, so no analytic derivative of
   the implementation under test is reused.
-* reproduce_tables compares computed spectra against an embedded golden
-  data set (override path via the QES_GOLDEN_PATH environment variable).
+* reproduce_tables compares computed spectra against the golden tables
+  bundled as ptqes/data/golden_tables.csv.
 
 verify_tables and verify_gauge are the `tables` and `oracle` suites of
 `ptqes verify`; each check's bound is a constant beside the code.
@@ -18,9 +18,7 @@ verify_tables and verify_gauge are the `tables` and `oracle` suites of
 
 import cmath
 import csv
-import io
 import math
-import os
 from dataclasses import dataclass, fields
 from importlib import resources
 
@@ -31,11 +29,7 @@ from .polyengine import EnergyPolynomial, backward_error, matching_distance
 from .recursion import build_R
 from .spectra import _coeff_distance, qes_spectrum
 
-GOLDEN_PATH_ENV = "QES_GOLDEN_PATH"
-
-_DEFAULT_CELL_TOL = 1e-6
-
-_TABLE_M = {"I": 5, "II": 7, "III": 9}
+_CELL_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -263,59 +257,34 @@ class TableReport:
 
 
 def load_golden_levels():
-    """Golden rows from the file a non-empty QES_GOLDEN_PATH names, else from package data."""
-    path = os.environ.get(GOLDEN_PATH_ENV)
-    if path:
-        with open(path, newline="") as fh:
-            return _parse_golden(fh)
+    """Golden rows of the bundled ptqes/data/golden_tables.csv, in file order."""
     text = resources.files("ptqes").joinpath("data/golden_tables.csv").read_text()
-    return _parse_golden(io.StringIO(text))
-
-
-def _parse_golden(fh):
-    """GoldenLevel rows of a CSV file; each field's type parses the column
-    of the same name, in any column order, and other columns are ignored."""
     columns = fields(GoldenLevel)
-    out = [GoldenLevel(**{f.name: f.type(row[f.name]) for f in columns}) for row in csv.DictReader(fh)]
-    if not out:
-        raise ValueError("golden table is empty")
-    return out
+    return [GoldenLevel(**{f.name: f.type(row[f.name]) for f in columns}) for row in csv.DictReader(text.splitlines())]
 
 
 def reproduce_tables(table: str) -> TableReport:
     """Compare computed spectra against one golden table ("I", "II", "III")
-    of load_golden_levels.  The rows may come from outside the package
-    (QES_GOLDEN_PATH), so a row of another M or naming a level the spectrum
-    lacks raises ValueError.
+    of the bundled file; the table's rows give its M.
 
     Each cell is a CellComparison: its golden row's fields (table, M,
     zeta2, label, rank, energy), then computed (the real part of level
     `rank` of sector `label` at zeta2), abs_err (|computed level - energy|)
     and passed (abs_err <= 1e-6)."""
-    if table not in _TABLE_M:
-        raise ValueError(f"unknown table {table!r}; expected one of {sorted(_TABLE_M)}")
-    M = _TABLE_M[table]
-    rows = [g for g in load_golden_levels() if g.table == table]
+    golden = load_golden_levels()
+    rows = [g for g in golden if g.table == table]
     if not rows:
-        raise ValueError(f"golden data has no rows for table {table}")
-    for g in rows:
-        if g.M != M:
-            raise ValueError(f"golden row {g} has M={g.M}, but table {table} is M={M}")
+        raise ValueError(f"unknown table {table!r}; expected one of {sorted({g.table for g in golden})}")
     cells = []
-    for zeta2 in sorted({g.zeta2 for g in rows}):
+    for M, zeta2 in sorted({(g.M, g.zeta2) for g in rows}):
         spectrum = qes_spectrum(ModelParams(M=M, zeta=math.sqrt(zeta2)))
         by_label = {}
         for lvl in spectrum.levels:
             by_label.setdefault(lvl.label, []).append(lvl.E)
-        for g in (g for g in rows if g.zeta2 == zeta2):
-            levels = by_label.get(g.label, [])
-            if not 0 <= g.rank < len(levels):
-                raise ValueError(f"golden row {g} names no level: M={M} has {len(levels)} {g.label} levels")
-            computed = levels[g.rank]
+        for g in (g for g in rows if (g.M, g.zeta2) == (M, zeta2)):
+            computed = by_label[g.label][g.rank]
             err = abs(computed - g.energy)
-            cells.append(
-                CellComparison(**vars(g), computed=computed.real, abs_err=err, passed=err <= _DEFAULT_CELL_TOL)
-            )
+            cells.append(CellComparison(**vars(g), computed=computed.real, abs_err=err, passed=err <= _CELL_TOL))
     return TableReport(table=table, cells=tuple(cells))
 
 
@@ -327,7 +296,7 @@ def verify_tables() -> list:
     """verify --suite tables: cells of each golden table outside their
     tolerance, bound 0."""
     checks = []
-    for name in _TABLE_M:
+    for name in dict.fromkeys(g.table for g in load_golden_levels()):
         report = reproduce_tables(name)
         checks.append(
             _check(
