@@ -25,8 +25,8 @@ import sys
 
 import numpy as np
 
-from .duality import _dual_level_chunks
-from .spectra import _level_chunks, critical_coupling, degenerate_pairs
+from .duality import dual_level_arrays
+from .spectra import critical_coupling, degenerate_pairs, level_arrays
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -170,15 +170,17 @@ def _check_M(args):
 
 
 def _level_columns(args, values):
-    """(E, columns) of args.model's levels at each zeta^2 in values, read
-    off the stacked chunks coupling by coupling: E one flat complex array,
+    """(E, columns) of args.model's levels at each zeta^2 in values, the
+    (couplings, M) arrays of spectra.level_arrays or
+    duality.dual_level_arrays read row by row: E one flat complex array,
     columns the index, label, E_re, E_im and is_real columns.  spectrum is a
     one-coupling stack, so both level commands print from one route; the
-    stack's set-up costs it about 7 to 20 us of a 150 to 700 us warm call
-    (Python 3.11, numpy 2.4, 2 vCPU).  A non-finite level part is refused
-    with ValueError, the real parts tested first."""
-    chunks = (_dual_level_chunks if args.model == "dsg" else _level_chunks)(args.M, [math.sqrt(z2) for z2 in values])
-    E, labels, real = (np.concatenate(parts).ravel() for parts in zip(*chunks))
+    stack costs it 11 to 31 us more than spectra.level_rows would, of a 145
+    to 195 us warm call (M = 3 to 15; Python 3.11, numpy 2.4, 2 vCPU).  A
+    non-finite level part is refused with ValueError, the real parts tested
+    first."""
+    levels = dual_level_arrays if args.model == "dsg" else level_arrays
+    E, labels, real = (part.ravel() for part in levels(args.M, [math.sqrt(z2) for z2 in values]))
     for key, part in (("E_re", E.real), ("E_im", E.imag)):
         if not np.isfinite(part).all():
             raise ValueError(f"non-finite {key} in the level rows")

@@ -8,9 +8,11 @@ hyperbolic levels E_0 <= ... <= E_{M-1}, the dual levels are
 
 again ascending, and a hyperbolic eigenfunction psi(x) gives the dual one
 psi(i*theta).  This map is the only route to the periodic model: its levels
-and closed forms are those of the hyperbolic model, negated.  A level is
-negated as 0j - E, exactly as -E but with a zero part +0, so a real level's
-Ehat has Im +0.  Applying the map twice is the identity on the level
+and closed forms are those of the hyperbolic model, negated, one coupling at
+a time in dual_spectrum (from spectra.level_rows) or as one stacked table in
+dual_level_arrays (from spectra.level_arrays, which the CLI reads).  A level
+is negated as 0j - E, exactly as -E but with a zero part +0, so a real
+level's Ehat has Im +0.  Applying the map twice is the identity on the level
 multiset, exactly, since float subtraction from zero is exact.  Only the
 closed-form checks import the oracle module, so the dual levels load the
 same modules as the hyperbolic ones.
@@ -20,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .model import ModelParams, _check, k_index
-from .spectra import _level_chunks, level_rows, qes_spectrum
+from .spectra import level_arrays, level_rows, qes_spectrum
 
 # verify_duality bounds: the M = 3 closed-form dual levels, absolute, and the
 # periodic ODE residual of the mapped closed forms.
@@ -46,12 +48,12 @@ class DualSpectrum:
         return tuple(lvl.Ehat for lvl in self.levels)
 
 
-def _dual_level_chunks(M: int, zetas):
-    """spectra._level_chunks mapped as dual_spectrum maps level_rows: each
+def dual_level_arrays(M: int, zetas):
+    """spectra.level_arrays mapped as dual_spectrum maps level_rows: each
     coupling's row reversed and negated as 0j - E; odd M only."""
     k_index(M)
-    for E, labels, real in _level_chunks(M, zetas):
-        yield 0j - E[:, ::-1], labels[:, ::-1], real[:, ::-1]
+    E, labels, real = level_arrays(M, zetas)
+    return 0j - E[:, ::-1], labels[:, ::-1], real[:, ::-1]
 
 
 def dual_spectrum(params: ModelParams) -> DualSpectrum:
@@ -87,9 +89,9 @@ def verify_duality() -> list:
     broken = 0
     for m in (1, 3, 5, 7, 9):
         params = ModelParams(M=m, zeta=math.sqrt(0.01))
-        base = tuple(qes_spectrum(params).energies)
-        manual = tuple(-e for e in reversed(base))
-        broken += tuple(dual_spectrum(params).energies) != manual
+        # repr tells a -0 part from +0, which == does not; 0j - E never writes -0
+        manual = [repr(0j - e) for e in reversed(qes_spectrum(params).energies)]
+        broken += list(map(repr, dual_spectrum(params).energies)) != manual
     worst = 0.0
     for z2 in (0.0, 0.01, 0.1, 0.24):
         params = ModelParams(M=3, zeta=math.sqrt(z2))

@@ -131,6 +131,8 @@ def build_R(params: ModelParams, n_max: int):
 def build_bar(family: str, params: ModelParams, n_max: int):
     """Cofactor Fbar_0 .. Fbar_{n_max} of F = "P", "Q" or "R" (P and Q need
     odd M): F_{b+n} = F_b * Fbar_n at the truncation index b."""
+    if family not in _TABLES:
+        raise ValueError(f"family must be P, Q or R, got {family!r}")
     return _build(f"{family}bar", params, n_max)
 
 

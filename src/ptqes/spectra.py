@@ -241,40 +241,39 @@ def _checked_coupling(M: int, zetas) -> float:
     return z
 
 
-def _level_chunks(M: int, zetas):
-    """Yield (E, labels, real), three arrays of shape (couplings, M), for
-    each stacked chunk of zetas (a sequence) in order: row i holds coupling
-    i's levels as level_rows gives them, bit for bit.  Raises as
-    _checked_coupling before any solve.  Every CLI level command reads
-    these chunks, spectrum as a one-coupling stack: solving each coupling
-    of a 25-coupling sweep alone was 1.5x (M = 15) to 2.7x (M = 3) slower.
+def level_arrays(M: int, zetas):
+    """(E, labels, real), three arrays of shape (couplings, M) for zetas, a
+    sequence: row i holds coupling i's levels as level_rows gives them, bit
+    for bit.  Raises as _checked_coupling before any solve.  Every CLI level
+    command reads these arrays, spectrum as a one-coupling stack: solving
+    each coupling of a 25-coupling sweep alone was 1.5x (M = 15) to 2.7x
+    (M = 3) slower.
 
-    A chunk is at most _STACK_ENTRIES matrix entries, one _geev call per
-    sector.  The sector eigenvalues are concatenated in label order and
-    shifted by -z * z; for even M each is followed by its conjugate, or by
-    itself when Im E == 0.  A stable sort of complex values orders them by
-    (Re E, Im E) and keeps ties in label order, which is level_rows' order,
-    and real follows level_rows' reality rule."""
+    The couplings are solved in stacks of at most _STACK_ENTRIES matrix
+    entries, one _geev call per sector, each filling its slice of one
+    eigenvalue array in label order.  The whole table is then shifted by
+    -z * z; for even M each level is followed by its conjugate, or by
+    itself when Im E == 0.  A stable sort of complex values orders each row
+    by (Re E, Im E) and keeps ties in label order, which is level_rows'
+    order, and real follows level_rows' reality rule."""
     _checked_coupling(M, zetas)
     C, S = _pencil(M)
     sectors = _sectors(M)
     labels = np.array([label for label, size in sectors.items() for _ in range(size)], dtype=object)
+    zeta = np.abs(np.asarray(zetas, dtype=float)).reshape(-1, 1)
+    E = np.empty((len(zeta), len(labels)), dtype=complex)
+    per = max(1, _STACK_ENTRIES // C.size)
+    with np.errstate(**_GEEV_ERRSTATE):
+        for i in range(0, len(zeta), per):
+            B = C + zeta[i : i + per, :, None] * S
+            np.concatenate([_geev(B[:, :size, :size]) for size in sectors.values()], axis=1, out=E[i : i + per])
+    E -= zeta * zeta
     if M % 2 == 0:
         labels = labels.repeat(2)
-    zeta = np.abs(np.asarray(zetas, dtype=float)).reshape(-1, 1)
-    per = max(1, _STACK_ENTRIES // C.size)
-    for i in range(0, len(zeta), per):
-        z = zeta[i : i + per]
-        B = C + z[:, :, None] * S
-        with np.errstate(**_GEEV_ERRSTATE):
-            solved = [_geev(B[:, :size, :size]) for size in sectors.values()]
-        E = np.concatenate(solved, axis=1) - z * z
-        if M % 2 == 0:
-            E = np.stack([E, np.where(E.imag != 0.0, E.conj(), E)], axis=2).reshape(len(z), M)
-        order = np.argsort(E, axis=1, kind="stable")
-        E = np.take_along_axis(E, order, axis=1)
-        real = E.imag == 0.0 if M % 2 else np.broadcast_to(z == 0.0, E.shape)
-        yield E, labels[order], real
+        E = np.stack([E, np.where(E.imag != 0.0, E.conj(), E)], axis=2).reshape(len(zeta), M)
+    order = np.argsort(E, axis=1, kind="stable")
+    E = np.take_along_axis(E, order, axis=1)
+    return E, labels[order], (E.imag == 0.0 if M % 2 else np.broadcast_to(zeta == 0.0, E.shape))
 
 
 def level_rows(M: int, zeta: float) -> list:
@@ -284,9 +283,10 @@ def level_rows(M: int, zeta: float) -> list:
     duality.dual_spectrum read these rows.
 
     Each sector is solved on the 2-D block B = C + |zeta| S, one _geev call,
-    and shifted, flagged and sorted in Python: _level_chunks' 3-D set-up and
-    numpy's shift, flag and sort would add about 3 to 6 us to its 11.5 us
-    (M = 3) to 24.5 us (M = 15) (Python 3.11, numpy 2.4, 2 vCPU).
+    and shifted, flagged and sorted in Python: a one-coupling level_arrays
+    call with its rows built takes 27 / 38 / 46 us, against 11.5 / 26 / 11
+    us here, at M = 3 / 15 / 4 (best of 5 x 3 x 2000 interleaved calls,
+    Python 3.11, numpy 2.4, 2 vCPU).
 
     E is an eigenvalue minus z * z, z = |zeta|, ModelParams.zeta2's bits;
     _eig and critical_coupling's merged-energy solve subtract it the same

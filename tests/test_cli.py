@@ -208,7 +208,7 @@ def test_internal_value_error_exits_3(monkeypatch, capsys):
     # must still reach the command
     assert ptqes.cli.main(["spectrum", "--M", "3", "--zeta2", "0.01"]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(ptqes.cli, "_level_chunks", broken)
+    monkeypatch.setattr(ptqes.cli, "level_arrays", broken)
     assert ptqes.cli.main(["spectrum", "--M", "3", "--zeta2", "0.01"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -227,14 +227,13 @@ def test_internal_value_error_exits_3(monkeypatch, capsys):
 def test_memory_error_in_a_sweep_exits_3(monkeypatch, capsys, argv):
     # numpy raises MemoryError when a pencil stack does not fit; that is a
     # numerical failure, not a traceback with the verification exit code.
-    # spectrum and sweep read the stacked chunks, and the dsg chunks are the
-    # dshg ones mapped, so one fault reaches every level command
+    # spectrum and sweep read the stacked level arrays, and the dsg arrays
+    # are the dshg ones mapped, so one fault reaches every level command
     def exhausted(M, zetas):
         raise MemoryError("cannot allocate the stacked pencil")
-        yield
 
-    monkeypatch.setattr(ptqes.duality, "_level_chunks", exhausted)
-    monkeypatch.setattr(ptqes.cli, "_level_chunks", exhausted)
+    monkeypatch.setattr(ptqes.duality, "level_arrays", exhausted)
+    monkeypatch.setattr(ptqes.cli, "level_arrays", exhausted)
     assert ptqes.cli.main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -252,7 +251,7 @@ def test_any_internal_error_exits_3(monkeypatch, capsys, error, message):
     def broken(M, zetas):
         raise error
 
-    monkeypatch.setattr(ptqes.cli, "_level_chunks", broken)
+    monkeypatch.setattr(ptqes.cli, "level_arrays", broken)
     assert ptqes.cli.main(["spectrum", "--M", "3", "--zeta2", "0.01"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -263,13 +262,13 @@ def test_keyboard_interrupt_passes_through(monkeypatch):
     def interrupted(M, zetas):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(ptqes.cli, "_level_chunks", interrupted)
+    monkeypatch.setattr(ptqes.cli, "level_arrays", interrupted)
     with pytest.raises(KeyboardInterrupt):
         ptqes.cli.main(["spectrum", "--M", "3", "--zeta2", "0.01"])
 
 
 def test_pencil_overflow_exits_3():
-    # zeta^2 S overflows at zeta^2 = 1e308 for M = 3; _level_chunks refuses it
+    # zeta^2 S overflows at zeta^2 = 1e308 for M = 3; level_arrays refuses it
     # and the CLI prints one line, with the code of a numerical failure.
     p = run("spectrum", "--M", "3", "--zeta2", "1e308", timeout=60)
     assert p.returncode == 3
@@ -614,7 +613,7 @@ def test_json_render_matches_stdlib_on_payloads(argv):
 # ---------------------------------------------------------------------------
 # Level output against an independent reference: the rows rebuilt as dicts
 # from level_rows / dual_spectrum, one coupling per call (the 2-D solve,
-# which shares no code with the stacked chunks the CLI reads), and written
+# which shares no code with the stacked level arrays the CLI reads), and written
 # by json.dumps, csv.writer and f"{x:.12g}" padded to the _COLUMNS widths.
 
 
@@ -687,7 +686,7 @@ def _reference(command, model, M, where, couplings, fmt) -> str:
 @example(model="dshg", M=5, start=0.0, step=0.01, count=3)  # degenerate_pairs [[0, 1], [2, 3]]
 @example(model="dshg", M=3, start=1e300, step=1.0, count=1)
 @example(model="dsg", M=41, start=1e300, step=1.0, count=1)
-# 150 couplings of M = 41 span two stacked chunks of 148
+# 150 couplings of M = 41 span two stacks of 148
 @example(model="dshg", M=41, start=0.0, step=0.0002, count=150)
 @example(model="dsg", M=41, start=0.0, step=0.0002, count=150)
 def test_level_output_matches_an_independent_reference(model, M, start, step, count):
@@ -717,16 +716,16 @@ def test_sweep_at_a_huge_coupling_is_strict_json(capsys):
 @pytest.mark.parametrize("args", [("spectrum", "--zeta2", "0.01"), ("sweep", "--zeta2-range", "0:0.02:0.01")])
 def test_non_finite_level_exits_3(monkeypatch, capsys, args, fmt):
     # a template would print nan as a bare word, which is not json; spectrum
-    # and sweep read the stacked chunks
-    chunks = ptqes.spectra._level_chunks
+    # and sweep read the stacked level arrays
+    arrays = ptqes.spectra.level_arrays
 
-    def nan_chunks(M, zetas):
-        for E, labels, real in chunks(M, zetas):
-            E = E.copy()
-            E[:, 0] = complex(math.nan, 0.0)
-            yield E, labels, real
+    def nan_arrays(M, zetas):
+        E, labels, real = arrays(M, zetas)
+        E = E.copy()
+        E[:, 0] = complex(math.nan, 0.0)
+        return E, labels, real
 
-    monkeypatch.setattr(ptqes.cli, "_level_chunks", nan_chunks)
+    monkeypatch.setattr(ptqes.cli, "level_arrays", nan_arrays)
     assert ptqes.cli.main([args[0], "--M", "3", *args[1:], "--format", fmt]) == 3
     out, err = capsys.readouterr()
     assert out == ""
@@ -736,15 +735,15 @@ def test_non_finite_level_exits_3(monkeypatch, capsys, args, fmt):
 @pytest.mark.parametrize("args", [("spectrum", "--zeta2", "0.01"), ("sweep", "--zeta2-range", "0:0.02:0.01")])
 def test_non_finite_imaginary_level_exits_3(monkeypatch, capsys, args):
     # the real parts are tested first, so this level's finite E_re passes
-    chunks = ptqes.spectra._level_chunks
+    arrays = ptqes.spectra.level_arrays
 
-    def nan_chunks(M, zetas):
-        for E, labels, real in chunks(M, zetas):
-            E = E.copy()
-            E[:, -1] = complex(E[0, -1].real, math.nan)
-            yield E, labels, real
+    def nan_arrays(M, zetas):
+        E, labels, real = arrays(M, zetas)
+        E = E.copy()
+        E[:, -1] = complex(E[0, -1].real, math.nan)
+        return E, labels, real
 
-    monkeypatch.setattr(ptqes.cli, "_level_chunks", nan_chunks)
+    monkeypatch.setattr(ptqes.cli, "level_arrays", nan_arrays)
     assert ptqes.cli.main([args[0], "--M", "3", *args[1:]]) == 3
     out, err = capsys.readouterr()
     assert out == ""

@@ -2,10 +2,11 @@ import math
 
 import pytest
 
-from ptqes.duality import dual_closed_form_levels, dual_spectrum
+import ptqes.duality
+from ptqes.duality import DualLevel, DualSpectrum, dual_closed_form_levels, dual_spectrum, verify_duality
 from ptqes.model import ModelParams
 from ptqes.polyengine import matching_distance
-from ptqes.spectra import qes_spectrum
+from ptqes.spectra import level_rows, qes_spectrum
 
 
 def test_dual_is_exact_negation_reversal():
@@ -19,6 +20,23 @@ def test_dual_is_exact_negation_reversal():
     assert dual.params == p
     # applying the map twice is the identity on the multiset, exactly
     assert tuple(-e for e in reversed(dual.energies)) == base
+
+
+def test_negation_reversal_check_refuses_a_negative_zero(monkeypatch):
+    # -E writes Im -0 for a real level where 0j - E writes +0; == treats the
+    # two as equal, so the check compares bit patterns
+    def minus_e(params):
+        rows = reversed(level_rows(params.M, params.zeta))
+        last = params.M - 1
+        return DualSpectrum(params, tuple(DualLevel(-E, last - k, label, real) for k, (E, label, real) in enumerate(rows)))
+
+    assert repr(minus_e(ModelParams(M=3, zeta=0.1)).energies[-1]) == "(-4.99-0j)"
+    checks = {c["name"]: c for c in verify_duality()}
+    assert checks["duality.negation_reversal"]["passed"]
+    monkeypatch.setattr(ptqes.duality, "dual_spectrum", minus_e)
+    checks = {c["name"]: c for c in verify_duality()}
+    assert not checks["duality.negation_reversal"]["passed"]
+    assert checks["duality.negation_reversal"]["detail"] == "exact float equality, M in 1,3,5,7,9"
 
 
 def test_dual_metadata():

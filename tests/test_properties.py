@@ -14,7 +14,7 @@ from ptqes.duality import dual_spectrum
 from ptqes.model import ModelParams
 from ptqes.polyengine import evaluate
 from ptqes.recursion import build_bar, build_P, build_Q, build_R, family_values, recurrence_b, step_table
-from ptqes.spectra import _level_chunks, level_rows, qes_spectrum
+from ptqes.spectra import level_arrays, level_rows, qes_spectrum
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -40,12 +40,10 @@ def _hex(tagged):
 
 
 def _stacked_rows(M, zetas):
-    """Each coupling's (E, label, is_real) rows, read off the stacked chunks."""
-    return [
-        list(zip(*row))
-        for E, labels, real in _level_chunks(M, zetas)
-        for row in zip(E.tolist(), labels.tolist(), real.tolist())
-    ]
+    """Each coupling's (E, label, is_real) rows, read off the stacked level
+    arrays."""
+    E, labels, real = level_arrays(M, zetas)
+    return [list(zip(*row)) for row in zip(E.tolist(), labels.tolist(), real.tolist())]
 
 
 @PROPERTY

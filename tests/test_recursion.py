@@ -132,7 +132,7 @@ def test_build_bar_is_the_cofactor_of_the_truncating_member():
             got, want = mul(fam[b], bar[n]).coeffs, fam[b + n].coeffs
             assert max(abs(x - y) for x, y in zip(got, want)) <= 1e-13 * max(map(abs, want))
     for family in ("Pbar", "S"):
-        with pytest.raises(ValueError, match="family must be"):
+        with pytest.raises(ValueError, match=f"family must be P, Q or R, got '{family}'"):
             build_bar(family, p, 2)
     with pytest.raises(ValueError, match="odd positive M"):
         build_bar("P", ModelParams(M=4, zeta=0.3), 2)

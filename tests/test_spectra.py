@@ -10,7 +10,7 @@ import pytest
 import ptqes.cli
 import ptqes.recursion
 import ptqes.spectra
-from ptqes.duality import _dual_level_chunks, dual_spectrum
+from ptqes.duality import dual_level_arrays, dual_spectrum
 from ptqes.model import ModelParams
 from ptqes.norms import weights
 from ptqes.polyengine import evaluate, matching_distance, taylor_shift
@@ -18,7 +18,6 @@ from ptqes.recursion import build_P, build_Q, recurrence_a, recurrence_b
 from ptqes.spectra import (
     _STACK_ENTRIES,
     _eig,
-    _level_chunks,
     _sectors,
     check_factorization,
     critical_coupling,
@@ -26,6 +25,7 @@ from ptqes.spectra import (
     degenerate_pairs,
     _pencil,
     even_M_pairing,
+    level_arrays,
     level_rows,
     qes_spectrum,
 )
@@ -301,17 +301,17 @@ def test_overflowing_coupling_is_refused():
     assert len(qes_spectrum(ModelParams(M=3, zeta=1e153)).levels) == 3
     # a stack of couplings is refused when any one of them overflows
     with pytest.raises(ValueError, match="overflows"):
-        next(_level_chunks(3, [0.1, 1e154]))
+        level_arrays(3, [0.1, 1e154])
 
 
-@pytest.mark.parametrize("chunks", [_level_chunks, _dual_level_chunks], ids=["level_rows", "dual_level_rows"])
+@pytest.mark.parametrize("arrays", [level_arrays, dual_level_arrays], ids=["level_rows", "dual_level_rows"])
 @pytest.mark.parametrize("zetas", [[math.nan, 1.0], [1.0, math.nan], [0.1, math.inf], [math.nan], [math.inf]])
-def test_non_finite_coupling_is_refused(chunks, zetas):
+def test_non_finite_coupling_is_refused(arrays, zetas):
     # a NaN after the first coupling once slipped past the overflow guard
     # into numpy, and a leading one was reported as an overflow; a single
     # coupling is refused by level_rows and by a one-coupling stack alike
     with pytest.raises(ValueError, match="non-finite coupling"):
-        next(chunks(3, zetas))
+        arrays(3, zetas)
     if len(zetas) == 1:
         with pytest.raises(ValueError, match="non-finite coupling"):
             level_rows(3, zetas[0])
@@ -616,13 +616,11 @@ def _row_bits(rows):
     return [(E.real.hex(), E.imag.hex(), label, real, type(E), type(label), type(real)) for E, label, real in rows]
 
 
-def _stacked_rows(M, zetas, chunks=_level_chunks):
-    """Each coupling's (E, label, is_real) rows, read off the stacked chunks."""
-    return [
-        list(zip(*row))
-        for E, labels, real in chunks(M, zetas)
-        for row in zip(E.tolist(), labels.tolist(), real.tolist())
-    ]
+def _stacked_rows(M, zetas, arrays=level_arrays):
+    """Each coupling's (E, label, is_real) rows, read off the stacked level
+    arrays."""
+    E, labels, real = arrays(M, zetas)
+    return [list(zip(*row)) for row in zip(E.tolist(), labels.tolist(), real.tolist())]
 
 
 def _assert_kernel_matches_public(M, zetas):
@@ -631,7 +629,7 @@ def _assert_kernel_matches_public(M, zetas):
     # route of ptqes spectrum) against the stack
     rows = _stacked_rows(M, zetas)
     assert len(rows) == len(zetas)
-    duals = _stacked_rows(M, zetas, _dual_level_chunks) if M % 2 else None
+    duals = _stacked_rows(M, zetas, dual_level_arrays) if M % 2 else None
     for i, (zeta, row) in enumerate(zip(zetas, rows)):
         assert len(row) == M
         for label in _sectors(M):
@@ -645,7 +643,7 @@ def _assert_kernel_matches_public(M, zetas):
         if M % 2:
             dual = _row_bits((0j - E, label, real) for E, label, real in reversed(row))
             assert _row_bits(duals[i]) == dual, (M, zeta)
-            assert [_row_bits(one) for one in _stacked_rows(M, [zeta], _dual_level_chunks)] == [dual], (M, zeta)
+            assert [_row_bits(one) for one in _stacked_rows(M, [zeta], dual_level_arrays)] == [dual], (M, zeta)
             levels = dual_spectrum(ModelParams(M=M, zeta=zeta)).levels
             assert [lvl.source_index for lvl in levels] == list(range(M - 1, -1, -1))
             assert _row_bits((lvl.Ehat, lvl.label, lvl.is_real) for lvl in levels) == dual, (M, zeta)
@@ -668,6 +666,32 @@ def test_kernel_matches_public_eigvals_across_stack_chunks(M):
     _assert_kernel_matches_public(M, zetas)
 
 
+def test_no_stack_exceeds_the_entry_bound(monkeypatch):
+    # a long sweep's memory on top of its output is bounded by the stack size
+    per = _STACK_ENTRIES // _pencil(41)[0].size
+    zetas = [math.sqrt(z2) for z2 in np.linspace(0.0, 0.05, 3 * per + 1)]
+    seen, geev = [], ptqes.spectra._geev
+
+    def spy(a):
+        seen.append(a.shape)
+        return geev(a)
+
+    monkeypatch.setattr(ptqes.spectra, "_geev", spy)
+    E, _, _ = level_arrays(41, zetas)
+    assert E.shape == (len(zetas), 41)
+    assert len(seen) == 2 * 4  # E_P and E_Q blocks of four stacks
+    assert max(couplings for couplings, _, _ in seen) <= per
+    for size in _sectors(41).values():
+        assert sum(n for n, rows, _ in seen if rows == size) == len(zetas)
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4])
+def test_no_couplings_give_empty_level_arrays(M):
+    arrays = [level_arrays] + ([dual_level_arrays] if M % 2 else [])
+    for parts in (solve(M, []) for solve in arrays):
+        assert [part.shape for part in parts] == [(0, M)] * 3
+
+
 def _unconverged(a):
     """Stands in for geev on blocks that do not converge: NaN eigenvalues and
     numpy's invalid flag, as the real kernel reports it."""
@@ -682,9 +706,9 @@ def test_unconverged_stand_in_raises_the_invalid_flag():
 @pytest.mark.parametrize(
     "solve",
     [
-        lambda: next(_level_chunks(3, [0.1, 0.2])),
+        lambda: level_arrays(3, [0.1, 0.2]),
         lambda: level_rows(4, 0.1),
-        lambda: next(_level_chunks(4, [0.1, 0.2])),
+        lambda: level_arrays(4, [0.1, 0.2]),
         lambda: qes_spectrum(ModelParams(M=5, zeta=0.1)),
         lambda: critical_coupling(5),
     ],
@@ -769,7 +793,7 @@ def test_every_geev_block_is_float64_for_odd_m_and_complex128_for_even_m(monkeyp
     monkeypatch.setattr(ptqes.spectra, "_geev_vectors", spy(ptqes.spectra._geev_vectors))
     for M in (1, 2, 3, 4, 5, 6, 15, 16):
         level_rows(M, 0.1)
-        list(_level_chunks(M, [0.0, 0.1, 1.0]))
+        level_arrays(M, [0.0, 0.1, 1.0])
         _eig(M, 0.1)
         if M % 2:
             critical_coupling(M)
