@@ -19,13 +19,14 @@ from the weights.
 
 The support points are the zeros of R_M, the eigenvalues of its Jacobi
 matrix, so the weights come from eigenvectors (Golub & Welsch, Math. Comp.
-23 (1969) 221).  spectra's balanced blocks B satisfy B^T = S B S,
-S = diag((-1)^n), so a block eigenvector x gives
-omega = x_0^2 / (2 sum_n (-1)^n x_n^2) for odd M (omega = 1 at M = 1), and
-(-1)^(k-1) x_{k-1}^2 / (2 sum_n (-1)^n x_n^2) on the trailing half block of
-even M = 2k, with the conjugate weight at the conjugate level.  Each sector
-is its own block, so an E_P level 1e-36 from an E_Q level disturbs neither
-weight.  Below the critical coupling the odd-M weights are exactly real.
+23 (1969) 221).  spectra._eig solves each balanced sector block with
+vectors and hands over, per level in level_rows' order, the weight omega
+and the two sums ||x||^2 and x^T S x, S = diag((-1)^n), of its eigenvector
+x; the sector layout, the fold and the even-M conjugate rule live there
+alone.  Each
+sector is its own block, so an E_P level 1e-36 from an E_Q level disturbs
+neither weight.  Below the critical coupling the odd-M weights are exactly
+real.
 A WeightTable holds the support points, the weights and the norms gamma_0
 .. gamma_M (family_norms).  gram_matrix runs the R recursion at each support
 point itself, so the Gram identity checks the eigenvector weights against
@@ -43,7 +44,7 @@ import numpy as np
 
 from .model import ModelParams, _check, k_index
 from .recursion import _values, family_norms, step_table
-from .spectra import _EPS, _eig, _level_key
+from .spectra import _EPS, _eig
 
 # Weights are refused when rounding can move them by more than this
 # fraction of the largest weight, or when their sum is further than this
@@ -83,38 +84,26 @@ class WeightTable:
 
 
 def weights(params: ModelParams) -> WeightTable:
-    """Golub-Welsch weights of the R functional on the M levels, from the
-    eigenvectors x of the sector blocks.  The levels arrive from _eig
-    already shifted by -zeta^2, with level_rows' bits; an even-M level's
-    conjugate gets the conjugate weight.  DegenerateSpectrumError when a Gram
-    norm vanishes (zeta = 0), or when eps kappa^2 > WEIGHT_RTOL for the
-    condition number kappa = ||x||^2 / |sum_n (-1)^n x_n^2| of some level, as
-    at a merger.  ValueError, naming zeta^2, when the weights miss their own
-    j = 0 equation, sum_k omega_k = 1, by more than WEIGHT_RTOL."""
+    """Golub-Welsch weights of the R functional on the M levels, as
+    spectra._eig gives them with their support points (level_rows' bits).
+    DegenerateSpectrumError when a Gram norm vanishes (zeta = 0), or when
+    eps kappa^2 > WEIGHT_RTOL for the condition number
+    kappa = ||x||^2 / |x^T S x| of some level, as at a merger; the message
+    names the first such level in level order.  ValueError, naming zeta^2,
+    when the weights miss their own j = 0 equation, sum_k omega_k = 1, by
+    more than WEIGHT_RTOL."""
     M = params.M
     gamma = tuple(family_norms("R", params, M + 1))
     if not all(gamma[:M]):
         raise DegenerateSpectrumError("a Gram diagonal entry vanishes (zeta = 0)")
-    rows = []
-    for label, (levels, X) in _eig(M, params.zeta).items():
-        # row 0 of T; for even M = 2k the block's last row, row M - 1 of T,
-        # reflected onto it; M = 1 has no fold
-        lead = 0 if M % 2 else len(X) - 1
-        fold = 0.5 * (-1) ** lead if M > 1 else 1.0
-        for E, x in zip(levels, X.T.tolist()):
-            den = sum(v * v for v in x[::2]) - sum(v * v for v in x[1::2])
-            sq_norm = sum(abs(v) ** 2 for v in x)
-            if not _EPS * sq_norm * sq_norm <= WEIGHT_RTOL * abs(den) ** 2:  # NaN fails too
-                kappa = sq_norm / abs(den) if den else math.inf
-                raise DegenerateSpectrumError(
-                    f"an {label} level has condition number {kappa:.1e} at zeta^2={params.zeta2!r}: "
-                    f"its weight cannot be resolved to {WEIGHT_RTOL:.0e} of the largest"
-                )
-            w = fold * x[lead] * x[lead] / den
-            rows.append((E, label, w))
-            if M % 2 == 0:
-                rows.append((E.conjugate() if E.imag else E, label, w.conjugate()))
-    support, _, omega = zip(*sorted(rows, key=_level_key))
+    support, labels, omega, sq_norms, dens = zip(*_eig(M, params.zeta))
+    for label, sq_norm, den in zip(labels, sq_norms, dens):
+        if not _EPS * sq_norm * sq_norm <= WEIGHT_RTOL * abs(den) ** 2:  # NaN fails too
+            kappa = sq_norm / abs(den) if den else math.inf
+            raise DegenerateSpectrumError(
+                f"an {label} level has condition number {kappa:.1e} at zeta^2={params.zeta2!r}: "
+                f"its weight cannot be resolved to {WEIGHT_RTOL:.0e} of the largest"
+            )
     total = sum(omega)
     if not abs(total - 1.0) <= WEIGHT_RTOL:
         raise ValueError(f"the weights sum to {total:.10g}, not 1 within {WEIGHT_RTOL:.0e}, at zeta^2={params.zeta2!r}")

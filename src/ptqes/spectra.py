@@ -208,25 +208,40 @@ def _shifted_p_block(M: int):
     return A
 
 
-def _eig(M: int, zeta: float) -> dict:
-    """{label: (levels, X)} of each sector block B(zeta): a list of its
-    eigenvalues minus |zeta| * |zeta| (an even-M row of level_rows adds
-    each one's conjugate), and eigenvector j as column j of X.  Raises as
+def _eig(M: int, zeta: float) -> list:
+    """The M levels at one coupling as (E, label, omega, sq_norm, den) rows,
+    in level_rows' order and with its bits, from one solve with vectors of
+    each sector block B(zeta) (Golub & Welsch, Math. Comp. 23 (1969) 221).
+    B^T = S B S with S = diag((-1)^n), so an eigenvector x gives the weight
+    omega = fold x_r^2 / den, with den = x^T S x and sq_norm = ||x||^2.
+    x_r is x's component on row 0 of T: the block's row 0 for odd M, with
+    fold 1/2 from the reflection split (1 at M = 1, which has none); for
+    even M = 2k the block's last row, row M - 1 of T reflected onto row 0,
+    with fold (-1)^(k-1) / 2.  An even-M level's conjugate row carries
+    conj(omega) and conj(den).  omega is NaN where den == 0.  Raises as
     _checked_coupling before any solve."""
     z = _checked_coupling(M, (zeta,))
     C, S = _pencil(M)
-    B, s = C + z * S, z * z
-    out = {}
+    B, s, rows = C + z * S, z * z, []
+    lead = 0 if M % 2 else len(C) - 1
+    fold = 0.5 * (-1) ** lead if M > 1 else 1.0
     with np.errstate(**_GEEV_ERRSTATE):
         for label, size in _sectors(M).items():
             levels, X = _geev_vectors(B[:size, :size])
-            out[label] = [E - s for E in levels.tolist()], X
-    return out
+            for E, x in zip(levels.tolist(), X.T.tolist()):
+                E, den = E - s, sum(v * v for v in x[::2]) - sum(v * v for v in x[1::2])
+                w = fold * x[lead] * x[lead] / den if den else math.nan
+                sq_norm = sum(abs(v) ** 2 for v in x)
+                rows.append((E, label, w, sq_norm, den))
+                if M % 2 == 0:
+                    rows.append((E.conjugate() if E.imag else E, label, w.conjugate(), sq_norm, den.conjugate()))
+    rows.sort(key=_level_key)
+    return rows
 
 
 def _level_key(row):
-    E, label, _ = row
-    return E.real, E.imag, label
+    E = row[0]
+    return E.real, E.imag, row[1]
 
 
 def _checked_coupling(M: int, zetas) -> float:

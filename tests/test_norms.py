@@ -1,12 +1,13 @@
 import itertools
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ptqes import norms
+from ptqes import norms, spectra
 from ptqes.model import ModelParams
 from ptqes.norms import (
     DegenerateSpectrumError,
@@ -178,18 +179,52 @@ def test_weight_support_is_level_rows(M):
     assert accepted
 
 
+@pytest.mark.parametrize("M", range(2, 41, 2))
+def test_even_m_conjugate_levels_carry_conjugate_weights(M):
+    # each even-M level and its conjugate row carry exactly conjugate
+    # weights, signed zeros included; a level with Im E == 0 stands for its
+    # own conjugate, so its two rows carry omega and conj(omega)
+    accepted = 0
+    for g in (0.1, 1.0, 1.4, 10.0):
+        try:
+            t = weights(ModelParams(M=M, zeta=g / M))
+        except DegenerateSpectrumError:
+            continue
+        accepted += 1
+        rows = Counter((repr(E), repr(w)) for E, w in zip(t.energies, t.weights))
+        partners = Counter(
+            (repr(E.conjugate() if E.imag else E), repr(w.conjugate())) for E, w in zip(t.energies, t.weights)
+        )
+        assert rows == partners
+    assert accepted
+
+
+@pytest.mark.parametrize("M", [3, 4])
+def test_a_level_with_vanishing_xsx_is_refused(monkeypatch, M):
+    # x = (1, 1) on a two-row block has x^T S x = 1 - 1 == 0: the level is
+    # refused as ill-conditioned, with no division by zero on the way
+    solve = spectra._geev_vectors
+
+    def null(block):
+        levels, X = solve(block)
+        X = X.copy()
+        X[:, 0] = 1.0
+        return levels, X
+
+    monkeypatch.setattr(spectra, "_geev_vectors", null)
+    with pytest.raises(DegenerateSpectrumError, match="condition number inf"):
+        weights(ModelParams(M=M, zeta=0.1))
+
+
 def test_weights_that_miss_their_sum_are_refused(monkeypatch):
-    # an eigenvector whose lead component is off by 1e-6 (relative) gives
-    # weights that miss sum_k omega_k = 1 by about 1e-6, well-conditioned
-    # as every level is at M = 3, zeta^2 = 0.01
+    # a level whose weight is off by 1e-6 (relative) makes the weights miss
+    # sum_k omega_k = 1 by about 1e-6 of that weight, well-conditioned as
+    # every level is at M = 3, zeta^2 = 0.01
     solve = norms._eig
 
     def skewed(M, zeta):
-        blocks = solve(M, zeta)
-        levels, X = blocks["E_P"]
-        X = X.copy()
-        X[0, 0] *= 1 + 1e-6
-        return {**blocks, "E_P": (levels, X)}
+        (E, label, w, sq_norm, den), *rows = solve(M, zeta)
+        return [(E, label, w * (1 + 1e-6), sq_norm, den), *rows]
 
     monkeypatch.setattr(norms, "_eig", skewed)
     with pytest.raises(ValueError, match=r"the weights sum to .*, not 1 within 1e-08, at zeta\^2=0\.01"):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -189,8 +190,10 @@ def test_reproduce_table_i_passes():
 
 
 def test_reproduce_table_ii_single_defect():
-    # one golden cell carries a digit slip in its 7th decimal; every other
-    # cell agrees far below tolerance
+    # two golden cells, E_P and E_Q at zeta^2 = 0.025, rank 0, carry a digit
+    # slip in their 6th decimal: E_P's is off by 1.004e-6 and fails the 1e-6
+    # bound, E_Q's by 9.98e-7 and passes it; every other cell agrees far below
+    # tolerance
     report = reproduce_tables("II")
     assert not report.passed
     bad = [c for c in report.cells if not c.passed]
@@ -203,6 +206,25 @@ def test_reproduce_table_ii_single_defect():
     assert 1.0e-6 < cell.abs_err < 1.1e-6
     good = [c for c in report.cells if c.passed]
     assert max(c.abs_err for c in good) < 1e-6
+
+
+def test_a_level_missing_from_the_spectrum_fails_its_cell(monkeypatch, capsys):
+    # with E_P and E_Q swapped, an odd-M E_P cell of rank k asks for a level
+    # the k-level E_Q sector lacks: each table fails by name, not by an
+    # internal error (exit 3)
+    swap = {"E_P": "E_Q", "E_Q": "E_P"}
+
+    def swapped(params):
+        spec = qes_spectrum(params)
+        levels = tuple(dataclasses.replace(lvl, label=swap.get(lvl.label, lvl.label)) for lvl in spec.levels)
+        return dataclasses.replace(spec, levels=levels)
+
+    monkeypatch.setattr(ptqes.oracle, "qes_spectrum", swapped)
+    missing = [c for c in reproduce_tables("I").cells if math.isinf(c.abs_err)]
+    assert missing and all(math.isinf(c.computed) and not c.passed for c in missing)
+    assert ptqes.cli.main(["verify", "--suite", "tables"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert {c["name"]: c["passed"] for c in payload["checks"]} == {"tables.I": False, "tables.II": False, "tables.III": False}
 
 
 def test_reproduce_table_iii_systematic_defects():
