@@ -71,9 +71,10 @@ def dual_spectrum(params: ModelParams) -> DualSpectrum:
 
 def dual_closed_form_levels(params: ModelParams):
     """Closed-form dual levels for M = 1 and M = 3: 0j - E of
-    oracle.dshg_closed_form_levels in descending-E tag order, so ascending
-    while the M = 3 levels are real.  Each is complex, and a real one has
-    Im +0, as in dual_spectrum."""
+    oracle.dshg_closed_form_levels in tag order, [-E_ground] or
+    [-E_even_plus, -E_odd, -E_even_minus].  That order is not ascending
+    (at zeta^2 = 0.01 it is -8.9496, -4.99, -5.0304), so callers sort.
+    Each is complex, and a real one has Im +0, as in dual_spectrum."""
     from .oracle import dshg_closed_form_levels
 
     closed = dshg_closed_form_levels(params)

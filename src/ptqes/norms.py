@@ -21,9 +21,9 @@ The support points are the zeros of R_M, the eigenvalues of its Jacobi
 matrix, so the weights come from eigenvectors (Golub & Welsch, Math. Comp.
 23 (1969) 221).  spectra._eig solves each balanced sector block with
 vectors and hands over, per level in level_rows' order, the weight omega
-and the two sums ||x||^2 and x^T S x, S = diag((-1)^n), of its eigenvector
-x; the sector layout, the fold and the even-M conjugate rule live there
-alone.  Each
+and the condition number kappa = 1 / |x^T S x|, S = diag((-1)^n), of its
+unit eigenvector x; the sector layout, the fold and the even-M conjugate
+rule live there alone.  Each
 sector is its own block, so an E_P level 1e-36 from an E_Q level disturbs
 neither weight.  Below the critical coupling the odd-M weights are exactly
 real.
@@ -87,19 +87,18 @@ def weights(params: ModelParams) -> WeightTable:
     """Golub-Welsch weights of the R functional on the M levels, as
     spectra._eig gives them with their support points (level_rows' bits).
     DegenerateSpectrumError when a Gram norm vanishes (zeta = 0), or when
-    eps kappa^2 > WEIGHT_RTOL for the condition number
-    kappa = ||x||^2 / |x^T S x| of some level, as at a merger; the message
-    names the first such level in level order.  ValueError, naming zeta^2,
-    when the weights miss their own j = 0 equation, sum_k omega_k = 1, by
-    more than WEIGHT_RTOL."""
+    eps kappa^2 > WEIGHT_RTOL for the condition number _eig gives some
+    level, kappa = 1 / |x^T S x| of its unit eigenvector x, as at a merger;
+    the message names the first such level in level order.  ValueError,
+    naming zeta^2, when the weights miss their own j = 0 equation,
+    sum_k omega_k = 1, by more than WEIGHT_RTOL."""
     M = params.M
     gamma = tuple(family_norms("R", params, M + 1))
     if not all(gamma[:M]):
         raise DegenerateSpectrumError("a Gram diagonal entry vanishes (zeta = 0)")
-    support, labels, omega, sq_norms, dens = zip(*_eig(M, params.zeta))
-    for label, sq_norm, den in zip(labels, sq_norms, dens):
-        if not _EPS * sq_norm * sq_norm <= WEIGHT_RTOL * abs(den) ** 2:  # NaN fails too
-            kappa = sq_norm / abs(den) if den else math.inf
+    support, labels, omega, kappas = zip(*_eig(M, params.zeta))
+    for label, kappa in zip(labels, kappas):
+        if not _EPS * kappa * kappa <= WEIGHT_RTOL:  # NaN fails too
             raise DegenerateSpectrumError(
                 f"an {label} level has condition number {kappa:.1e} at zeta^2={params.zeta2!r}: "
                 f"its weight cannot be resolved to {WEIGHT_RTOL:.0e} of the largest"

@@ -320,25 +320,19 @@ def verify_gauge() -> list:
     eigenvalues are independent of the real sector blocks behind
     qes_spectrum and of the R_M coefficients.
     """
-    worst_res = (0.0, "-")
-    worst_spec = (0.0, "-")
-    worst_char = (0.0, "-")
+    res, spec, char = [(0.0, "-")], [(0.0, "-")], [(0.0, "-")]  # (value, cell) pairs
     for m in range(1, 10):
         for z2 in (0.0, 0.005, 0.01, 0.02, 0.025):
             params = ModelParams(M=m, zeta=math.sqrt(z2))
             eigs = gauge_matrix_eigs(params)
             where = f"M={m} zeta2={z2:g}"
             r_m = build_R(params, m)[m]
-            res = max(backward_error(r_m, z) for z in eigs)
-            if res > worst_res[0]:
-                worst_res = (res, where)
+            res.append((max(backward_error(r_m, z) for z in eigs), where))
             if m <= 6:
-                dc = _coeff_distance(r_m, gauge_char_poly(params))
-                if dc > worst_char[0]:
-                    worst_char = (dc, where)
-            d = matching_distance(qes_spectrum(params).energies, eigs)
-            if d > worst_spec[0]:
-                worst_spec = (d, where)
+                char.append((_coeff_distance(r_m, gauge_char_poly(params)), where))
+            spec.append((matching_distance(qes_spectrum(params).energies, eigs), where))
+    # the first pair with the largest value wins; a NaN value never does
+    worst_res, worst_spec, worst_char = (max(pairs, key=lambda pair: pair[0]) for pairs in (res, spec, char))
     return [
         _check(
             "oracle.R_residual",

@@ -209,17 +209,21 @@ def _shifted_p_block(M: int):
 
 
 def _eig(M: int, zeta: float) -> list:
-    """The M levels at one coupling as (E, label, omega, sq_norm, den) rows,
-    in level_rows' order and with its bits, from one solve with vectors of
+    """The M levels at one coupling as (E, label, omega, kappa) rows, in
+    level_rows' order and with its bits, from one solve with vectors of
     each sector block B(zeta) (Golub & Welsch, Math. Comp. 23 (1969) 221).
     B^T = S B S with S = diag((-1)^n), so an eigenvector x gives the weight
-    omega = fold x_r^2 / den, with den = x^T S x and sq_norm = ||x||^2.
+    omega = fold x_r^2 / x^T S x and the condition number
+    kappa = ||x||^2 / |x^T S x|.  geev returns every eigenvector with
+    ||x|| = 1 (to 8.9e-16 over M = 1..41, 61, 80, 81, 161), so
+    kappa = 1 / |x^T S x|, inf where x^T S x == 0, and omega is NaN there.
     x_r is x's component on row 0 of T: the block's row 0 for odd M, with
     fold 1/2 from the reflection split (1 at M = 1, which has none); for
     even M = 2k the block's last row, row M - 1 of T reflected onto row 0,
     with fold (-1)^(k-1) / 2.  An even-M level's conjugate row carries
-    conj(omega) and conj(den).  omega is NaN where den == 0.  Raises as
-    _checked_coupling before any solve."""
+    conj(omega) and the same kappa.  A real odd-M level's omega has Im +0:
+    its vector is complex with Im +0, and (a + 0j)^2 has Im -0 for a < 0.
+    Raises as _checked_coupling before any solve."""
     z = _checked_coupling(M, (zeta,))
     C, S = _pencil(M)
     B, s, rows = C + z * S, z * z, []
@@ -230,11 +234,12 @@ def _eig(M: int, zeta: float) -> list:
             levels, X = _geev_vectors(B[:size, :size])
             for E, x in zip(levels.tolist(), X.T.tolist()):
                 E, den = E - s, sum(v * v for v in x[::2]) - sum(v * v for v in x[1::2])
-                w = fold * x[lead] * x[lead] / den if den else math.nan
-                sq_norm = sum(abs(v) ** 2 for v in x)
-                rows.append((E, label, w, sq_norm, den))
+                w, kappa = (fold * x[lead] * x[lead] / den, 1.0 / abs(den)) if den else (math.nan, math.inf)
+                if M % 2 and not E.imag:
+                    w = complex(w.real, w.imag + 0.0)
+                rows.append((E, label, w, kappa))
                 if M % 2 == 0:
-                    rows.append((E.conjugate() if E.imag else E, label, w.conjugate(), sq_norm, den.conjugate()))
+                    rows.append((E.conjugate() if E.imag else E, label, w.conjugate(), kappa))
     rows.sort(key=_level_key)
     return rows
 

@@ -48,7 +48,7 @@ def test_c01_golden_table_reproduction(acceptance):
         "golden-table reproduction",
         False,
         f"{63 - n_bad}/63 cells within 1e-6 in {elapsed:.2f}s; "
-        "28 golden cells are defective at source (II: one digit slip, III: all 27)",
+        "28 golden cells fail on defects at source (II: one of its two digit slips, III: all 27)",
     )
 
 

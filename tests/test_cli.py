@@ -317,8 +317,9 @@ def test_verify_suites_pass(suite):
 
 
 def test_verify_tables_reports_golden_defects():
-    # the bundled golden file carries one digit slip in its middle table and
-    # a systematically corrupted third table; verify must say so and exit 1
+    # the bundled golden file carries two digit slips in its middle table,
+    # one past the 1e-6 cell bound, and a systematically corrupted third
+    # table; verify must say so and exit 1
     p = run("verify", "--suite", "tables")
     assert p.returncode == 1
     payload = json.loads(p.stdout)

@@ -199,6 +199,18 @@ def test_even_m_conjugate_levels_carry_conjugate_weights(M):
     assert accepted
 
 
+@pytest.mark.parametrize("M", range(1, 42, 2))
+def test_real_odd_m_levels_carry_weights_with_positive_zero_imag(M):
+    # a real level's eigenvector is complex with Im +0, and (a + 0j)^2 has
+    # Im -0 for a < 0; its weight's imaginary part must still be +0.  Every
+    # M zeta here lies below the first merger (1.4688), so no table is refused
+    for g in (0.3, 0.7, 1.0, 1.4):
+        t = weights(ModelParams(M=M, zeta=g / M))
+        for E, w in zip(t.energies, t.weights):
+            if E.imag == 0.0:
+                assert math.copysign(1.0, w.imag) == 1.0, (M, g, E, w)
+
+
 @pytest.mark.parametrize("M", [3, 4])
 def test_a_level_with_vanishing_xsx_is_refused(monkeypatch, M):
     # x = (1, 1) on a two-row block has x^T S x = 1 - 1 == 0: the level is
@@ -223,8 +235,8 @@ def test_weights_that_miss_their_sum_are_refused(monkeypatch):
     solve = norms._eig
 
     def skewed(M, zeta):
-        (E, label, w, sq_norm, den), *rows = solve(M, zeta)
-        return [(E, label, w * (1 + 1e-6), sq_norm, den), *rows]
+        (E, label, w, kappa), *rows = solve(M, zeta)
+        return [(E, label, w * (1 + 1e-6), kappa), *rows]
 
     monkeypatch.setattr(norms, "_eig", skewed)
     with pytest.raises(ValueError, match=r"the weights sum to .*, not 1 within 1e-08, at zeta\^2=0\.01"):

@@ -777,6 +777,24 @@ def test_eig_refuses_a_bad_coupling_before_any_solve(capfd, M, zeta, message):
     assert "illegal value" not in capfd.readouterr().err
 
 
+@pytest.mark.parametrize("M", list(range(1, 42)) + [61, 80, 81, 161])
+def test_geev_eigenvectors_have_unit_norm(M):
+    # _eig's condition number is 1 / |x^T S x| because geev returns each
+    # eigenvector with ||x|| = 1; the grid includes points 1e-7 from a merger,
+    # where x^T S x is small, and the largest deviation measured is 4 eps
+    z2s = [0.0, 1e-8, 1e-4, 0.01, 0.25, 1.0, 100.0, 1e6, 1e12]
+    if M > 1 and M % 2:
+        zc2 = critical_coupling(M).zeta_c_squared
+        z2s += [zc2 * (1 + d) for d in (-1e-3, -1e-7, 1e-7, 1e-3)]
+    C, S = _pencil(M)
+    for z2 in z2s:
+        B = C + math.sqrt(z2) * S
+        for size in _sectors(M).values():
+            _, X = ptqes.spectra._geev_vectors(B[:size, :size])
+            sq_norms = np.sum(np.abs(X) ** 2, axis=0)
+            assert np.max(np.abs(sq_norms - 1.0)) <= 16 * np.finfo(float).eps, (M, z2, size)
+
+
 def test_every_geev_block_is_float64_for_odd_m_and_complex128_for_even_m(monkeypatch):
     # no signature is passed to geev: the block's dtype picks its loop, so a
     # float32 or object block would silently pick another one
