@@ -175,8 +175,9 @@ def _level_columns(args, values):
     duality.dual_level_arrays read row by row: E one flat complex array,
     columns the index, label, E_re, E_im and is_real columns.  spectrum is a
     one-coupling stack, so both level commands print from one route; the
-    stack costs it 11 to 31 us more than spectra.level_rows would, of a 145
-    to 195 us warm call (M = 3 to 15; Python 3.11, numpy 2.4, 2 vCPU).  A
+    stack costs it 13 to 26 us more than spectra.level_rows would, of a 149
+    to 200 us warm call (M = 3, 4, 5, 9, 15 at zeta^2 = 0.01; Python 3.11,
+    numpy 2.4, 2 vCPU).  A
     non-finite level part is refused with ValueError, the real parts tested
     first."""
     levels = dual_level_arrays if args.model == "dsg" else level_arrays

@@ -21,7 +21,7 @@ same modules as the hyperbolic ones.
 import math
 from dataclasses import dataclass
 
-from .model import ModelParams, _check, k_index
+from .model import ModelParams, _check, _worst, k_index
 from .spectra import level_arrays, level_rows, qes_spectrum
 
 # verify_duality bounds: the M = 3 closed-form dual levels, absolute, and the
@@ -30,18 +30,32 @@ _CLOSED_FORM_TOL = 1e-12
 _ODE_RESIDUAL_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DualLevel:
+    """One dual level; its __init__ fills __dict__ as ModelParams' does."""
+
     Ehat: complex
     source_index: int
     label: str
     is_real: bool
 
+    def __init__(self, Ehat: complex, source_index: int, label: str, is_real: bool):
+        fields = self.__dict__
+        fields["Ehat"] = Ehat
+        fields["source_index"] = source_index
+        fields["label"] = label
+        fields["is_real"] = is_real
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class DualSpectrum:
     params: ModelParams
     levels: tuple
+
+    def __init__(self, params: ModelParams, levels: tuple):
+        fields = self.__dict__
+        fields["params"] = params
+        fields["levels"] = levels
 
     @property
     def energies(self):
@@ -93,23 +107,24 @@ def verify_duality() -> list:
         # repr tells a -0 part from +0, which == does not; 0j - E never writes -0
         manual = [repr(0j - e) for e in reversed(qes_spectrum(params).energies)]
         broken += list(map(repr, dual_spectrum(params).energies)) != manual
-    worst = 0.0
+    errors, residuals = [], []  # (value, cell) pairs
     for z2 in (0.0, 0.01, 0.1, 0.24):
         params = ModelParams(M=3, zeta=math.sqrt(z2))
         closed = sorted(dual_closed_form_levels(params), key=lambda x: (x.real, x.imag))
-        for a, b in zip(dual_spectrum(params).energies, closed):
-            worst = max(worst, abs(a - b))
-    worst_res = 0.0
+        for k, (a, b) in enumerate(zip(dual_spectrum(params).energies, closed)):
+            errors.append((abs(a - b), f"zeta2={z2:g} level {k}"))
     for params in (ModelParams(M=1, zeta=0.2), ModelParams(M=3, zeta=math.sqrt(0.1))):
         for tag, E in dshg_closed_form_levels(params).items():
-            worst_res = max(worst_res, ode_residual_dsg(params, -E, tag))
+            residuals.append((ode_residual_dsg(params, -E, tag), f"M={params.M} {tag}"))
+    (worst, cell), (worst_res, res_cell) = _worst(errors), _worst(residuals)
     return [
         _check("duality.negation_reversal", broken, 0, "exact float equality, M in 1,3,5,7,9"),
-        _check("duality.closed_form_m3", worst, _CLOSED_FORM_TOL, f"max_error={worst:.3e}"),
+        _check("duality.closed_form_m3", worst, _CLOSED_FORM_TOL, f"max_error={worst:.3e}", cell),
         _check(
             "duality.ode_residual",
             worst_res,
             _ODE_RESIDUAL_TOL,
             f"max_residual={worst_res:.3e} on 50-point grids",
+            res_cell,
         ),
     ]

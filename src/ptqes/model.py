@@ -18,8 +18,9 @@ out on its own so that checks of the periodic equation do not use that map.
 Every energy and polynomial is in the physical energy E.  The paper prints
 its critical polynomials in calE = E - M**2 + zeta**2; the printed form of a
 polynomial p is polyengine.taylor_shift(p, M**2 - params.zeta2).  The record
-each module's verify suite returns (_check) lives here so that every module
-shares a single definition.
+each module's verify suite returns (_check), and the rule that picks a
+check's worst cell (_worst), live here so that every module shares a single
+definition.
 """
 
 import cmath
@@ -27,27 +28,36 @@ import math
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ModelParams:
     """Immutable parameter bundle (M, zeta).
 
     zeta is stored as given, any sign.  Every implemented formula for the
     spectrum depends on zeta only through zeta**2; that is a tested property,
     not an assumption baked in here.
+
+    It and the level records (spectra.QesLevel, duality.DualLevel and their
+    spectra) are frozen dataclasses with a hand-written __init__ that fills
+    __dict__ directly: the generated frozen __init__ calls
+    object.__setattr__ once per field, which took half of a level record's
+    construction.  dataclasses.replace calls __init__ with every field as a
+    keyword, so it checks as a direct call does.
     """
 
     M: int
     zeta: float
 
-    def __post_init__(self):
-        if isinstance(self.M, bool) or not isinstance(self.M, int):
-            raise ValueError(f"M must be a plain integer, got {self.M!r}")
-        if self.M < 1:
-            raise ValueError(f"M must be >= 1, got {self.M}")
-        zeta = float(self.zeta)
-        if not math.isfinite(zeta):
-            raise ValueError(f"zeta must be finite, got {self.zeta!r}")
-        object.__setattr__(self, "zeta", zeta)
+    def __init__(self, M: int, zeta: float):
+        if isinstance(M, bool) or not isinstance(M, int):
+            raise ValueError(f"M must be a plain integer, got {M!r}")
+        if M < 1:
+            raise ValueError(f"M must be >= 1, got {M}")
+        value = float(zeta)
+        if not math.isfinite(value):
+            raise ValueError(f"zeta must be finite, got {zeta!r}")
+        fields = self.__dict__
+        fields["M"] = M
+        fields["zeta"] = value
 
     @property
     def zeta2(self) -> float:
@@ -88,7 +98,17 @@ def pt_reflection(x: complex) -> complex:
     return 0.5j * math.pi - complex(x).conjugate()
 
 
-def _check(name: str, measured, bound, detail: str) -> dict:
-    """One verify check: it passes exactly when measured <= bound."""
+def _worst(pairs):
+    """The (value, cell) pair with the largest value, the first of equal
+    ones, from a non-empty iterable.  A NaN value outranks every number, so
+    it reaches _check, which fails it."""
+    return max(pairs, key=lambda pair: (math.isnan(pair[0]), pair[0]))
+
+
+def _check(name: str, measured, bound, detail: str, cell: str = None) -> dict:
+    """One verify check: it passes exactly when measured <= bound, so a NaN
+    measured fails; the detail then names cell, when given, as its source."""
     passed = bool(measured <= bound)
+    if cell is not None and math.isnan(measured):
+        detail = f"{detail}; NaN at {cell}"
     return {"name": name, "passed": passed, "detail": detail, "measured": measured, "bound": bound}

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, _check, k_index
+from .model import ModelParams, _check, _worst, k_index
 from .recursion import _values, family_norms, step_table
 from .spectra import _EPS, _eig
 
@@ -142,18 +142,19 @@ def verify_norms() -> list:
     wide_grid = [(m, g / m) for m in (7, 9, 21, 41) for g in (0.5, 1.0, 1.4)]
     wrong_ends = 0
     wrong_signs = 0
-    worst_gram = 0.0
-    worst_imag = 0.0
+    gram, imag = [], []  # (value, cell) pairs
     for m, zeta in gram_grid + wide_grid:
         table = weights(ModelParams(M=m, zeta=zeta))
+        where = f"M={m} zeta2={zeta * zeta:.6g}"
         wrong_ends += (table.gamma[0] != 1.0) + (table.gamma[m] != 0.0)
-        worst_imag = max(worst_imag, table.max_weight_imag)
+        imag.append((table.max_weight_imag, where))
         if (m, zeta) in gram_grid:
             G = gram_matrix(table)
             wrong_signs += sum(int((-1) ** n * G[n, n].real <= 0.0) for n in range(1, m))
             target = np.diag(table.gamma[:m]).astype(complex)
             scale = 1.0 + max(abs(g) for g in table.gamma)
-            worst_gram = max(worst_gram, float(np.max(np.abs(G - target))) / scale)
+            gram.append((float(np.max(np.abs(G - target))) / scale, where))
+    (worst_gram, gram_cell), (worst_imag, imag_cell) = _worst(gram), _worst(imag)
     return [
         _check("norms.gamma_endpoints", wrong_ends, 0, "gamma_0 == 1 and gamma_M == 0 exactly"),
         _check(
@@ -161,8 +162,15 @@ def verify_norms() -> list:
             worst_gram,
             _GRAM_TOL,
             f"max_error={worst_gram:.3e} (M in 3,5; zeta^2 in 0.005,0.01,0.02)",
+            gram_cell,
         ),
-        _check("norms.weight_reality", worst_imag, 0, f"max_rel_imag={worst_imag:.3e} (M in 3,5,7,9,21,41)"),
+        _check(
+            "norms.weight_reality",
+            worst_imag,
+            0,
+            f"max_rel_imag={worst_imag:.3e} (M in 3,5,7,9,21,41)",
+            imag_cell,
+        ),
         _check(
             "norms.sign_pattern",
             wrong_signs,

@@ -24,7 +24,7 @@ from importlib import resources
 
 import numpy as np
 
-from .model import ModelParams, _check, periodic_potential, potential
+from .model import ModelParams, _check, _worst, periodic_potential, potential
 from .polyengine import EnergyPolynomial, backward_error, matching_distance
 from .recursion import build_R
 from .spectra import _coeff_distance, qes_spectrum
@@ -331,8 +331,7 @@ def verify_gauge() -> list:
             if m <= 6:
                 char.append((_coeff_distance(r_m, gauge_char_poly(params)), where))
             spec.append((matching_distance(qes_spectrum(params).energies, eigs), where))
-    # the first pair with the largest value wins; a NaN value never does
-    worst_res, worst_spec, worst_char = (max(pairs, key=lambda pair: pair[0]) for pairs in (res, spec, char))
+    worst_res, worst_spec, worst_char = map(_worst, (res, spec, char))
     return [
         _check(
             "oracle.R_residual",

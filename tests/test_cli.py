@@ -508,6 +508,58 @@ def test_verify_checks_can_fail(monkeypatch, capsys, suite, name, module, attr, 
     assert payload["passed"] is False
 
 
+def _nan_property(self):
+    return math.nan
+
+
+@pytest.mark.parametrize(
+    "suite, name, target, attr, nan_input, detail",
+    [
+        (
+            "oracle",
+            "oracle.spectrum_match",
+            ptqes.oracle,
+            "matching_distance",
+            lambda a, b: math.nan,
+            "max_distance=nan at M=1 zeta2=0 (bound 1.0e-11)",
+        ),
+        (
+            "norms",
+            "norms.weight_reality",
+            ptqes.norms.WeightTable,
+            "max_weight_imag",
+            property(_nan_property),
+            "max_rel_imag=nan (M in 3,5,7,9,21,41); NaN at M=3 zeta2=0.005",
+        ),
+        (
+            "factorization",
+            "factorization.M1",
+            ptqes.spectra.FactorizationReport,
+            "max_deviation",
+            property(_nan_property),
+            "max_deviation=nan; NaN at M=1 zeta2=0.005",
+        ),
+        (
+            "duality",
+            "duality.closed_form_m3",
+            ptqes.duality,
+            "dual_closed_form_levels",
+            lambda params: [complex(math.nan, math.nan)] * 3,
+            "max_error=nan; NaN at zeta2=0 level 0",
+        ),
+    ],
+    ids=["oracle", "norms", "factorization", "duality"],
+)
+def test_verify_fails_an_all_nan_measurement(monkeypatch, capsys, suite, name, target, attr, nan_input, detail):
+    # every value the check reduces is NaN: the check fails and its detail
+    # names the first cell, where a running max(worst, value) kept 0.0
+    monkeypatch.setattr(target, attr, nan_input)
+    assert ptqes.cli.main(["verify", "--suite", suite, "--format", "json"]) == 1
+    check = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}[name]
+    assert check["passed"] is False
+    assert check["detail"] == detail
+
+
 def _text(value) -> str:
     """A csv or table cell as the CLI documents it: 12 significant digits
     for a float, true or false for a bool."""
