@@ -18,9 +18,9 @@ out on its own so that checks of the periodic equation do not use that map.
 Every energy and polynomial is in the physical energy E.  The paper prints
 its critical polynomials in calE = E - M**2 + zeta**2; the printed form of a
 polynomial p is polyengine.taylor_shift(p, M**2 - params.zeta2).  The record
-each module's verify suite returns (_check), and the rule that picks a
-check's worst cell (_worst), live here so that every module shares a single
-definition.
+each module's verify suite builds from a check's cells (_check), and the
+worst-cell rule (_rank) that picks its worst cell and reduces every per-cell
+measure, live here so that every module shares a single definition.
 """
 
 import cmath
@@ -98,17 +98,21 @@ def pt_reflection(x: complex) -> complex:
     return 0.5j * math.pi - complex(x).conjugate()
 
 
-def _worst(pairs):
-    """The (value, cell) pair with the largest value, the first of equal
-    ones, from a non-empty iterable.  A NaN value outranks every number, so
-    it reaches _check, which fails it."""
-    return max(pairs, key=lambda pair: (math.isnan(pair[0]), pair[0]))
+def _rank(value):
+    """Sort key of the worst-cell rule: max(..., key=_rank) picks the largest
+    value, the first of equal ones, and a NaN above every number."""
+    return math.isnan(value), value
 
 
-def _check(name: str, measured, bound, detail: str, cell: str = None) -> dict:
-    """One verify check: it passes exactly when measured <= bound, so a NaN
-    measured fails; the detail then names cell, when given, as its source."""
-    passed = bool(measured <= bound)
-    if cell is not None and math.isnan(measured):
-        detail = f"{detail}; NaN at {cell}"
-    return {"name": name, "passed": passed, "detail": detail, "measured": measured, "bound": bound}
+def _check(name: str, cells, bound, detail: str) -> dict:
+    """One verify check over cells, its (value, cell) pairs or a single count.
+
+    measured is the count or the worst cell's value by _rank, and the check
+    passes exactly when measured <= bound, so a NaN fails.  detail is a
+    str.format template of value, cell and bound; a NaN value's cell ends it
+    as "; NaN at <cell>" where the template does not name {cell}."""
+    value, cell = (cells, None) if isinstance(cells, int) else max(cells, key=lambda pair: _rank(pair[0]))
+    text = detail.format(value=value, cell=cell, bound=bound)
+    if math.isnan(value) and "{cell}" not in detail:
+        text = f"{text}; NaN at {cell}"
+    return {"name": name, "passed": bool(value <= bound), "detail": text, "measured": value, "bound": bound}

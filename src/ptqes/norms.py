@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, _check, _worst, k_index
+from .model import ModelParams, _check, _rank, k_index
 from .recursion import _values, family_norms, step_table
 from .spectra import _EPS, _eig
 
@@ -80,7 +80,7 @@ class WeightTable:
     @property
     def max_weight_imag(self) -> float:
         scale = max(abs(w) for w in self.weights)
-        return max(abs(w.imag) for w in self.weights) / scale
+        return max((abs(w.imag) for w in self.weights), key=_rank) / scale
 
 
 def weights(params: ModelParams) -> WeightTable:
@@ -154,27 +154,9 @@ def verify_norms() -> list:
             target = np.diag(table.gamma[:m]).astype(complex)
             scale = 1.0 + max(abs(g) for g in table.gamma)
             gram.append((float(np.max(np.abs(G - target))) / scale, where))
-    (worst_gram, gram_cell), (worst_imag, imag_cell) = _worst(gram), _worst(imag)
     return [
         _check("norms.gamma_endpoints", wrong_ends, 0, "gamma_0 == 1 and gamma_M == 0 exactly"),
-        _check(
-            "norms.gram_identity",
-            worst_gram,
-            _GRAM_TOL,
-            f"max_error={worst_gram:.3e} (M in 3,5; zeta^2 in 0.005,0.01,0.02)",
-            gram_cell,
-        ),
-        _check(
-            "norms.weight_reality",
-            worst_imag,
-            0,
-            f"max_rel_imag={worst_imag:.3e} (M in 3,5,7,9,21,41)",
-            imag_cell,
-        ),
-        _check(
-            "norms.sign_pattern",
-            wrong_signs,
-            0,
-            f"wrong_signs={wrong_signs}: G_nn has the sign (-1)^n for 0 < n < M",
-        ),
+        _check("norms.gram_identity", gram, _GRAM_TOL, "max_error={value:.3e} (M in 3,5; zeta^2 in 0.005,0.01,0.02)"),
+        _check("norms.weight_reality", imag, 0, "max_rel_imag={value:.3e} (M in 3,5,7,9,21,41)"),
+        _check("norms.sign_pattern", wrong_signs, 0, "wrong_signs={value}: G_nn has the sign (-1)^n for 0 < n < M"),
     ]

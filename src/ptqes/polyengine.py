@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _rank
+
 
 @dataclass(frozen=True)
 class EnergyPolynomial:
@@ -56,7 +58,8 @@ def mul(p: EnergyPolynomial, q: EnergyPolynomial) -> EnergyPolynomial:
 
 
 def matching_distance(a, b) -> float:
-    """Max pair distance of a greedy closest-first matching of two multisets.
+    """Max pair distance of a greedy closest-first matching of two multisets,
+    NaN when a matched pair's distance is NaN (model._rank).
 
     Both sequences must have the same length.  Closest pairs are consumed
     first, which keeps conjugate pairs and near-degenerate clusters matched
@@ -71,16 +74,16 @@ def matching_distance(a, b) -> float:
         key=lambda t: t[0],
     )
     used_i, used_j = set(), set()
-    worst = 0.0
+    matched = []
     for dist, i, j in pairs:
         if i in used_i or j in used_j:
             continue
         used_i.add(i)
         used_j.add(j)
-        worst = max(worst, dist)
+        matched.append(dist)
         if len(used_i) == len(xs):
             break
-    return worst
+    return max(matched, key=_rank, default=0.0)
 
 
 def taylor_shift(p: EnergyPolynomial, delta: complex) -> EnergyPolynomial:

@@ -20,6 +20,7 @@ import ptqes.duality
 import ptqes.model
 import ptqes.norms
 import ptqes.oracle
+import ptqes.polyengine
 import ptqes.spectra
 
 
@@ -560,6 +561,42 @@ def test_verify_fails_an_all_nan_measurement(monkeypatch, capsys, suite, name, t
     assert check["detail"] == detail
 
 
+def _golden_cell(abs_err):
+    return ptqes.oracle.CellComparison("I", 3, 0.01, "E_P", 0, 1.0, computed=1.0, abs_err=abs_err, passed=False)
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        lambda: ptqes.polyengine.matching_distance([1, 2], [1, complex(math.nan, 0.0)]),
+        lambda: ptqes.spectra._coeff_distance(
+            ptqes.polyengine.EnergyPolynomial((1.0, 2.0, 1.0)), ptqes.polyengine.EnergyPolynomial((1.0, math.nan, 1.0))
+        ),
+        lambda: ptqes.spectra.FactorizationReport(
+            ptqes.model.ModelParams(M=3, zeta=0.1),
+            tuple(ptqes.spectra.FactorizationCheck("R = P*Q", 3, deviation) for deviation in (1e-15, math.nan)),
+        ).max_deviation,
+        lambda: ptqes.norms.WeightTable(
+            ptqes.model.ModelParams(M=2, zeta=0.1), (1.0, 2.0), (0.5 + 0j, complex(0.5, math.nan)), (1.0, -0.01, 0.0)
+        ).max_weight_imag,
+        lambda: ptqes.oracle.ode_residual(lambda x: math.nan if x.real > 0.5 else 1.0, lambda x: 0.0, 0.0, [0.0, 1.0]),
+        lambda: ptqes.oracle.TableReport("I", (_golden_cell(1e-7), _golden_cell(math.nan))).max_abs_err,
+    ],
+    ids=[
+        "oracle.spectrum_match",
+        "oracle.char_poly",
+        "factorization",
+        "norms.weight_reality",
+        "duality.ode_residual",
+        "tables",
+    ],
+)
+def test_per_cell_measures_keep_a_single_nan(measure):
+    # one NaN among finite values: a builtin max keeps the finite maximum,
+    # so the check the measure feeds (its id) would pass on a NaN cell
+    assert math.isnan(measure())
+
+
 def _text(value) -> str:
     """A csv or table cell as the CLI documents it: 12 significant digits
     for a float, true or false for a bool."""
@@ -576,6 +613,7 @@ def _text(value) -> str:
         ("sweep", "--M", "3", "--zeta2-range", "0:0.3:0.1", "--model", "dsg"),
         ("critical-zeta", "--M", "5"),
         ("verify", "--suite", "tables"),
+        ("verify", "--suite", "all"),
     ],
 )
 def test_formats_show_the_json_values(capsys, args):
