@@ -1,19 +1,21 @@
 """Command line interface: spectra, critical couplings, verification, sweeps.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (argument
-validation only, raised as UsageError, or an --out path that cannot be
-written), 3 numerical or internal failure.
+validation only, raised as UsageError, or an --out path or stdout that
+cannot be written), 3 numerical or internal failure.
 Output is byte-deterministic for fixed inputs and version: levels are
-sorted, floats in csv/table output carry 12 significant digits, json
-payloads always include "schema": 1, and json output is the bytes of
-json.dumps(payload, indent=2) with the level rows as dicts.  Two writers
-make it: level rows, built once per command as columns, are written with
-one %-template per row and format, and every other field by json.dumps or
-csv.writer.  The argument parser is built once per process, so main can be
-called repeatedly in one process.
+sorted, floats in csv/table output carry 12 significant digits, and json
+output is the bytes of json.dumps(payload, indent=2) with the level rows as
+dicts.  A command's handler returns its own fields; main writes "schema": 1
+and the command name in front of them.  Two writers make the output: level
+rows, built once per command as columns, are written with one %-template
+per row and format, and every other field by json.dumps or csv.writer.  The
+argument parser is built once per process from two tables, _FLAGS and
+_COMMANDS, so main can be called repeatedly in one process.
 """
 
 import argparse
+import contextlib
 import csv
 import functools
 import importlib
@@ -21,6 +23,7 @@ import io
 import json
 import itertools
 import math
+import os
 import sys
 
 import numpy as np
@@ -83,12 +86,6 @@ _COLUMNS = {
 # %.12g is f"{x:.12g}".  A level label is E_P, E_Q or E_R, so it needs no
 # json escaping.
 _CONVERSIONS = {int: ("%d", "d"), str: ('"%s"', "s"), float: ("%r", ".12g"), bool: ("%s", "s")}
-
-# The fields of critical-zeta's one row and of each verify check, in order.
-_KEYS = {
-    "critical-zeta": ("M", "zeta_c_squared", "degenerate_energy", "tol"),
-    "verify": ("name", "passed", "detail"),
-}
 
 
 def _cell(value) -> str:
@@ -199,8 +196,6 @@ def _cmd_spectrum(args):
         spec = _COLUMNS["spectrum-dsg"]
         columns.append(range(args.M - 1, -1, -1))
     payload = {
-        "schema": 1,
-        "command": "spectrum",
         "model": args.model,
         "M": args.M,
         "zeta2": zeta2,
@@ -216,8 +211,8 @@ def _cmd_critical_zeta(args):
     if not (0 < args.tol < math.inf):
         raise UsageError(f"--tol must be positive and finite, got {args.tol}")
     cc = critical_coupling(args.M, tol=args.tol)
-    values = (args.M, cc.zeta_c_squared, cc.degenerate_energy, args.tol)
-    return {"schema": 1, "command": "critical-zeta", **dict(zip(_KEYS["critical-zeta"], values))}, EXIT_OK
+    fields = dict(M=args.M, zeta_c_squared=cc.zeta_c_squared, degenerate_energy=cc.degenerate_energy, tol=args.tol)
+    return fields, EXIT_OK
 
 
 def _cmd_verify(args):
@@ -226,10 +221,8 @@ def _cmd_verify(args):
     checks = [c for run in runs for c in run()]
     passed = all(c["passed"] for c in checks)
     payload = {
-        "schema": 1,
-        "command": "verify",
         "suite": args.suite,
-        "checks": [{key: c[key] for key in _KEYS["verify"]} for c in checks],
+        "checks": [{key: c[key] for key in ("name", "passed", "detail")} for c in checks],
         "passed": passed,
     }
     return payload, EXIT_OK if passed else EXIT_VERIFY_FAIL
@@ -260,8 +253,6 @@ def _cmd_sweep(args):
     values = _parse_range(args.zeta2_range)
     columns = [values, *_level_columns(args, values)[1]]
     payload = {
-        "schema": 1,
-        "command": "sweep",
         "model": args.model,
         "M": args.M,
         "zeta2_range": args.zeta2_range,
@@ -271,36 +262,34 @@ def _cmd_sweep(args):
 
 
 # ---------------------------------------------------------------------------
-# Rendering
+# Rendering: main builds the payload, "schema" and "command" first, then the
+# handler's own fields; json writes all of it, csv and table the fields.
 
 
-def _render_csv(payload: dict) -> str:
-    command = payload["command"]
+def _render_csv(command: str, fields: dict) -> str:
     if command in ("spectrum", "sweep"):
-        return payload["levels" if command == "spectrum" else "rows"].csv()
-    keys = _KEYS[command]
-    rows = payload["checks"] if command == "verify" else [payload]
+        return fields["levels" if command == "spectrum" else "rows"].csv()
+    rows = fields["checks"] if command == "verify" else [fields]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(keys)
-    writer.writerows([_cell(row[key]) for key in keys] for row in rows)
+    writer.writerow(rows[0])
+    writer.writerows([_cell(value) for value in row.values()] for row in rows)
     return buf.getvalue()
 
 
-def _render_table(payload: dict) -> str:
-    command = payload["command"]
+def _render_table(command: str, fields: dict) -> str:
     if command == "critical-zeta":
-        lines = [f"{key}={_cell(payload[key])}" for key in _KEYS[command]]
+        lines = [f"{key}={_cell(value)}" for key, value in fields.items()]
     elif command == "verify":
         verdict = {True: "PASS", False: "FAIL"}
-        lines = [f"{verdict[c['passed']]}  {c['name']:<28}  {c['detail']}" for c in payload["checks"]]
-        lines.append(f"OVERALL {verdict[payload['passed']]}")
+        lines = [f"{verdict[c['passed']]}  {c['name']:<28}  {c['detail']}" for c in fields["checks"]]
+        lines.append(f"OVERALL {verdict[fields['passed']]}")
     elif command == "spectrum":
-        head = f"model={payload['model']} M={payload['M']} zeta2={_cell(payload['zeta2'])}"
-        lines = [head, payload["levels"].table(), f"degenerate_pairs={payload['degenerate_pairs']}"]
+        head = f"model={fields['model']} M={fields['M']} zeta2={_cell(fields['zeta2'])}"
+        lines = [head, fields["levels"].table(), f"degenerate_pairs={fields['degenerate_pairs']}"]
     else:
-        head = f"model={payload['model']} M={payload['M']} range={payload['zeta2_range']}"
-        lines = [head, payload["rows"].table()]
+        head = f"model={fields['model']} M={fields['M']} range={fields['zeta2_range']}"
+        lines = [head, fields["rows"].table()]
     return "\n".join(lines) + "\n"
 
 
@@ -322,18 +311,36 @@ def _json(payload: dict) -> str:
 def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return _json(payload) + "\n"
-    if fmt == "csv":
-        return _render_csv(payload)
-    return _render_table(payload)
+    fields = dict(list(payload.items())[2:])  # the fields after schema and command
+    return (_render_csv if fmt == "csv" else _render_table)(payload["command"], fields)
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Parser: each flag's argparse settings, and each command's help, handler
+# and own flags in help order; every command also takes --format and --out.
 
+_FLAGS = {
+    "--model": dict(choices=("dshg", "dsg"), default="dshg"),
+    "--M": dict(type=int, required=True),
+    "--zeta2": dict(type=float, required=True, help="coupling squared"),
+    "--tol": dict(
+        type=float,
+        default=1e-10,
+        help="zeroin tolerance relative to zeta^2 (default 1e-10); "
+        "below the spacing of doubles the result is good to a few ulps",
+    ),
+    "--suite": dict(choices=(*_SUITES, "all"), default="all"),
+    "--zeta2-range": dict(required=True, help="start:stop:step"),
+    "--format": dict(choices=("json", "csv", "table"), default="json"),
+    "--out": dict(help="write output to this path instead of stdout"),
+}
 
-def _add_common(sub):
-    sub.add_argument("--format", choices=("json", "csv", "table"), default="json")
-    sub.add_argument("--out", default=None, help="write output to this path instead of stdout")
+_COMMANDS = {
+    "spectrum": ("solvable levels at one coupling", _cmd_spectrum, ("--model", "--M", "--zeta2")),
+    "critical-zeta": ("solve for the level-merger coupling", _cmd_critical_zeta, ("--M", "--tol")),
+    "verify": ("run self-checks against independent routes", _cmd_verify, ("--suite",)),
+    "sweep": ("levels over a range of zeta^2", _cmd_sweep, ("--model", "--M", "--zeta2-range")),
+}
 
 
 @functools.cache
@@ -343,64 +350,45 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Quasi-exactly-solvable spectra of the PT-invariant cosh/cos potentials",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # Flags are never abbreviated, so a prefix such as --zeta cannot be
-    # taken for --zeta2.
-    add = functools.partial(sub.add_parser, allow_abbrev=False)
-
-    sp = add("spectrum", help="solvable levels at one coupling")
-    sp.add_argument("--model", choices=("dshg", "dsg"), default="dshg")
-    sp.add_argument("--M", type=int, required=True, dest="M")
-    sp.add_argument("--zeta2", type=float, required=True, help="coupling squared")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_spectrum)
-
-    cz = add("critical-zeta", help="solve for the level-merger coupling")
-    cz.add_argument("--M", type=int, required=True, dest="M")
-    cz.add_argument(
-        "--tol",
-        type=float,
-        default=1e-10,
-        help="zeroin tolerance relative to zeta^2 (default 1e-10); "
-        "below the spacing of doubles the result is good to a few ulps",
-    )
-    _add_common(cz)
-    cz.set_defaults(func=_cmd_critical_zeta)
-
-    vf = add("verify", help="run self-checks against independent routes")
-    vf.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
-    _add_common(vf)
-    vf.set_defaults(func=_cmd_verify)
-
-    sw = add("sweep", help="levels over a range of zeta^2")
-    sw.add_argument("--model", choices=("dshg", "dsg"), default="dshg")
-    sw.add_argument("--M", type=int, required=True, dest="M")
-    sw.add_argument("--zeta2-range", required=True, dest="zeta2_range", help="start:stop:step")
-    _add_common(sw)
-    sw.set_defaults(func=_cmd_sweep)
-
+    for command, (text, func, flags) in _COMMANDS.items():
+        # Flags are never abbreviated, so a prefix such as --zeta cannot be
+        # taken for --zeta2.
+        sp = sub.add_parser(command, help=text, allow_abbrev=False)
+        for flag in (*flags, "--format", "--out"):
+            sp.add_argument(flag, **_FLAGS[flag])
+        sp.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        payload, code = args.func(args)
-        text = _render(payload, args.format)
+        fields, code = args.func(args)
+        text = _render({"schema": 1, "command": args.command, **fields}, args.format)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:
         print(f"numerical or internal failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        sys.stdout.write(text)
+    # stdout and --out share one write and one failure: a stderr line, exit 2
+    try:
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+            fh.write(text)
+            fh.flush()
+    except OSError as exc:
+        where = f"--out {args.out}" if args.out else "stdout"
+        print(f"error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
+        if not args.out:
+            # stdout still holds the unwritten rest, and the flush at
+            # interpreter exit would fail on it again and print "Exception
+            # ignored" (the note on SIGPIPE in Python's signal docs), so the
+            # descriptor is pointed at the null device.  A stdout with no
+            # descriptor, as an in-process caller may have, is left as it is.
+            with contextlib.suppress(OSError, ValueError, AttributeError):
+                fileno = sys.stdout.fileno()
+                os.dup2(os.open(os.devnull, os.O_WRONLY), fileno)
+        return EXIT_USAGE
     return code
 
 

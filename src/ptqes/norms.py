@@ -86,16 +86,19 @@ class WeightTable:
 def weights(params: ModelParams) -> WeightTable:
     """Golub-Welsch weights of the R functional on the M levels, as
     spectra._eig gives them with their support points (level_rows' bits).
-    DegenerateSpectrumError when a Gram norm vanishes (zeta = 0), or when
-    eps kappa^2 > WEIGHT_RTOL for the condition number _eig gives some
-    level, kappa = 1 / |x^T S x| of its unit eigenvector x, as at a merger;
-    the message names the first such level in level order.  ValueError,
-    naming zeta^2, when the weights miss their own j = 0 equation,
-    sum_k omega_k = 1, by more than WEIGHT_RTOL."""
+    DegenerateSpectrumError, naming zeta^2, when a Gram norm vanishes: at
+    zeta = 0, or where gamma_n = a_1 ... a_n underflows (M = 3 below zeta
+    of about 4e-82, M = 41 below 2.9e-6); or when eps kappa^2 > WEIGHT_RTOL
+    for the condition number _eig gives some level, kappa = 1 / |x^T S x|
+    of its unit eigenvector x, as at a merger; the message names the first
+    such level in level order.  ValueError, naming zeta^2, when the weights
+    miss their own j = 0 equation, sum_k omega_k = 1, by more than WEIGHT_RTOL."""
     M = params.M
     gamma = tuple(family_norms("R", params, M + 1))
     if not all(gamma[:M]):
-        raise DegenerateSpectrumError("a Gram diagonal entry vanishes (zeta = 0)")
+        raise DegenerateSpectrumError(
+            f"a Gram diagonal entry vanishes at zeta^2={params.zeta2!r}: zeta = 0, or gamma_n = a_1 ... a_n underflows"
+        )
     support, labels, omega, kappas = zip(*_eig(M, params.zeta))
     for label, kappa in zip(labels, kappas):
         if not _EPS * kappa * kappa <= WEIGHT_RTOL:  # NaN fails too

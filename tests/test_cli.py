@@ -5,6 +5,7 @@ import functools
 import io
 import json
 import math
+import os
 import re
 import resource
 import subprocess
@@ -161,17 +162,19 @@ def test_usage_errors_exit_2(args):
 @pytest.mark.parametrize(
     "command, flags",
     [
-        ("spectrum", {"--model", "--M", "--zeta2", "--format", "--out"}),
-        ("critical-zeta", {"--M", "--tol", "--format", "--out"}),
-        ("verify", {"--suite", "--format", "--out"}),
-        ("sweep", {"--model", "--M", "--zeta2-range", "--format", "--out"}),
+        ("spectrum", ["--model", "--M", "--zeta2", "--format", "--out"]),
+        ("critical-zeta", ["--M", "--tol", "--format", "--out"]),
+        ("verify", ["--suite", "--format", "--out"]),
+        ("sweep", ["--model", "--M", "--zeta2-range", "--format", "--out"]),
     ],
 )
 def test_help_lists_each_flag(capsys, command, flags):
+    # in printed order: once in the usage line, then after --help in the
+    # option list
     with pytest.raises(SystemExit) as exc:
         ptqes.cli.main([command, "--help"])
     assert exc.value.code == 0
-    assert set(re.findall(r"--[\w-]+", capsys.readouterr().out)) == flags | {"--help"}
+    assert re.findall(r"--[\w-]+", capsys.readouterr().out) == [*flags, "--help", *flags]
 
 
 def test_sweep_point_cap():
@@ -417,6 +420,47 @@ def test_unwritable_out_exits_2(tmp_path):
     assert p.stdout == ""
     assert p.stderr == f"error: cannot write --out {out}: No such file or directory\n"
     assert not out.parent.exists()
+
+
+# Python's stdout as a shell gives it: buffered.  Under PYTHONUNBUFFERED its
+# text layer drops the count of a partial write, so a write that a closing
+# reader cuts short never fails, and no data is left for the flush at exit.
+_BUFFERED = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_2():
+    # a full stdout once raised OSError out of main: exit 1, which means a
+    # failed check, with a traceback; the one stderr line also shows that
+    # the flush at interpreter exit printed no "Exception ignored"
+    cmd = [sys.executable, "-m", "ptqes.cli", "spectrum", "--M", "3", "--zeta2", "0.01"]
+    with open("/dev/full", "w") as full:
+        p = subprocess.run(cmd, stdout=full, stderr=subprocess.PIPE, text=True, env=_BUFFERED)
+    assert p.returncode == 2
+    assert p.stderr == "error: cannot write stdout: No space left on device\n"
+
+
+def test_closed_stdout_pipe_exits_2():
+    # a reader that stops after 10 bytes of a csv longer than a pipe buffer
+    args = ("sweep", "--M", "3", "--zeta2-range", "0:1:0.0005", "--format", "csv")
+    cmd = [sys.executable, "-m", "ptqes.cli", *args]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_BUFFERED) as p:
+        assert len(p.stdout.read(10)) == 10
+        p.stdout.close()
+        stderr = p.stderr.read().decode()
+    assert p.returncode == 2
+    assert stderr == "error: cannot write stdout: Broken pipe\n"
+
+
+def test_unwritable_stdout_without_a_descriptor_exits_2(capsys, monkeypatch):
+    # an in-process caller's stdout with no file descriptor to redirect
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    assert ptqes.cli.main(["critical-zeta", "--M", "3", "--format", "csv"]) == 2
+    assert capsys.readouterr().err == "error: cannot write stdout: No space left on device\n"
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])

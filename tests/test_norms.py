@@ -91,6 +91,14 @@ def test_degenerate_support_refused():
         weights(ModelParams(M=4, zeta=0.0))  # levels coincide in pairs
 
 
+@pytest.mark.parametrize("zeta, zeta2", [(1e-160, "1e-320"), (1e-170, "0.0"), (1e-200, "0.0"), (1e-90, "1e-180")])
+def test_gram_underflow_is_not_blamed_on_zero_coupling(zeta, zeta2):
+    # gamma_2 = a_1 a_2 underflows to 0 at M = 3 from zeta of about 4e-82;
+    # the refusal names zeta^2, and zeta = 0 only as one of two causes
+    with pytest.raises(DegenerateSpectrumError, match=rf"vanishes at zeta\^2={zeta2}: zeta = 0, or gamma_n .* underflows"):
+        weights(ModelParams(M=3, zeta=zeta))
+
+
 # Weights at these cells, close level pairs at small coupling (a conjugate
 # pair for M = 6, E_P / E_Q pairs for M = 7), missed the reference by 1.8e-7,
 # 1.9e-5, 1.8e-6 and 3.2e-7 of the largest weight through the Christoffel

@@ -304,7 +304,7 @@ def test_overflowing_coupling_is_refused():
         level_arrays(3, [0.1, 1e154])
 
 
-@pytest.mark.parametrize("arrays", [level_arrays, dual_level_arrays], ids=["level_rows", "dual_level_rows"])
+@pytest.mark.parametrize("arrays", [level_arrays, dual_level_arrays], ids=["level_arrays", "dual_level_arrays"])
 @pytest.mark.parametrize("zetas", [[math.nan, 1.0], [1.0, math.nan], [0.1, math.inf], [math.nan], [math.inf]])
 def test_non_finite_coupling_is_refused(arrays, zetas):
     # a NaN after the first coupling once slipped past the overflow guard
