@@ -360,6 +360,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_all(out, text: str) -> None:
+    """Write text to the text stream out and flush it: every byte, or an
+    OSError.  A text stdout over an unbuffered binary layer
+    (PYTHONUNBUFFERED, python -u) drops the count of a short write, so a
+    reader that closes the pipe could cut the output short with no error.
+    Where out has a binary buffer, the encoded text goes to it until every
+    byte is taken."""
+    out.flush()
+    if hasattr(out, "buffer"):
+        data = memoryview(text.encode(out.encoding, out.errors))
+        while data:
+            data = data[out.buffer.write(data) :]
+    else:
+        out.write(text)
+    out.flush()
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -371,11 +388,13 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"numerical or internal failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    # stdout and --out share one write and one failure: a stderr line, exit 2
+    # stdout and --out share one failure: a stderr line, exit 2
     try:
-        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
-            fh.write(text)
-            fh.flush()
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            _write_all(sys.stdout, text)
     except OSError as exc:
         where = f"--out {args.out}" if args.out else "stdout"
         print(f"error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)

@@ -58,7 +58,8 @@ _GRAM_TOL = 1e-9
 
 class DegenerateSpectrumError(RuntimeError):
     """Weights refused: a level too ill-conditioned to resolve its weight to
-    WEIGHT_RTOL of the largest weight, or a vanishing Gram norm."""
+    WEIGHT_RTOL of the largest weight, or zeta = 0, where the Gram norms
+    vanish."""
 
 
 def norm(n: int, params: ModelParams) -> float:
@@ -68,14 +69,18 @@ def norm(n: int, params: ModelParams) -> float:
     return family_norms("R", params, n + 1)[n]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WeightTable:
-    """Support points, weights and norms of the discrete R functional."""
+    """Support points, weights and norms of the discrete R functional; its
+    __init__ fills __dict__ as ModelParams' does."""
 
     params: ModelParams
     energies: tuple
     weights: tuple
     gamma: tuple  # gamma_0 .. gamma_M
+
+    def __init__(self, params: ModelParams, energies: tuple, weights: tuple, gamma: tuple):
+        self.__dict__.update(params=params, energies=energies, weights=weights, gamma=gamma)
 
     @property
     def max_weight_imag(self) -> float:
@@ -86,16 +91,19 @@ class WeightTable:
 def weights(params: ModelParams) -> WeightTable:
     """Golub-Welsch weights of the R functional on the M levels, as
     spectra._eig gives them with their support points (level_rows' bits).
-    DegenerateSpectrumError, naming zeta^2, when a Gram norm vanishes: at
-    zeta = 0, or where gamma_n = a_1 ... a_n underflows (M = 3 below zeta
-    of about 4e-82, M = 41 below 2.9e-6); or when eps kappa^2 > WEIGHT_RTOL
-    for the condition number _eig gives some level, kappa = 1 / |x^T S x|
-    of its unit eigenvector x, as at a merger; the message names the first
-    such level in level order.  ValueError, naming zeta^2, when the weights
+    DegenerateSpectrumError, naming zeta^2, at zeta == 0, where every a_n
+    is exactly 0 and so is every Gram norm from gamma_1 on; or when
+    eps kappa^2 > WEIGHT_RTOL for the condition number _eig gives some
+    level, kappa = 1 / |x^T S x| of its unit eigenvector x, as at a merger;
+    the message names the first such level in level order.  At zeta != 0
+    gamma_n = a_1 ... a_n is returned as its correctly rounded value, which
+    is 0.0 or subnormal where the product underflows (M = 3 below zeta of
+    about 4e-82, M = 41 below 2.9e-6): kappa and the weights' sum decide
+    there as everywhere.  ValueError, naming zeta^2, when the weights
     miss their own j = 0 equation, sum_k omega_k = 1, by more than WEIGHT_RTOL."""
     M = params.M
     gamma = tuple(family_norms("R", params, M + 1))
-    if not all(gamma[:M]):
+    if not params.zeta and M > 1:
         raise DegenerateSpectrumError(
             f"a Gram diagonal entry vanishes at zeta^2={params.zeta2!r}: zeta = 0, or gamma_n = a_1 ... a_n underflows"
         )

@@ -24,17 +24,22 @@ Each tail vanishes at n = b + 1, b the truncation index: M for R (a_M = 0)
 and, for odd M = 2k + 1, k + 1 for P and k for Q.  So F_{b+n} = F_b * Fbar_n,
 the cofactor family Fbar (Pbar, Qbar, Rbar) being F's step read at b + n.
 
-The steps exist only as a table, step_table(family, params, count) =
-[(lin_n, tail_n), n = 1 .. count - 1], built once per call (Fbar's table is
-F's from n = b + 1 on; R's entries are the a_n, b_n expressions above, with
-the bits of recurrence_a and recurrence_b).  Every routine reads a table:
-the coefficient builders (build_P, build_Q, build_R, build_bar),
-family_values (the recursion run at one point E) and family_norms (the Gram
-diagonals h_n = tail_2 ... tail_{n+1}); norms.gram_matrix runs one R table
-at every support point.
+Each family's step is two formulas, one for lin_n and one for tail_n, each
+written once.  step_table(family, params, count) = [(lin_n, tail_n),
+n = 1 .. count - 1] zips them, built once per call (Fbar's table is F's from
+n = b + 1 on; R's entries are the a_n, b_n expressions above, with the bits
+of recurrence_a and recurrence_b).  The coefficient builders (build_P,
+build_Q, build_R, build_bar) and family_values (the recursion run at one
+point E) read a table, and norms.gram_matrix runs one R table at every
+support point.  The norms read the tails alone: family_norms forms the Gram
+diagonals h_n = tail_2 ... tail_{n+1} as one running product and computes
+no lin_n.
 """
 
 import cmath
+import functools
+import itertools
+import operator
 
 import numpy as np
 
@@ -51,46 +56,63 @@ def recurrence_b(n: int, params: ModelParams) -> float:
     return 4.0 * n * (params.M - 1 - n) + 2.0 * params.M - 1.0 - params.zeta2
 
 
-def _p_table(params: ModelParams, ns) -> list:
+def _p_lins(params: ModelParams, ns) -> list:
     M, zeta = params.M, params.zeta
     sq = (M - 1j * zeta) * (M - 1j * zeta)  # a product overflows to inf; ** raises
-    return [
-        (4 * (n - 1) ** 2 - 8j * n * zeta + 6j * zeta - sq, 8j * zeta * (n - 1) * (2 * n - 3) * (M + 3 - 2 * n))
-        for n in ns
-    ]
+    return [4 * (n - 1) ** 2 - 8j * n * zeta + 6j * zeta - sq for n in ns]
 
 
-def _q_table(params: ModelParams, ns) -> list:
+def _p_tails(params: ModelParams, ns) -> list:
+    return [8j * params.zeta * (n - 1) * (2 * n - 3) * (params.M + 3 - 2 * n) for n in ns]
+
+
+def _q_lins(params: ModelParams, ns) -> list:
     M, zeta = params.M, params.zeta
     sq = (M - 1j * zeta) * (M - 1j * zeta)
-    return [
-        (4 * n * n - 8j * n * zeta + 2j * zeta - sq, 8j * zeta * (n - 1) * (2 * n - 1) * (M + 1 - 2 * n))
-        for n in ns
-    ]
+    return [4 * n * n - 8j * n * zeta + 2j * zeta - sq for n in ns]
 
 
-def _r_table(params: ModelParams, ns) -> list:
-    # (-b_{n-1}, a_{n-1}) in the operations of recurrence_b and
-    # recurrence_a, so every entry has their bits
+def _q_tails(params: ModelParams, ns) -> list:
+    return [8j * params.zeta * (n - 1) * (2 * n - 1) * (params.M + 1 - 2 * n) for n in ns]
+
+
+# R's lin_n = -b_{n-1} and tail_n = a_{n-1} in the float operations of
+# recurrence_b and recurrence_a (the integer factors are exact), so every
+# entry has their bits
+def _r_lins(params: ModelParams, ns) -> list:
     M, zeta2 = params.M, params.zeta2
-    return [
-        (-(4.0 * m * (M - 1 - m) + 2.0 * M - 1.0 - zeta2), -4.0 * m * (M - m) * zeta2)
-        for m in (n - 1 for n in ns)
-    ]
+    return [-(4.0 * (n - 1) * (M - n) + 2.0 * M - 1.0 - zeta2) for n in ns]
 
 
+def _r_tails(params: ModelParams, ns) -> list:
+    M, zeta2 = params.M, params.zeta2
+    return [-4.0 * (n - 1) * (M + 1 - n) * zeta2 for n in ns]
+
+
+def _zipped(lins, tails, params: ModelParams, ns) -> list:
+    return list(zip(lins(params, ns), tails(params, ns)))
+
+
+_p_table = functools.partial(_zipped, _p_lins, _p_tails)
+_q_table = functools.partial(_zipped, _q_lins, _q_tails)
+_r_table = functools.partial(_zipped, _r_lins, _r_tails)
 _TABLES = {"P": _p_table, "Q": _q_table, "R": _r_table}
+_TAILS = {"P": _p_tails, "Q": _q_tails, "R": _r_tails}
+
+
+def _offset(family: str, params: ModelParams):
+    """(F, b) for family F or Fbar: Fbar reads F's steps at b + n, b = 0 for
+    F itself (P and Q need odd M)."""
+    base = family.removesuffix("bar")
+    if base not in _TABLES:
+        raise ValueError(f"family must be P, Q, R, Pbar, Qbar or Rbar, got {family!r}")
+    return base, (0 if base == family else params.M if base == "R" else k_index(params.M) + (base == "P"))
 
 
 def step_table(family: str, params: ModelParams, count: int) -> list:
     """[(lin_n, tail_n) for n = 1 .. count - 1]; Fbar reads F's steps at
     b + n (P and Q need odd M)."""
-    base = family.removesuffix("bar")
-    if base not in _TABLES:
-        raise ValueError(f"family must be P, Q, R, Pbar, Qbar or Rbar, got {family!r}")
-    b = 0
-    if base != family:
-        b = params.M if base == "R" else k_index(params.M) + (base == "P")
+    base, b = _offset(family, params)
     return _TABLES[base](params, range(b + 1, b + count))
 
 
@@ -152,14 +174,17 @@ def family_values(family: str, params: ModelParams, E: complex, count: int) -> l
 
 
 def family_norms(family: str, params: ModelParams, count: int) -> list:
-    """Gram diagonals h_0 .. h_{count-1}, h_n = tail_2 ... tail_{n+1}.
+    """Gram diagonals h_0 .. h_{count-1}, h_n = tail_2 ... tail_{n+1}, one
+    running product over the tails alone, left to right from h_0 = 1.
 
     h_0 = 1 is always returned, also for count < 1; an h_n that overflows
     raises ValueError.  For R, h_n = gamma_n = a_1 ... a_n, 0 from n = M on.
     """
-    out = [1.0]
-    for n, (_, tail) in enumerate(step_table(family, params, count + 1)[1:], 1):
-        out.append(out[-1] * tail)
-        if not cmath.isfinite(out[-1]):
-            raise ValueError(f"{family} Gram norm h_{n} is not finite at zeta^2={params.zeta2!r}")
+    base, b = _offset(family, params)
+    out = list(itertools.accumulate(_TAILS[base](params, range(b + 2, b + count + 1)), operator.mul, initial=1.0))
+    # inf and NaN stay in every later product: past the first non-finite h_n
+    # every entry is non-finite, so n is the number of finite ones
+    if not cmath.isfinite(out[-1]):
+        n = sum(map(cmath.isfinite, out))
+        raise ValueError(f"{family} Gram norm h_{n} is not finite at zeta^2={params.zeta2!r}")
     return out

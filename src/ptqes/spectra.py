@@ -77,6 +77,9 @@ _geev_vectors = _umath_linalg.eig
 # _top_gap2's sort key: a C-level getter in place of a Python lambda.
 _REAL_PART = operator.attrgetter("real")
 
+# _eig's products x_n * x_n, mapped at C level in place of a generator.
+_MUL = operator.mul
+
 # Relative machine precision, in _zeroin's stopping width (4 eps + tol) |b|
 # and norms.weights' rounding bound.
 _EPS = float(np.finfo(float).eps)
@@ -237,7 +240,7 @@ def _eig(M: int, zeta: float) -> list:
     conj(omega) and the same kappa.  A real odd-M level's omega has Im +0:
     its vector is complex with Im +0, and (a + 0j)^2 has Im -0 for a < 0.
     Raises as _checked_coupling before any solve."""
-    z = _checked_coupling(M, (zeta,))
+    z = _one_coupling(M, zeta)
     C, S = _pencil(M)
     B, s, rows = C + z * S, z * z, []
     lead = 0 if M % 2 else len(C) - 1
@@ -246,7 +249,8 @@ def _eig(M: int, zeta: float) -> list:
         for label, size in _sectors(M).items():
             levels, X = _geev_vectors(B[:size, :size])
             for E, x in zip(levels.tolist(), X.T.tolist()):
-                E, den = E - s, sum(v * v for v in x[::2]) - sum(v * v for v in x[1::2])
+                even, odd = x[::2], x[1::2]
+                E, den = E - s, sum(map(_MUL, even, even)) - sum(map(_MUL, odd, odd))
                 w, kappa = (fold * x[lead] * x[lead] / den, 1.0 / abs(den)) if den else (math.nan, math.inf)
                 if M % 2 and not E.imag:
                     w = complex(w.real, w.imag + 0.0)
@@ -272,6 +276,13 @@ def _checked_coupling(M: int, zetas) -> float:
     if not math.isfinite(z * z * M * M):
         raise ValueError(f"zeta^2={z * z!r} overflows the M={M} recursion coefficients")
     return z
+
+
+def _one_coupling(M: int, zeta) -> float:
+    """|zeta| as a float, checked as _checked_coupling checks it, which is
+    called, to raise its message, only when M^2 zeta^2 is not finite."""
+    z = abs(float(zeta))
+    return z if math.isfinite(z * z * M * M) else _checked_coupling(M, (zeta,))
 
 
 def level_arrays(M: int, zetas):
@@ -331,7 +342,7 @@ def level_rows(M: int, zeta: float) -> list:
     conjugate pair, so an even-M level is real when z == 0; one with
     Im E == 0 stands in for its own conjugate, so no -0 reaches the
     output."""
-    z = _checked_coupling(M, (zeta,))
+    z = _one_coupling(M, zeta)
     C, S = _pencil(M)
     B, s, sectors = C + z * S, z * z, _sectors(M).items()
     with np.errstate(**_GEEV_ERRSTATE):

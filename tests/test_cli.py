@@ -910,3 +910,43 @@ def test_main_repeats_in_one_process(capsys):
         captured = capsys.readouterr()
         fresh = run(*argv)
         assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+class _ShortThenClosedPipe(io.RawIOBase):
+    """A binary stdout layer that takes 10 bytes of its first write, as a
+    pipe whose reader is about to close, and then raises BrokenPipeError."""
+
+    def __init__(self):
+        self.taken = []
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        if not self.taken:
+            self.taken.append(bytes(data[:10]))
+            return 10
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_short_write_then_closed_pipe_exits_2(capsys, monkeypatch):
+    # an unbuffered text stdout drops the count of a short write: main must
+    # write the rest and so meet the closed pipe, not exit 0 on 10 bytes
+    pipe = _ShortThenClosedPipe()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(pipe, encoding="utf-8", write_through=True))
+    assert ptqes.cli.main(["spectrum", "--M", "3", "--zeta2", "0.01"]) == 2
+    assert pipe.taken == [b'{\n  "schem']
+    assert capsys.readouterr().err == "error: cannot write stdout: Broken pipe\n"
+
+
+def test_closed_unbuffered_stdout_pipe_exits_2():
+    # test_closed_stdout_pipe_exits_2 under PYTHONUNBUFFERED: once exit 0
+    args = ("sweep", "--M", "3", "--zeta2-range", "0:1:0.0005", "--format", "csv")
+    cmd = [sys.executable, "-m", "ptqes.cli", *args]
+    env = {**_BUFFERED, "PYTHONUNBUFFERED": "1"}
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as p:
+        assert len(p.stdout.read(10)) == 10
+        p.stdout.close()
+        stderr = p.stderr.read().decode()
+    assert p.returncode == 2
+    assert stderr == "error: cannot write stdout: Broken pipe\n"

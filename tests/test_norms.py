@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -91,12 +92,23 @@ def test_degenerate_support_refused():
         weights(ModelParams(M=4, zeta=0.0))  # levels coincide in pairs
 
 
-@pytest.mark.parametrize("zeta, zeta2", [(1e-160, "1e-320"), (1e-170, "0.0"), (1e-200, "0.0"), (1e-90, "1e-180")])
-def test_gram_underflow_is_not_blamed_on_zero_coupling(zeta, zeta2):
-    # gamma_2 = a_1 a_2 underflows to 0 at M = 3 from zeta of about 4e-82;
-    # the refusal names zeta^2, and zeta = 0 only as one of two causes
-    with pytest.raises(DegenerateSpectrumError, match=rf"vanishes at zeta\^2={zeta2}: zeta = 0, or gamma_n .* underflows"):
-        weights(ModelParams(M=3, zeta=zeta))
+# Cells where gamma_n = a_1 ... a_n underflows to 0 or a subnormal: at M = 3
+# from zeta of about 4e-82, at M = 41 below 2.9e-6.  Each id is the cell's
+# zeta and zeta^2.
+UNDERFLOW_CELLS = [(3, 1e-160), (3, 1e-170), (3, 1e-200), (3, 1e-90), (41, 2.8e-6)]
+
+
+@pytest.mark.parametrize(
+    "M, zeta", [pytest.param(M, zeta, id=f"{zeta!r}-{zeta * zeta!r}") for M, zeta in UNDERFLOW_CELLS]
+)
+def test_gram_underflow_is_not_blamed_on_zero_coupling(M, zeta):
+    # zeta != 0, so no Gram norm is refused: the weights resolve, sum to 1
+    # and put 1/2 on each of the two levels at b_0 = 2M - 1, one per sector
+    t = weights(ModelParams(M=M, zeta=zeta))
+    assert abs(sum(t.weights) - 1.0) <= norms.WEIGHT_RTOL
+    at_b0 = [(label, w) for (E, label, _), w in zip(level_rows(M, zeta), t.weights) if abs(E - (2 * M - 1)) < 1e-6]
+    assert sorted(label for label, _ in at_b0) == ["E_P", "E_Q"]
+    assert all(abs(w - 0.5) <= norms.WEIGHT_RTOL for _, w in at_b0)
 
 
 # Weights at these cells, close level pairs at small coupling (a conjugate
@@ -285,3 +297,16 @@ def test_gram_matrix_is_the_sum_over_support_points(M):
         assert gram_matrix(t).tobytes() == (vals.T @ (w[:, None] * vals)).tobytes()
     assert accepted
 
+
+def test_weight_table_is_a_frozen_record():
+    # the hand-written __init__ keeps the generated dataclass behaviour:
+    # fields, repr, equality, hashing, replace and refused assignment
+    t = weights(ModelParams(M=3, zeta=0.1))
+    values = {"params": t.params, "energies": t.energies, "weights": t.weights, "gamma": t.gamma}
+    assert [f.name for f in dataclasses.fields(t)] == list(values)
+    assert repr(t) == "WeightTable(" + ", ".join(f"{k}={v!r}" for k, v in values.items()) + ")"
+    twin = norms.WeightTable(*values.values())
+    assert twin == t and hash(twin) == hash(t)
+    assert dataclasses.replace(t, gamma=(2.0,)) == norms.WeightTable(**{**values, "gamma": (2.0,)})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.gamma = ()

@@ -817,3 +817,46 @@ def test_every_geev_block_is_float64_for_odd_m_and_complex128_for_even_m(monkeyp
             critical_coupling(M)
     assert {M for M, _ in seen} == {1, 2, 3, 4, 5, 6, 15, 16}
     assert all(dtype == (np.float64 if M % 2 else np.complex128) for M, dtype in seen)
+
+
+def _plain_eig_rows(M, zeta):
+    """_eig's docstring formula written out with plain generator sums over
+    _geev_vectors' output: (E, label, omega, kappa) in level_rows' order."""
+    z = abs(zeta)
+    C, S = _pencil(M)
+    B, rows = C + z * S, []
+    lead = 0 if M % 2 else len(C) - 1
+    fold = 0.5 * (-1) ** lead if M > 1 else 1.0
+    for label, size in _sectors(M).items():
+        levels, X = ptqes.spectra._geev_vectors(B[:size, :size])
+        for E, x in zip(levels.tolist(), X.T.tolist()):
+            E, den = E - z * z, sum(v * v for v in x[::2]) - sum(v * v for v in x[1::2])
+            w, kappa = (fold * x[lead] * x[lead] / den, 1.0 / abs(den)) if den else (math.nan, math.inf)
+            if M % 2 and not E.imag:
+                w = complex(w.real, w.imag + 0.0)
+            rows.append((E, label, w, kappa))
+            if M % 2 == 0:
+                rows.append((E.conjugate() if E.imag else E, label, w.conjugate(), kappa))
+    return sorted(rows, key=lambda row: (row[0].real, row[0].imag, row[1]))
+
+
+@pytest.mark.parametrize("M", list(range(1, 42)) + [61, 81])
+def test_eig_rows_are_the_docstring_formula(M):
+    # bit for bit, below the first merger, 1e-7 (relative, in zeta^2) below
+    # it, above it and at g = M zeta = 36.7; an even M, and M = 1, which
+    # has no merger, take the merger of the next odd M
+    zc2 = critical_coupling(max(3, M + 1 - M % 2)).zeta_c_squared
+    for z2 in (0.5 * zc2, zc2 * (1 - 1e-7), 1.5 * zc2, (36.7 / M) ** 2):
+        zeta = math.sqrt(z2)
+        assert repr(_eig(M, zeta)) == repr(_plain_eig_rows(M, zeta)), (M, z2)
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4, 5, 8, 9, 41])
+def test_numpy_and_int_couplings_give_the_float_couplings_levels(M):
+    # the one-coupling check converts the coupling once: a numpy scalar or an
+    # int gives built-in complex levels with the float coupling's bits
+    for zeta in (np.float64(0.3 / M), np.float64(-0.3 / M), 0, 1, -2):
+        for solve in (level_rows, _eig):
+            rows = solve(M, zeta)
+            assert all(type(row[0]) is complex for row in rows)
+            assert repr(rows) == repr(solve(M, float(zeta)))
