@@ -104,9 +104,7 @@ def weights(params: ModelParams) -> WeightTable:
     M = params.M
     gamma = tuple(family_norms("R", params, M + 1))
     if not params.zeta and M > 1:
-        raise DegenerateSpectrumError(
-            f"a Gram diagonal entry vanishes at zeta^2={params.zeta2!r}: zeta = 0, or gamma_n = a_1 ... a_n underflows"
-        )
+        raise DegenerateSpectrumError(f"a Gram diagonal entry vanishes at zeta^2={params.zeta2!r}: zeta = 0")
     support, labels, omega, kappas = zip(*_eig(M, params.zeta))
     for label, kappa in zip(labels, kappas):
         if not _EPS * kappa * kappa <= WEIGHT_RTOL:  # NaN fails too

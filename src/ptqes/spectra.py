@@ -224,6 +224,25 @@ def _shifted_p_block(M: int):
     return A
 
 
+@functools.lru_cache(maxsize=32, typed=True)
+def _gershgorin_zeta2(M: int) -> float:
+    """zeta_G^2 = min_n (c_{n+1} - c_n)^2 / (r_n + r_{n+1})^2 for odd
+    M = 2k + 1 > 1, built once per M for critical_coupling, from c, the
+    diagonal of _pencil's C, and r, the row sums of |S| over its E_P block.
+    For zeta^2 < zeta_G^2 the Gershgorin discs |E - c_n| <= |zeta| r_n are
+    disjoint (Gershgorin 1931), adjacent ones because c_n rises with n and
+    so all of them, and each holds one eigenvalue: a real block's disc on
+    the real axis cannot hold a conjugate pair, so every E_P level is real
+    and simple.  E_Q's block is E_P's leading k x k block, with the same
+    centres and radii no larger, so its levels are too.  M^2 zeta_G^2 is
+    2.25 at M = 3 (zeta_G^2 = zeta_c^2 = 1/4 there, computed 4 ulps low
+    because _pencil's doubled entry sqrt(8) sqrt(2) rounds 1 ulp above 4),
+    1.2545 at M = 5, and falls toward 1.0917 as M grows."""
+    C, S = _pencil(M)
+    c, r = np.diag(C), np.abs(S).sum(axis=1)
+    return float(np.min(np.diff(c) ** 2 / (r[:-1] + r[1:]) ** 2))
+
+
 def _eig(M: int, zeta: float) -> list:
     """The M levels at one coupling as (E, label, omega, kappa) rows, in
     level_rows' order and with its bits, from one solve with vectors of
@@ -436,11 +455,16 @@ def critical_coupling(M: int, tol: float = 1e-10) -> CriticalCoupling:
     stops at the first point where the pair's squared gap _top_gap2 is
     negative: zeta_c^2 peaks at exactly 1/4 (M = 3), and M zeta_c falls
     toward the Mathieu double point 1.4688, so (0, 1/2] holds every merger.
-    Brent's zeroin then solves gap^2 = 0 between that point and the one
-    before it, from the two values the scan computed (at zeta = 0 the top
-    two E_P levels are b_k and b_k - 4, so gap^2 = 16 there with no solve),
-    and stops once the bracket is within (tol + 4 eps) zeta_c^2: 6 or 7
-    eigen-solves for M = 21..161 at tol=1e-10.  tol is relative to zeta^2,
+    The scan starts at the last grid point below _gershgorin_zeta2(M),
+    under which every level is proven real, so gap^2 > 0 at every point it
+    skips and it stops where a scan from i = 1 stops.  Brent's zeroin then
+    solves gap^2 = 0 between that point and the one before it, from the two
+    values the scan computed (at zeta = 0 the top two E_P levels are b_k and
+    b_k - 4, so gap^2 = 16 there with no solve), and stops once the bracket
+    is within (tol + 4 eps) zeta_c^2.  At tol=1e-10 that is 4, 21, 15, 12
+    and 10 eigen-solves for M = 3, 5, 7, 9, 11, where a scan from i = 1
+    took 102, 40, 23, 16 and 12, and 6 or 7 for M = 21..161, where the
+    bound skips no grid point.  tol is relative to zeta^2,
     so it gives the same digits at every M, and must be positive and
     finite.  Against 40-, 60- and 80-digit roots of the same gap^2, the
     default tol=1e-10 gives zeta_c^2 within 1.7e-11 relative for M = 3..21,
@@ -450,9 +474,9 @@ def critical_coupling(M: int, tol: float = 1e-10) -> CriticalCoupling:
     block.  M = 1 has no finite critical coupling; a scan that finds no
     negative gap^2 raises RuntimeError.
 
-    The scan is still all 101 probes at M = 3 and 36 of 39 at M = 5; it
-    stays until the benchmark's memory reading no longer grows with the
-    number of operations a run completes (ROADMAP item 1)."""
+    The scan itself stays until the benchmark's memory reading no longer
+    grows with the number of operations a run completes (ROADMAP items 1a
+    and 3b)."""
     k_index(M)  # validates odd positive M
     if not (0 < tol < math.inf):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -463,7 +487,7 @@ def critical_coupling(M: int, tol: float = 1e-10) -> CriticalCoupling:
     gap2 = functools.partial(_top_gap2, _shifted_p_block(M), S)
     lo, g_lo = 0.0, 16.0
     with np.errstate(**_GEEV_ERRSTATE):
-        for i in range(1, 201):
+        for i in range(max(1, math.ceil(400.0 * _gershgorin_zeta2(M)) - 1), 201):
             up = 0.5 * i / 200
             g_up = gap2(up)
             if g_up < 0.0:

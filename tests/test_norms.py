@@ -88,8 +88,9 @@ def test_gram_identity_cells():
 def test_degenerate_support_refused():
     with pytest.raises(DegenerateSpectrumError):
         weights(ModelParams(M=3, zeta=0.5))  # double root at zeta^2 = 0.25
-    with pytest.raises(DegenerateSpectrumError):
-        weights(ModelParams(M=4, zeta=0.0))  # levels coincide in pairs
+    # levels coincide in pairs, and every Gram norm from gamma_1 on is 0
+    with pytest.raises(DegenerateSpectrumError, match=r"vanishes at zeta\^2=0\.0: zeta = 0$"):
+        weights(ModelParams(M=4, zeta=0.0))
 
 
 # Cells where gamma_n = a_1 ... a_n underflows to 0 or a subnormal: at M = 3

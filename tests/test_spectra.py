@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import warnings
@@ -264,11 +265,54 @@ def test_critical_coupling_takes_at_most_ten_eigen_solves(monkeypatch, M):
     assert _count_eigen_solves(monkeypatch, M, 1e-10) <= 10
 
 
-@pytest.mark.parametrize("M, bound", [(3, 102), (5, 40), (7, 23), (9, 16), (11, 12)])
+@pytest.mark.parametrize("M, bound", [(3, 4), (5, 21), (7, 15), (9, 12), (11, 10)])
 def test_critical_coupling_eigen_solves_at_small_m(monkeypatch, M, bound):
-    # the 200-point scan costs almost all of these; zeroin with the
-    # absolute tol took 102/40/22/16/12
+    # the scan starts below the Gershgorin bound; from i = 1 it took
+    # 102/40/23/16/12
     assert _count_eigen_solves(monkeypatch, M, 1e-10) <= bound
+
+
+def test_gershgorin_bound_at_m3_is_the_merger():
+    # 1/4 in exact arithmetic, where the M = 3 pair merges; _pencil's
+    # doubled entry sqrt(8) sqrt(2) rounds 1 ulp above 4, which puts the
+    # computed bound 4 ulps below 1/4, on the safe side
+    assert ptqes.spectra._gershgorin_zeta2(3) == float.fromhex("0x1.ffffffffffffcp-3")
+
+
+@pytest.mark.parametrize("M", [*range(3, 202, 2), 401])
+def test_gershgorin_bound_keeps_every_odd_m_level_real(M):
+    zeta2 = ptqes.spectra._gershgorin_zeta2(M) * (1.0 - 1e-9)
+    rows = level_rows(M, math.sqrt(zeta2))
+    assert {label for _, label, _ in rows} == {"E_P", "E_Q"}
+    assert all(E.imag == 0.0 and real for E, _, real in rows)
+
+
+def _full_scan_critical_coupling(M, tol):
+    # critical_coupling as it was before the scan started at the Gershgorin
+    # bound: every grid point from i = 1, then the same zeroin and merged-
+    # energy solve
+    C, S = _pencil(M)
+    gap2 = functools.partial(ptqes.spectra._top_gap2, ptqes.spectra._shifted_p_block(M), S)
+    lo, g_lo = 0.0, 16.0
+    with np.errstate(**ptqes.spectra._GEEV_ERRSTATE):
+        for i in range(1, 201):
+            up = 0.5 * i / 200
+            g_up = gap2(up)
+            if g_up < 0.0:
+                break
+            lo, g_lo = up, g_up
+        zc2 = ptqes.spectra._zeroin(gap2, lo, up, g_lo, g_up, tol)
+        z = math.sqrt(zc2)
+        below, top = sorted(E.real - z * z for E in np.linalg.eigvals(C + z * S).tolist())[-2:]
+    return zc2, 0.5 * (below + top)
+
+
+@pytest.mark.parametrize("M", [*range(3, 102, 2), 161, 401])
+def test_critical_coupling_matches_the_full_scan(M):
+    for tol in (1e-8, 1e-10, 1e-13, 1e-300):
+        got = critical_coupling(M, tol)
+        zc2, energy = _full_scan_critical_coupling(M, tol)
+        assert (got.zeta_c_squared.hex(), got.degenerate_energy.hex()) == (zc2.hex(), energy.hex()), tol
 
 
 @pytest.mark.parametrize("M", [3, 5, 7, 9, 11, 21, 81])
