@@ -402,11 +402,16 @@ def main(argv=None) -> int:
             # stdout still holds the unwritten rest, and the flush at
             # interpreter exit would fail on it again and print "Exception
             # ignored" (the note on SIGPIPE in Python's signal docs), so the
-            # descriptor is pointed at the null device.  A stdout with no
-            # descriptor, as an in-process caller may have, is left as it is.
+            # descriptor is pointed at the null device, and the descriptor
+            # opened for that is closed again (unless it reused a closed
+            # stdout's number).  A stdout with no descriptor, as an in-process
+            # caller may have, is left as it is.
             with contextlib.suppress(OSError, ValueError, AttributeError):
                 fileno = sys.stdout.fileno()
-                os.dup2(os.open(os.devnull, os.O_WRONLY), fileno)
+                null = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, fileno)
+                if null != fileno:
+                    os.close(null)
         return EXIT_USAGE
     return code
 

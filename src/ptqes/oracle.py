@@ -8,9 +8,11 @@ code with it:
   levels and its characteristic polynomial is R_M.
 * ode_residual_* plug closed-form eigenfunctions into the Schroedinger
   equation with a central finite difference, so no analytic derivative of
-  the implementation under test is reused.
-* reproduce_tables compares computed spectra against the golden tables
-  bundled as ptqes/data/golden_tables.csv.
+  the implementation under test is reused.  The M = 1 and M = 3 closed
+  forms are one table, each level written beside its eigenfunction;
+  dshg_closed_form_levels and dshg_closed_form are its two views.
+* reproduce_tables compares each row of the golden tables bundled as
+  ptqes/data/golden_tables.csv against its own computed spectrum.
 
 verify_tables and verify_gauge are the `tables` and `oracle` suites of
 `ptqes verify`; each check's bound is a constant beside the code.
@@ -106,19 +108,29 @@ def ode_residual(psi, pot, E: complex, points) -> float:
     return max((abs(-d2 + pot(x) * psi(x) - E * psi(x)) for x, d2 in zip(pts, second)), key=_rank) / amp
 
 
-def dshg_closed_form_levels(params: ModelParams) -> dict:
-    """Closed-form hyperbolic levels for M = 1 and M = 3, keyed by tag."""
-    z2 = params.zeta2
+def _closed_forms(params: ModelParams) -> dict:
+    """{tag: (E, psi)}: each closed-form hyperbolic level beside its
+    eigenfunction psi, a callable of complex x; M = 1 and M = 3 only."""
+    zeta, z2 = params.zeta, params.zeta2
+
+    def gauge(x):
+        return cmath.exp(0.5j * zeta * cmath.cosh(2.0 * x))
+
     if params.M == 1:
-        return {"ground": 1.0 - z2}
+        return {"ground": (1.0 - z2, gauge)}
     if params.M == 3:
         r = cmath.sqrt(1.0 - 4.0 * z2)
         return {
-            "odd": 5.0 - z2,
-            "even_minus": 7.0 - z2 - 2.0 * r,
-            "even_plus": 7.0 - z2 + 2.0 * r,
+            "odd": (5.0 - z2, lambda x: cmath.sinh(2.0 * x) * gauge(x)),
+            "even_minus": (7.0 - z2 - 2.0 * r, lambda x: (-2j * zeta + (r + 1.0) * cmath.cosh(2.0 * x)) * gauge(x)),
+            "even_plus": (7.0 - z2 + 2.0 * r, lambda x: (-2j * zeta + (1.0 - r) * cmath.cosh(2.0 * x)) * gauge(x)),
         }
     raise ValueError(f"closed forms available for M in (1, 3) only, got M={params.M}")
+
+
+def dshg_closed_form_levels(params: ModelParams) -> dict:
+    """Closed-form hyperbolic levels for M = 1 and M = 3, keyed by tag."""
+    return {tag: E for tag, (E, _) in _closed_forms(params).items()}
 
 
 def dshg_closed_form(params: ModelParams, tag: str):
@@ -128,24 +140,10 @@ def dshg_closed_form(params: ModelParams, tag: str):
     M = 3 "odd" (the sinh-sector state at E = 5 - zeta^2), "even_minus"
     and "even_plus" (the two cosh-sector states, lower and upper energy).
     """
-    zeta = params.zeta
-    levels = dshg_closed_form_levels(params)
-    if tag not in levels:
-        raise ValueError(f"unknown tag {tag!r} for M={params.M}; known: {sorted(levels)}")
-
-    def gauge(x):
-        return cmath.exp(0.5j * zeta * cmath.cosh(2.0 * x))
-
-    if tag == "ground":
-        return gauge
-    if tag == "odd":
-        return lambda x: cmath.sinh(2.0 * x) * gauge(x)
-    r = cmath.sqrt(1.0 - 4.0 * params.zeta2)
-    if tag == "even_minus":
-        # partner of E = 7 - zeta^2 - 2r
-        return lambda x: (-2j * zeta + (r + 1.0) * cmath.cosh(2.0 * x)) * gauge(x)
-    # partner of E = 7 - zeta^2 + 2r
-    return lambda x: (-2j * zeta + (1.0 - r) * cmath.cosh(2.0 * x)) * gauge(x)
+    forms = _closed_forms(params)
+    if tag not in forms:
+        raise ValueError(f"unknown tag {tag!r} for M={params.M}; known: {sorted(forms)}")
+    return forms[tag][1]
 
 
 def default_sample_points():
@@ -262,7 +260,8 @@ def load_golden_levels():
 
 def reproduce_tables(table: str) -> TableReport:
     """Compare computed spectra against one golden table ("I", "II", "III")
-    of the bundled file; the table's rows give its M.
+    of the bundled file, each row against the spectrum at its own M and
+    zeta2, in file order.
 
     Each cell is a CellComparison: its golden row's fields (table, M,
     zeta2, label, rank, energy), then computed (the real part of level
@@ -274,16 +273,12 @@ def reproduce_tables(table: str) -> TableReport:
     if not rows:
         raise ValueError(f"unknown table {table!r}; expected one of {sorted({g.table for g in golden})}")
     cells = []
-    for M, zeta2 in sorted({(g.M, g.zeta2) for g in rows}):
-        spectrum = qes_spectrum(ModelParams(M=M, zeta=math.sqrt(zeta2)))
-        by_label = {}
-        for lvl in spectrum.levels:
-            by_label.setdefault(lvl.label, []).append(lvl.E)
-        for g in (g for g in rows if (g.M, g.zeta2) == (M, zeta2)):
-            levels = by_label.get(g.label, ())
-            computed = levels[g.rank] if g.rank < len(levels) else math.inf
-            err = abs(computed - g.energy)
-            cells.append(CellComparison(**vars(g), computed=computed.real, abs_err=err, passed=err <= _CELL_TOL))
+    for g in rows:
+        spectrum = qes_spectrum(ModelParams(M=g.M, zeta=math.sqrt(g.zeta2)))
+        levels = [lvl.E for lvl in spectrum.levels if lvl.label == g.label]
+        computed = levels[g.rank] if g.rank < len(levels) else math.inf
+        err = abs(computed - g.energy)
+        cells.append(CellComparison(**vars(g), computed=computed.real, abs_err=err, passed=err <= _CELL_TOL))
     return TableReport(table=table, cells=tuple(cells))
 
 

@@ -25,10 +25,11 @@ and, for odd M = 2k + 1, k + 1 for P and k for Q.  So F_{b+n} = F_b * Fbar_n,
 the cofactor family Fbar (Pbar, Qbar, Rbar) being F's step read at b + n.
 
 Each family's step is two formulas, one for lin_n and one for tail_n, each
-written once.  step_table(family, params, count) = [(lin_n, tail_n),
-n = 1 .. count - 1] zips them, built once per call (Fbar's table is F's from
-n = b + 1 on; R's entries are the a_n, b_n expressions above, with the bits
-of recurrence_a and recurrence_b).  The coefficient builders (build_P,
+written once and kept as one pair in the map _STEPS.  step_table(family,
+params, count) = [(lin_n, tail_n), n = 1 .. count - 1] zips them, built once
+per call (Fbar's table is F's from n = b + 1 on).  recurrence_a and
+recurrence_b read R's tail and lin formulas at n + 1, so a_n and b_n are
+written only there.  The coefficient builders (build_P,
 build_Q, build_R, build_bar) and family_values (the recursion run at one
 point E) read a table, and norms.gram_matrix runs one R table at every
 support point.  The norms read the tails alone: family_norms forms the Gram
@@ -37,7 +38,6 @@ no lin_n.
 """
 
 import cmath
-import functools
 import itertools
 import operator
 
@@ -45,15 +45,6 @@ import numpy as np
 
 from .model import ModelParams, k_index
 from .polyengine import EnergyPolynomial
-
-
-def recurrence_a(n: int, params: ModelParams) -> float:
-    """a_n = -4 n (M - n) zeta^2; negative for 0 < n < M, zero at n = M."""
-    return -4.0 * n * (params.M - n) * params.zeta2
-
-
-def recurrence_b(n: int, params: ModelParams) -> float:
-    return 4.0 * n * (params.M - 1 - n) + 2.0 * params.M - 1.0 - params.zeta2
 
 
 def _p_lins(params: ModelParams, ns) -> list:
@@ -76,9 +67,6 @@ def _q_tails(params: ModelParams, ns) -> list:
     return [8j * params.zeta * (n - 1) * (2 * n - 1) * (params.M + 1 - 2 * n) for n in ns]
 
 
-# R's lin_n = -b_{n-1} and tail_n = a_{n-1} in the float operations of
-# recurrence_b and recurrence_a (the integer factors are exact), so every
-# entry has their bits
 def _r_lins(params: ModelParams, ns) -> list:
     M, zeta2 = params.M, params.zeta2
     return [-(4.0 * (n - 1) * (M - n) + 2.0 * M - 1.0 - zeta2) for n in ns]
@@ -89,22 +77,25 @@ def _r_tails(params: ModelParams, ns) -> list:
     return [-4.0 * (n - 1) * (M + 1 - n) * zeta2 for n in ns]
 
 
-def _zipped(lins, tails, params: ModelParams, ns) -> list:
-    return list(zip(lins(params, ns), tails(params, ns)))
+_STEPS = {"P": (_p_lins, _p_tails), "Q": (_q_lins, _q_tails), "R": (_r_lins, _r_tails)}
 
 
-_p_table = functools.partial(_zipped, _p_lins, _p_tails)
-_q_table = functools.partial(_zipped, _q_lins, _q_tails)
-_r_table = functools.partial(_zipped, _r_lins, _r_tails)
-_TABLES = {"P": _p_table, "Q": _q_table, "R": _r_table}
-_TAILS = {"P": _p_tails, "Q": _q_tails, "R": _r_tails}
+def recurrence_a(n: int, params: ModelParams) -> float:
+    """a_n = -4 n (M - n) zeta^2 = R's tail_{n+1}; negative for 0 < n < M,
+    zero at n = M."""
+    return _r_tails(params, (n + 1,))[0]
+
+
+def recurrence_b(n: int, params: ModelParams) -> float:
+    """b_n = 4 n (M - 1 - n) + 2M - 1 - zeta^2 = -(R's lin_{n+1})."""
+    return -_r_lins(params, (n + 1,))[0]
 
 
 def _offset(family: str, params: ModelParams):
     """(F, b) for family F or Fbar: Fbar reads F's steps at b + n, b = 0 for
     F itself (P and Q need odd M)."""
     base = family.removesuffix("bar")
-    if base not in _TABLES:
+    if base not in _STEPS:
         raise ValueError(f"family must be P, Q, R, Pbar, Qbar or Rbar, got {family!r}")
     return base, (0 if base == family else params.M if base == "R" else k_index(params.M) + (base == "P"))
 
@@ -113,7 +104,9 @@ def step_table(family: str, params: ModelParams, count: int) -> list:
     """[(lin_n, tail_n) for n = 1 .. count - 1]; Fbar reads F's steps at
     b + n (P and Q need odd M)."""
     base, b = _offset(family, params)
-    return _TABLES[base](params, range(b + 1, b + count))
+    lins, tails = _STEPS[base]
+    ns = range(b + 1, b + count)
+    return list(zip(lins(params, ns), tails(params, ns)))
 
 
 def _build(family: str, params: ModelParams, n_max: int):
@@ -153,7 +146,7 @@ def build_R(params: ModelParams, n_max: int):
 def build_bar(family: str, params: ModelParams, n_max: int):
     """Cofactor Fbar_0 .. Fbar_{n_max} of F = "P", "Q" or "R" (P and Q need
     odd M): F_{b+n} = F_b * Fbar_n at the truncation index b."""
-    if family not in _TABLES:
+    if family not in _STEPS:
         raise ValueError(f"family must be P, Q or R, got {family!r}")
     return _build(f"{family}bar", params, n_max)
 
@@ -181,7 +174,7 @@ def family_norms(family: str, params: ModelParams, count: int) -> list:
     raises ValueError.  For R, h_n = gamma_n = a_1 ... a_n, 0 from n = M on.
     """
     base, b = _offset(family, params)
-    out = list(itertools.accumulate(_TAILS[base](params, range(b + 2, b + count + 1)), operator.mul, initial=1.0))
+    out = list(itertools.accumulate(_STEPS[base][1](params, range(b + 2, b + count + 1)), operator.mul, initial=1.0))
     # inf and NaN stay in every later product: past the first non-finite h_n
     # every entry is non-finite, so n is the number of finite ones
     if not cmath.isfinite(out[-1]):

@@ -462,10 +462,9 @@ def critical_coupling(M: int, tol: float = 1e-10) -> CriticalCoupling:
     values the scan computed (at zeta = 0 the top two E_P levels are b_k and
     b_k - 4, so gap^2 = 16 there with no solve), and stops once the bracket
     is within (tol + 4 eps) zeta_c^2.  At tol=1e-10 that is 4, 21, 15, 12
-    and 10 eigen-solves for M = 3, 5, 7, 9, 11, where a scan from i = 1
-    took 102, 40, 23, 16 and 12, and 6 or 7 for M = 21..161, where the
-    bound skips no grid point.  tol is relative to zeta^2,
-    so it gives the same digits at every M, and must be positive and
+    and 10 eigen-solves for M = 3, 5, 7, 9, 11, and 6 or 7 for
+    M = 21..161, where the bound skips no grid point.  tol is relative to
+    zeta^2, so it gives the same digits at every M, and must be positive and
     finite.  Against 40-, 60- and 80-digit roots of the same gap^2, the
     default tol=1e-10 gives zeta_c^2 within 1.7e-11 relative for M = 3..21,
     41 and 81, tol=1e-13 within 2.0e-15, and a tol below the spacing of

@@ -452,6 +452,36 @@ def test_closed_stdout_pipe_exits_2():
     assert stderr == "error: cannot write stdout: Broken pipe\n"
 
 
+def _open_descriptors():
+    """The numbers of this process's open file descriptors below 256."""
+    fds = set()
+    for fd in range(256):
+        with contextlib.suppress(OSError):
+            os.fstat(fd)
+            fds.add(fd)
+    return fds
+
+
+def test_unwritable_stdout_leaves_no_descriptor_open(capsys, monkeypatch):
+    # an in-process call whose stdout is a pipe with its read end closed
+    # points that descriptor at the null device and closes the one it opened
+    # for that, so repeated calls do not pile up descriptors
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    stdout = os.fdopen(write_end, "w")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    before = _open_descriptors()
+    try:
+        assert ptqes.cli.main(["spectrum", "--M", "3", "--zeta2", "0.01"]) == 2
+        after = _open_descriptors()
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+    finally:
+        with contextlib.suppress(OSError):
+            stdout.close()
+    assert capsys.readouterr().err == "error: cannot write stdout: Broken pipe\n"
+    assert after == before
+
+
 def test_unwritable_stdout_without_a_descriptor_exits_2(capsys, monkeypatch):
     # an in-process caller's stdout with no file descriptor to redirect
     class Full(io.StringIO):

@@ -94,11 +94,26 @@ def test_closed_form_levels_and_tags():
 def test_ode_residual_closed_forms():
     p1 = ModelParams(M=1, zeta=0.2)
     assert ode_residual_dshg(p1, 1.0 - 0.04, "ground") < 1e-6
-    p3 = ModelParams(M=3, zeta=math.sqrt(0.01))
-    for tag, E in dshg_closed_form_levels(p3).items():
-        assert ode_residual_dshg(p3, E, tag) < 1e-6
     # a shifted energy must be rejected loudly, otherwise the check is vacuous
     assert ode_residual_dshg(p1, 1.0 - 0.04 + 0.1, "ground") > 1e-2
+
+
+@pytest.mark.parametrize("zeta2", [0.01, 0.1, 0.24, 0.3])
+def test_ode_residual_closed_forms_pair_each_state_with_its_level(zeta2):
+    # each M = 3 state solves the equation at its own tag's level and at no
+    # other tag's, so a table that swaps two levels fails here (measured:
+    # own <= 6.9e-7, others >= 4.0e-2; zeta^2 = 0 is left out, where odd and
+    # even_minus are both 5); 0.3 is past the merger, with complex levels
+    p3 = ModelParams(M=3, zeta=math.sqrt(zeta2))
+    levels = dshg_closed_form_levels(p3)
+    assert list(levels) == ["odd", "even_minus", "even_plus"]
+    for tag in levels:
+        for other, E in levels.items():
+            residual = ode_residual_dshg(p3, E, tag)
+            if other == tag:
+                assert residual < 1e-6
+            else:
+                assert residual > 1e-2
 
 
 def test_ode_residual_dsg_takes_the_negated_level():

@@ -29,7 +29,17 @@ def _docstring_step(family, params, n):
         return 4 * (n - 1) ** 2 - 8j * zeta * n + 6j * zeta - sq, 8j * zeta * (n - 1) * (2 * n - 3) * (M + 3 - 2 * n)
     if family == "Q":
         return 4 * n**2 - 8j * zeta * n + 2j * zeta - sq, 8j * zeta * (n - 1) * (2 * n - 1) * (M + 1 - 2 * n)
-    return -recurrence_b(n - 1, params), recurrence_a(n - 1, params)
+    return -_docstring_b(n - 1, params), _docstring_a(n - 1, params)
+
+
+def _docstring_a(n, params):
+    """a_n = -4 n (M - n) zeta^2, as the module docstring writes it."""
+    return -4.0 * n * (params.M - n) * params.zeta2
+
+
+def _docstring_b(n, params):
+    """b_n = 4 n (M - 1 - n) + 2M - 1 - zeta^2, as the module docstring writes it."""
+    return 4.0 * n * (params.M - 1 - n) + 2.0 * params.M - 1.0 - params.zeta2
 
 
 def _plain_step(family, params):
@@ -173,7 +183,7 @@ def test_zero_coupling_factorizes_completely():
 @pytest.mark.parametrize("zeta", TABLE_ZETAS)
 @pytest.mark.parametrize("M", range(1, 42))
 def test_step_tables_are_the_docstring_steps(M, zeta):
-    # Exact equality: R's table has the bits of recurrence_a/recurrence_b,
+    # Exact equality: each table has the bits of the docstring's formulas,
     # and Fbar's is F's read from n = b + 1.
     p = ModelParams(M=M, zeta=zeta)
     count = M + 3
@@ -185,6 +195,11 @@ def test_step_tables_are_the_docstring_steps(M, zeta):
         step = _plain_step(family, p)
         assert repr(step_table(family, p, count)) == repr([step(n) for n in range(1, count)])
         assert step_table(family, p, 1) == step_table(family, p, -2) == []
+    # recurrence_a and recurrence_b read R's formulas at n + 1; float.hex
+    # tells the signed zeros apart (a_0 and a_M are -0.0)
+    for n in range(M + 2):
+        assert recurrence_a(n, p).hex() == _docstring_a(n, p).hex()
+        assert recurrence_b(n, p).hex() == _docstring_b(n, p).hex()
 
 
 @pytest.mark.parametrize("zeta", TABLE_ZETAS)

@@ -398,15 +398,15 @@ def test_factorization_holds_to_rounding_up_to_m61(M):
 def test_factorization_sees_a_perturbed_truncating_tail(M, monkeypatch):
     # P's tail vanishes at n = k + 2 through the factor M + 3 - 2n; offset
     # that factor by 1e-6 there, so P_{k+1} no longer divides P_{k+1+n}.
-    exact = ptqes.recursion._p_table
+    lins, exact = ptqes.recursion._STEPS["P"]
 
     def perturbed(params, ns):
         return [
-            (lin, 8j * params.zeta * (n - 1) * (2 * n - 3) * 1e-6) if n == M // 2 + 2 else (lin, tail)
-            for n, (lin, tail) in zip(ns, exact(params, ns))
+            8j * params.zeta * (n - 1) * (2 * n - 3) * 1e-6 if n == M // 2 + 2 else tail
+            for n, tail in zip(ns, exact(params, ns))
         ]
 
-    monkeypatch.setitem(ptqes.recursion._TABLES, "P", perturbed)
+    monkeypatch.setitem(ptqes.recursion._STEPS, "P", (lins, perturbed))
     report = check_factorization(ModelParams(M=M, zeta=math.sqrt(0.02)))
     p_checks = [c.deviation for c in report.checks if c.identity == "P = P_crit*Pbar"]
     others = [c.deviation for c in report.checks if c.identity != "P = P_crit*Pbar"]
